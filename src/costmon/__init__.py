@@ -44,7 +44,7 @@ from .depgraph import (
     load_graph_file,
 )
 from .tableau import Branch, TableauNode, apply_dist, branches, build_tableau, export_dot, terminal_node
-from .unwinding import InfeasibleConstraintError, QDepTuple, UnwoundFormula, extract_qdep, local_constraint, unwind
+from .unwinding import InfeasibleConstraintError, UnwoundFormula, extract_qdep, local_constraint, unwind
 from .grouping import MonitorGroup, UnobservableAtomError, assign_conjuncts, organize_groups
 from .runtime import (
     LocalMonitor,
@@ -85,7 +85,7 @@ __all__ = [
     "DependencyGraph", "GraphError", "Process", "load_graph", "load_graph_file",
     "Branch", "TableauNode", "apply_dist", "branches", "build_tableau",
     "export_dot", "terminal_node",
-    "InfeasibleConstraintError", "QDepTuple", "UnwoundFormula",
+    "InfeasibleConstraintError", "UnwoundFormula",
     "extract_qdep", "local_constraint", "unwind",
     "MonitorGroup", "UnobservableAtomError", "assign_conjuncts", "organize_groups",
     "LocalMonitor", "MonitorMessage", "MonitorReport", "aggregate_verdict",

@@ -35,11 +35,10 @@ from .formulas import (
     Until,
     Verdict,
     evaluate_trace_with_position,
-    negate,
     parse_formula,
     render_formula,
 )
-from .grouping import UnobservableAtomError, assign_conjuncts, organize_groups
+from .grouping import UnobservableAtomError
 from .runtime import BudgetWatcher
 from .simulator import (
     FaultSpec,
@@ -68,9 +67,6 @@ EXIT_USAGE = 64
 RANDOM_LIMITS = {"max_processes": 6, "max_fanout": 3, "max_cost": 3,
                  "max_rounds": 20}
 
-_VERDICT_NAMES = {Verdict.TRUE: "True", Verdict.FALSE: "False",
-                  Verdict.UNKNOWN: "Unknown"}
-
 
 class _UsageError(Exception):
     pass
@@ -91,6 +87,13 @@ def _fault_arg(text: str):
         raise argparse.ArgumentTypeError(
             "expected KIND@ROUND[:TARGET], got %r" % text)
     return kind, int(rnd), (target or None)
+
+
+def _rounds_arg(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text)
+    return int(text)
 
 
 def _tamper_arg(text: str):
@@ -123,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="builtin name (sorting_line, "
                                 "sorting_line_blue, example2, random) or "
                                 "path to a scenario JSON file")
-            p.add_argument("--rounds", type=int, metavar="N",
+            p.add_argument("--rounds", type=_rounds_arg, metavar="N",
                            help="rounds to run (default: scenario choice)")
             p.add_argument("--fault", type=_fault_arg, metavar="K@R[:T]",
                            help="inject fault KIND at round R on target T; "
@@ -184,7 +187,7 @@ def _read_formula(value: str) -> Formula:
 
 
 def _verdict(v: Verdict) -> str:
-    return _VERDICT_NAMES[v]
+    return v.name.capitalize()
 
 
 def _emit(args, text: str) -> None:
@@ -289,11 +292,8 @@ def cmd_group(args) -> int:
     _require(args, "formula", "graph")
     f = _read_formula(args.formula)
     g = load_graph_file(args.graph)
-    u = unwind(f, g)
-    neg = negate(u.formula)
-    root = build_tableau(neg)
-    groups = organize_groups(list(g.processes), root, neg, g)
-    assignment = assign_conjuncts(groups, u)
+    plan = plan_monitors(f, g)
+    groups, assignment = plan.groups, plan.assignment
     all_pids = tuple(sorted(p.pid for p in g.processes))
     rows = []
     for group in groups:
@@ -419,11 +419,15 @@ def _result_text(name: str, rounds: int, result: SimulationResult) -> str:
     return "\n".join(lines)
 
 
+def _rounds(args, sc: Scenario) -> int:
+    if args.rounds is not None:
+        return args.rounds
+    return sc.suggested_rounds if sc.suggested_rounds is not None else 40
+
+
 def cmd_simulate(args) -> int:
     sc = _assemble_scenario(args)
-    rounds = args.rounds
-    if rounds is None:
-        rounds = sc.suggested_rounds if sc.suggested_rounds is not None else 40
+    rounds = _rounds(args, sc)
     result = run_scenario(sc, rounds)
     if args.format == "json":
         _emit(args, json.dumps(_result_document(args.scenario, rounds, result),
@@ -461,10 +465,7 @@ def cmd_check(args) -> int:
                               "budget watchers)" % (idx, len(budget_watchers)))
         w = budget_watchers[idx]
         w.dep = QDep(w.dep.left, w.dep.right, val)
-    rounds = args.rounds
-    if rounds is None:
-        rounds = sc.suggested_rounds if sc.suggested_rounds is not None else 40
-    result = run_simulation(sc, rounds, monitors, root=formula)
+    result = run_simulation(sc, _rounds(args, sc), monitors, root=formula)
     report = result.report
     central, position = evaluate_trace_with_position(
         formula, latched(result.global_trace))

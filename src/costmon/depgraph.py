@@ -112,12 +112,6 @@ class DependencyGraph:
             if not self._pred[p.pid] and not self._succ[p.pid]:
                 raise GraphError("process %s is isolated (no edges)" % p.pid)
 
-    def successors(self, pid: str) -> List[str]:
-        return list(self._succ[pid])
-
-    def predecessors(self, pid: str) -> List[str]:
-        return list(self._pred[pid])
-
     def classify(self, pid: str) -> str:
         if pid not in self.by_pid:
             raise GraphError("unknown pid %s" % pid)
@@ -181,12 +175,6 @@ class DependencyGraph:
         return total
 
 
-def validate(g: DependencyGraph) -> None:
-    """Re-run the structural checks; construction already performs them."""
-    g._check_acyclic()
-    g._check_isolated()
-
-
 _PROCESS_KEYS = {"pid", "inputs", "outputs", "cost"}
 _TOP_KEYS = {"processes", "environment"}
 
@@ -226,7 +214,10 @@ def load_graph(text: str) -> DependencyGraph:
         if not isinstance(cost, int) or isinstance(cost, bool):
             raise GraphError("cost of %s must be an integer" % pid)
         procs.append(Process(pid, tuple(inputs), tuple(outputs), cost))
-    return DependencyGraph(procs, doc.get("environment", ()))
+    env = doc.get("environment", [])
+    if not isinstance(env, list) or not all(isinstance(v, str) for v in env):
+        raise GraphError("'environment' must be a list of names")
+    return DependencyGraph(procs, env)
 
 
 def load_graph_file(path: str) -> DependencyGraph:

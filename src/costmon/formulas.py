@@ -53,15 +53,6 @@ def make_event(props=(), cost: int = 0) -> Event:
     return Event(frozenset(props), cost)
 
 
-def cumulative_costs(trace: Trace) -> list:
-    """Prefix sums of event costs; entry k is the cost accrued through event k."""
-    total, out = 0, []
-    for e in trace:
-        total += e.cost
-        out.append(total)
-    return out
-
-
 class Formula:
     """Base class for formula nodes.  Instances are immutable and hashable."""
 

@@ -17,9 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .depgraph import DependencyGraph, Process
 from .formulas import (
     And,
-    Atom,
     Eventually,
-    FALSE,
     Formula,
     Globally,
     Next,
@@ -32,7 +30,7 @@ from .formulas import (
     disj,
     render_formula,
 )
-from .tableau import Branch, TableauNode, branches, terminal_node
+from .tableau import Branch, TableauNode, branches, last_poised_label
 
 
 class UnobservableAtomError(ValueError):
@@ -44,10 +42,6 @@ class MonitorGroup:
     members: Tuple[str, ...]  # pids ascending; also the communication order
     formula: Formula
     branch_formulas: Tuple[Formula, ...]
-
-    @property
-    def comm_order(self) -> Tuple[str, ...]:
-        return self.members
 
 
 def branch_content(b: Branch) -> Optional[Formula]:
@@ -62,7 +56,7 @@ def branch_content(b: Branch) -> Optional[Formula]:
     if b.outcome != "ticked":
         return None
     parts: List[Formula] = []
-    for f in b.leaf.label if _all_poised(b.leaf.label) else _last_poised(b):
+    for f in last_poised_label(b):
         g = f.sub if isinstance(f, Next) else f
         if g not in parts:
             parts.append(g)
@@ -78,19 +72,6 @@ def branch_content(b: Branch) -> Optional[Formula]:
     if not kept:
         return None
     return conj(kept)
-
-
-def _all_poised(label) -> bool:
-    from .tableau import _is_poised
-    return _is_poised(label)
-
-
-def _last_poised(b: Branch):
-    from .tableau import _is_poised
-    for node in reversed(b.nodes):
-        if _is_poised(node.label):
-            return node.label
-    return b.leaf.label
 
 
 def _observers(f: Formula, procs: Sequence[Process]) -> Tuple[str, ...]:

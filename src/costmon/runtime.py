@@ -36,7 +36,6 @@ from .grouping import MonitorGroup, dep_core
 class MonitorMessage:
     idx: int  # key into the shared subformula index table
     val: Verdict
-    round: int
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,6 @@ class LocalMonitor:
         self.successor = successor
         self.latched: set = set()
         self.inbox: List[MonitorMessage] = []
-        self.outbox: List[MonitorMessage] = []
-        self.rounds_run = 0
 
     @property
     def verdict(self) -> Verdict:
@@ -158,11 +155,6 @@ class LocalMonitor:
         if vs and all(v is Verdict.FALSE for v in vs):
             return Verdict.FALSE
         return Verdict.UNKNOWN
-
-    @property
-    def obligations(self) -> List[Obligation]:
-        return [w.obligation for w in self.watchers
-                if isinstance(w, BudgetWatcher) and w.obligation is not None]
 
     @property
     def detection_round(self) -> Optional[int]:
@@ -187,15 +179,11 @@ class LocalMonitor:
         view = frozenset(self.latched)
         for w in self.watchers:
             w.step(rnd, view)
-        self.rounds_run += 1
         if self.successor is None:
-            self.outbox = []
-        else:
-            self.outbox = [
-                MonitorMessage(self.index_table[Atom(n)], Verdict.TRUE, rnd)
+            return []
+        return [MonitorMessage(self.index_table[Atom(n)], Verdict.TRUE)
                 for n in newly
                 if n in self.group_atoms and Atom(n) in self.index_table]
-        return self.outbox
 
 
 @dataclass(frozen=True)
@@ -203,10 +191,12 @@ class MonitorReport:
     global_verdict: Verdict
     detecting_pid: Optional[str]
     detection_round: Optional[int]
-    rounds_run: int
     per_round_messages: Tuple[int, ...]
-    per_monitor_verdict_history: Dict[str, Tuple[Verdict, ...]]
     detections: Tuple[Tuple[int, str, Formula], ...]  # all firings, ordered
+
+    @property
+    def rounds_run(self) -> int:
+        return len(self.per_round_messages)
 
     @property
     def message_total(self) -> int:
@@ -251,15 +241,15 @@ def _static_precharge(dep: QDep, graph: Optional[DependencyGraph]) -> int:
 def synthesize_monitors(groups: Sequence[MonitorGroup],
                         assignment: Dict[str, Formula],
                         index_table: Dict[Formula, int],
-                        graph: Optional[DependencyGraph] = None,
-                        precharge: bool = True) -> List[LocalMonitor]:
+                        graph: Optional[DependencyGraph] = None
+                        ) -> List[LocalMonitor]:
     """One monitor per group member.  Dependency conjuncts assigned to a
     member become budget watchers there; whatever the group formula needs
     beyond those is progressed by the group's last member, whose latched
     view is completed by the forwarded observations of the others."""
     monitors: List[LocalMonitor] = []
     for group in groups:
-        order = group.comm_order
+        order = group.members
         covered: List[Formula] = []
         for pid in assignment:
             if pid in order:
@@ -273,8 +263,8 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
                 for part in disjuncts_of(assigned):
                     dep = dep_core(part)
                     if dep is not None:
-                        pre = _static_precharge(dep, graph) if precharge else 0
-                        watchers.append(BudgetWatcher(part, dep, pre))
+                        watchers.append(BudgetWatcher(
+                            part, dep, _static_precharge(dep, graph)))
                     else:
                         watchers.append(ResidualWatcher(part))
             if successor is None and residual_parts:
@@ -287,29 +277,25 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
 
 
 def monitor_round(monitors: Sequence[LocalMonitor],
-                  round_events: Dict[str, Event],
-                  rnd: Optional[int] = None, *,
-                  eventually_rooted: bool = False):
+                  round_events: Dict[str, Event], rnd: int, *,
+                  eventually_rooted: bool = False) -> Tuple[int, Verdict]:
     """One synchronous round: every monitor reads its event; messages reach
-    the successor within the round because members run in group order."""
-    if rnd is None:
-        rnd = monitors[0].rounds_run if monitors else 0
+    the successor within the round because members run in group order.
+    Returns the number of messages sent and the global verdict so far."""
     by_pid = {m.pid: m for m in monitors}
-    messages: List[MonitorMessage] = []
+    sent = 0
     for m in monitors:
         if m.pid not in round_events:
             raise ValueError("no event for process %s in round %d"
                              % (m.pid, rnd))
         out = m.step(rnd, round_events[m.pid])
-        if out and m.successor is not None:
+        if out:
             succ = by_pid.get(m.successor)
             if succ is not None:
                 succ.inbox.extend(out)
-            messages.extend(out)
-    verdict = aggregate_verdict([m.verdict for m in monitors],
-                                eventually_rooted=eventually_rooted)
-    final = verdict if verdict is not Verdict.UNKNOWN else None
-    return monitors, messages, final
+            sent += len(out)
+    return sent, aggregate_verdict([m.verdict for m in monitors],
+                                   eventually_rooted=eventually_rooted)
 
 
 def run_decentralized(traces: Dict[str, Sequence[Event]],
@@ -321,48 +307,35 @@ def run_decentralized(traces: Dict[str, Sequence[Event]],
     if len(lengths) > 1:
         raise ValueError("per-process traces differ in length: %s"
                          % sorted(lengths))
-    horizon = lengths.pop() if lengths else 0
     eventually_rooted = isinstance(root, Eventually)
-    history: Dict[str, List[Verdict]] = {m.pid: [] for m in monitors}
     per_round: List[int] = []
-    rounds_run = 0
-    final: Optional[Verdict] = None
-    for rnd in range(horizon):
-        round_events = {pid: traces[pid][rnd] for pid in traces}
-        _, messages, final = monitor_round(
-            monitors, round_events, rnd, eventually_rooted=eventually_rooted)
-        per_round.append(len(messages))
-        for m in monitors:
-            history[m.pid].append(m.verdict)
-        rounds_run = rnd + 1
-        if final is not None:
+    for rnd in range(lengths.pop() if lengths else 0):
+        sent, verdict = monitor_round(
+            monitors, {pid: t[rnd] for pid, t in traces.items()}, rnd,
+            eventually_rooted=eventually_rooted)
+        per_round.append(sent)
+        if verdict is not Verdict.UNKNOWN:
             break
-    return compile_report(monitors, per_round,
-                          {p: tuple(h) for p, h in history.items()},
-                          rounds_run, final)
+    return compile_report(monitors, per_round, eventually_rooted)
 
 
 def compile_report(monitors: Sequence[LocalMonitor],
                    per_round_messages: Sequence[int],
-                   history: Dict[str, Tuple[Verdict, ...]],
-                   rounds_run: int,
-                   final: Optional[Verdict]) -> MonitorReport:
-    """Assembles the report from finished monitors: all watcher firings in
-    (round, pid) order, the earliest one named as the detection."""
-    verdict = final if final is not None else Verdict.UNKNOWN
+                   eventually_rooted: bool) -> MonitorReport:
+    """Assembles the report from finished monitors: the global verdict, and
+    all watcher firings in (round, pid) order, the earliest one named as
+    the detection."""
     detections: List[Tuple[int, str, Formula]] = []
     for m in monitors:
         for w in m.watchers:
             if w.verdict is Verdict.TRUE and w.detection_round is not None:
                 detections.append((w.detection_round, m.pid, w.formula))
     detections.sort(key=lambda d: (d[0], d[1]))
-    detecting_pid = detections[0][1] if detections else None
-    detection_round = detections[0][0] if detections else None
     return MonitorReport(
-        global_verdict=verdict,
-        detecting_pid=detecting_pid,
-        detection_round=detection_round,
-        rounds_run=rounds_run,
+        global_verdict=aggregate_verdict(
+            [m.verdict for m in monitors],
+            eventually_rooted=eventually_rooted),
+        detecting_pid=detections[0][1] if detections else None,
+        detection_round=detections[0][0] if detections else None,
         per_round_messages=tuple(per_round_messages),
-        per_monitor_verdict_history=dict(history),
         detections=tuple(detections))

@@ -34,7 +34,6 @@ from .runtime import (
     BudgetWatcher,
     LocalMonitor,
     MonitorReport,
-    aggregate_verdict,
     compile_report,
     monitor_round,
     synthesize_monitors,
@@ -76,6 +75,10 @@ class RecoveryAction:
     def __post_init__(self):
         if self.kind not in RECOVERY_KINDS:
             raise ValueError("unknown recovery kind %r" % self.kind)
+        if not (isinstance(self.param("factor", 2), int)
+                and isinstance(self.param("variable", ""), str)):
+            raise ValueError("recovery 'factor' must be an integer and "
+                             "'variable' a name")
 
     def param(self, name: str, default=None):
         for k, v in self.params:
@@ -136,8 +139,7 @@ def latched(trace: Sequence[Event]) -> Tuple[Event, ...]:
     return tuple(out)
 
 
-def merge_traces(traces: Dict[str, Sequence[Event]],
-                 cost_per_round: int = 1) -> Tuple[Event, ...]:
+def merge_traces(traces: Dict[str, Sequence[Event]]) -> Tuple[Event, ...]:
     """Global trace: round k carries the union of all local propositions.
     The round clock is shared, so a merged round costs one unit, not the
     sum of the per-process unit costs."""
@@ -152,7 +154,7 @@ def merge_traces(traces: Dict[str, Sequence[Event]],
         props: Set[str] = set()
         for t in traces.values():
             props |= t[k].props
-        out.append(Event(frozenset(props), cost_per_round))
+        out.append(Event(frozenset(props), 1))
     return tuple(out)
 
 
@@ -165,16 +167,13 @@ class MonitorPlan:
     groups: tuple
     assignment: Dict[str, Formula]
     index_table: Dict[Formula, int]
-    precharge: bool = True
 
     def fresh_monitors(self) -> List[LocalMonitor]:
         return synthesize_monitors(
-            list(self.groups), self.assignment, self.index_table,
-            self.graph, precharge=self.precharge)
+            list(self.groups), self.assignment, self.index_table, self.graph)
 
 
-def plan_monitors(f: Formula, graph: DependencyGraph, *,
-                  precharge: bool = True) -> MonitorPlan:
+def plan_monitors(f: Formula, graph: DependencyGraph) -> MonitorPlan:
     """Full pipeline: unwind, negate, tableau, group, assign."""
     unwound = unwind(f, graph)
     negated = negate(unwound.formula)
@@ -183,7 +182,7 @@ def plan_monitors(f: Formula, graph: DependencyGraph, *,
     assignment = assign_conjuncts(groups, unwound)
     index_table = subformula_index(negated)
     return MonitorPlan(f, graph, unwound, negated, tuple(groups),
-                       assignment, index_table, precharge)
+                       assignment, index_table)
 
 
 def _known_targets(graph: DependencyGraph) -> Set[str]:
@@ -233,7 +232,6 @@ def run_simulation(scenario: Scenario, rounds: int,
                                     if scenario.deadline else (None, None))
 
     traces: Dict[str, List[Event]] = {pid: [] for pid in sorted(graph.by_pid)}
-    history: Dict[str, List[Verdict]] = {m.pid: [] for m in monitors}
     per_round_msgs: List[int] = []
 
     def suppressed(var: str, rnd: int) -> bool:
@@ -285,12 +283,9 @@ def run_simulation(scenario: Scenario, rounds: int,
                   for pid in traces}
         for pid in traces:
             traces[pid].append(events[pid])
-        if monitors:
-            _, messages, _ = monitor_round(
-                monitors, events, rnd, eventually_rooted=eventually_rooted)
-            per_round_msgs.append(len(messages))
-            for m in monitors:
-                history[m.pid].append(m.verdict)
+        sent, _ = monitor_round(monitors, events, rnd,
+                                eventually_rooted=eventually_rooted)
+        per_round_msgs.append(sent)
         # recovery: only the designated watcher of a configured fault
         # triggers; every other violation is data
         for i, f in enumerate(scenario.faults):
@@ -318,12 +313,7 @@ def run_simulation(scenario: Scenario, rounds: int,
                     factor = action.param("factor", 2)
                     deadline_round = rnd + factor * (deadline_round - rnd)
 
-    final = aggregate_verdict([m.verdict for m in monitors],
-                              eventually_rooted=eventually_rooted)
-    report = compile_report(
-        monitors, per_round_msgs,
-        {p: tuple(h) for p, h in history.items()},
-        rounds, final if final is not Verdict.UNKNOWN else None)
+    report = compile_report(monitors, per_round_msgs, eventually_rooted)
     outcome = None
     if ejected:
         outcome = "ejected_bin3"
@@ -354,8 +344,8 @@ def _triggering_watcher(monitors: Sequence[LocalMonitor],
 
 
 def run_scenario(scenario: Scenario, rounds: Optional[int] = None, *,
-                 monitors: Optional[Sequence[LocalMonitor]] = None,
-                 precharge: bool = True) -> SimulationResult:
+                 monitors: Optional[Sequence[LocalMonitor]] = None
+                 ) -> SimulationResult:
     """Convenience wrapper: plans monitors from the scenario's formula when
     none are given, then simulates."""
     if rounds is None:
@@ -366,9 +356,8 @@ def run_scenario(scenario: Scenario, rounds: Optional[int] = None, *,
         if scenario.monitor_specs:
             monitors = case_monitors(scenario)
         elif scenario.formula is not None:
-            plan = plan_monitors(scenario.formula, scenario.graph,
-                                 precharge=precharge)
-            monitors = plan.fresh_monitors()
+            monitors = plan_monitors(scenario.formula,
+                                     scenario.graph).fresh_monitors()
         else:
             monitors = []
     return run_simulation(scenario, rounds, monitors, root=scenario.formula)
@@ -468,50 +457,86 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
     else:
         raise ValueError("'graph' must be an object or a file path")
     stimuli = {}
-    for key, names in doc["stimuli"].items():
-        try:
-            rnd = int(key)
-        except (TypeError, ValueError):
-            raise ValueError("stimulus round %r is not an integer" % key)
-        stimuli[rnd] = frozenset(names)
+    for key, names in _typed(doc["stimuli"], dict, "'stimuli'").items():
+        stimuli[_int(key, "stimulus round")] = _names(names, "stimuli")
     behaviors = {p.pid: p.cost for p in graph.processes}
-    for pid, latency in doc.get("behaviors", {}).items():
+    for pid, latency in _typed(doc.get("behaviors", {}), dict,
+                               "'behaviors'").items():
         if pid not in behaviors:
             raise ValueError("behavior for unknown process %r" % pid)
-        behaviors[pid] = int(latency)
-    faults = tuple(
-        FaultSpec(target=d["target"], kind=d["kind"],
-                  at_round=int(d.get("at_round", 0)),
-                  extra=int(d.get("extra", 0)))
-        for d in doc.get("faults", ()))
+        behaviors[pid] = _int(latency, "latency")
+    faults = []
+    for d in _typed(doc.get("faults", []), list, "'faults'"):
+        _typed(d, dict, "a fault")
+        faults.append(FaultSpec(
+            target=_typed(d.get("target"), str, "a fault's 'target'"),
+            kind=_typed(d.get("kind"), str, "a fault's 'kind'"),
+            at_round=_int(d.get("at_round", 0), "at_round"),
+            extra=_int(d.get("extra", 0), "extra")))
     recoveries = {}
-    for key, d in doc.get("recoveries", {}).items():
-        trigger = (parse_formula(d["trigger"])
-                   if d.get("trigger") is not None else None)
-        params = tuple(sorted(d.get("params", {}).items()))
-        recoveries[key] = RecoveryAction(d["kind"], trigger, params)
-    formula = (parse_formula(doc["formula"])
-               if doc.get("formula") is not None else None)
-    deadline = None
-    if doc.get("deadline") is not None:
-        var, rnd = doc["deadline"]
-        deadline = (str(var), int(rnd))
-    trigger_sets = {
-        pid: tuple(frozenset(s) for s in sets)
-        for pid, sets in doc.get("trigger_sets", {}).items()}
+    for key, d in _typed(doc.get("recoveries", {}), dict,
+                         "'recoveries'").items():
+        trigger = _typed(d, dict, "a recovery").get("trigger")
+        params = _typed(d.get("params", {}), dict, "a recovery's 'params'")
+        recoveries[key] = RecoveryAction(
+            _typed(d.get("kind"), str, "a recovery's 'kind'"),
+            None if trigger is None else parse_formula(
+                _typed(trigger, str, "a recovery's 'trigger'")),
+            tuple(sorted(params.items())))
+    formula = doc.get("formula")
+    if formula is not None:
+        formula = parse_formula(_typed(formula, str, "'formula'"))
+    deadline = doc.get("deadline")
+    if deadline is not None:
+        if not isinstance(deadline, list) or len(deadline) != 2:
+            raise ValueError("'deadline' must be a [variable, round] pair")
+        deadline = (str(deadline[0]), _int(deadline[1], "deadline round"))
+    rounds = doc.get("rounds")
+    if rounds is not None:
+        rounds = _int(rounds, "'rounds'")
+        if rounds < 0:
+            raise ValueError("'rounds' must be non-negative, got %d" % rounds)
     return Scenario(
         graph=graph,
         behaviors=behaviors,
         stimuli=stimuli,
-        faults=faults,
+        faults=tuple(faults),
         recoveries=recoveries,
-        seed=int(doc.get("seed", 0)),
+        seed=_int(doc.get("seed", 0), "seed"),
         formula=formula,
-        suggested_rounds=(int(doc["rounds"])
-                          if doc.get("rounds") is not None else None),
-        suppressed_outputs=frozenset(doc.get("suppressed_outputs", ())),
-        trigger_sets=trigger_sets,
+        suggested_rounds=rounds,
+        suppressed_outputs=_names(doc.get("suppressed_outputs", []),
+                                  "suppressed_outputs"),
+        trigger_sets={
+            pid: tuple(_names(names, "trigger_sets")
+                       for names in _typed(sets, list, "'trigger_sets'"))
+            for pid, sets in _typed(doc.get("trigger_sets", {}), dict,
+                                    "'trigger_sets'").items()},
         deadline=deadline)
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` itself if it has the JSON type ``kind`` (dict, list or
+    str); a ValueError naming ``what`` otherwise."""
+    if not isinstance(value, kind):
+        raise ValueError("%s: expected a JSON %s, got %s" % (
+            what, {dict: "object", list: "list", str: "string"}[kind],
+            json.dumps(value)))
+    return value
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError("%s %r is not an integer" % (what, value))
+
+
+def _names(value, what: str) -> frozenset:
+    if not all(isinstance(v, str) for v in _typed(value, list, what)):
+        raise ValueError("%s: expected a list of names, got %s"
+                         % (what, json.dumps(value)))
+    return frozenset(value)
 
 
 def load_scenario_file(path: str) -> Scenario:

@@ -301,20 +301,21 @@ def branches(root: TableauNode) -> List[Branch]:
     return out
 
 
+def last_poised_label(b: Branch) -> Tuple[Formula, ...]:
+    """The label of the branch's last poised node, or the leaf's label on a
+    degenerate branch with no poised node (e.g. plain `true`)."""
+    for node in reversed(b.nodes):
+        if _is_poised(node.label):
+            return node.label
+    return b.leaf.label
+
+
 def terminal_node(b: Branch) -> Tuple[Formula, ...]:
     """The recurring content of a ticked branch: its last poised label with
     next-step obligations stripped."""
     if b.outcome != "ticked":
         raise ValueError("terminal content is defined for ticked branches only")
-    for node in reversed(b.nodes):
-        if _is_poised(node.label):
-            return tuple(f for f in node.label if not isinstance(f, Next))
-    # degenerate branch with no poised node (e.g. plain `true`)
-    return tuple(f for f in b.leaf.label if not isinstance(f, Next))
-
-
-def _fmt(f: Formula) -> str:
-    return str(f)
+    return tuple(f for f in last_poised_label(b) if not isinstance(f, Next))
 
 
 def export_dot(root: TableauNode) -> str:
@@ -325,7 +326,7 @@ def export_dot(root: TableauNode) -> str:
     def walk(node) -> int:
         my_id = counter[0]
         counter[0] += 1
-        text = ", ".join(_fmt(f) for f in node.label) or "(empty)"
+        text = ", ".join(str(f) for f in node.label) or "(empty)"
         mark = {"ticked": " ✓", "crossed": " ×"}.get(node.status, "")
         rule = (" [%s]" % node.rule) if node.rule else ""
         safe = text.replace("\\", "\\\\").replace('"', '\\"')

@@ -27,6 +27,7 @@ from .formulas import (
     Until,
     atoms,
     conj,
+    conjuncts_of,
     ordered_atoms,
 )
 
@@ -36,30 +37,19 @@ class InfeasibleConstraintError(ValueError):
 
 
 @dataclass(frozen=True)
-class QDepTuple:
-    left: Formula
-    right: Formula
-    bound: int
-
-
-@dataclass(frozen=True)
 class UnwoundFormula:
     formula: Formula
     entries: Tuple[Tuple[str, QDep], ...]  # (producing pid, emitted conjunct)
     constraint_table: Dict[QDep, int]
-    provenance: Dict[QDep, str]
-
-    def constraints_by_formula(self) -> Dict[QDep, int]:
-        return dict(self.constraint_table)
 
 
-def extract_qdep(f: Formula) -> List[QDepTuple]:
+def extract_qdep(f: Formula) -> List[QDep]:
     """All dependency operators in pre-order; duplicates preserved."""
-    out: List[QDepTuple] = []
+    out: List[QDep] = []
 
     def walk(g: Formula):
         if isinstance(g, QDep):
-            out.append(QDepTuple(g.left, g.right, g.bound))
+            out.append(g)
             walk(g.left)
             walk(g.right)
         elif isinstance(g, (Not, Next, Eventually, Globally)):
@@ -104,13 +94,13 @@ def apply_dependency_rule(p: Process, v: str, c: int) -> QDep:
     return QDep(left, Atom(v), c)
 
 
-def _unwind_tuple(tup: QDepTuple, g: DependencyGraph):
-    """Backward traversal per dependent variable of the tuple's right
+def _unwind_dep(dep: QDep, g: DependencyGraph):
+    """Backward traversal per dependent variable of the dependency's right
     operand.  Returns the emitted (pid, conjunct, budget) list in discovery
     order; empty when nothing is dependent."""
     emitted: List[Tuple[str, QDep]] = []
     budgets: Dict[QDep, int] = {}
-    for v_root in ordered_atoms(tup.right):
+    for v_root in ordered_atoms(dep.right):
         if v_root not in g.producer:
             continue
         worklist = [v_root]
@@ -118,7 +108,7 @@ def _unwind_tuple(tup: QDepTuple, g: DependencyGraph):
         while worklist:
             v = worklist.pop(0)
             p = g.by_pid[g.producer[v]]
-            c = local_constraint(g, p.pid, v_root, tup.bound)
+            c = local_constraint(g, p.pid, v_root, dep.bound)
             conjunct = apply_dependency_rule(p, v, c)
             if conjunct not in budgets:
                 emitted.append((p.pid, conjunct))
@@ -138,8 +128,7 @@ def _replace_qdep(f: Formula, target: QDep, replacement: Formula,
         return replacement
     if isinstance(f, Globally):
         if f.sub == target and distribute_g and isinstance(replacement, And):
-            parts = _flatten_and(replacement)
-            return conj([Globally(p) for p in parts])
+            return conj([Globally(p) for p in conjuncts_of(replacement)])
         return Globally(_replace_qdep(f.sub, target, replacement, distribute_g))
     if isinstance(f, (Not, Next)):
         return type(f)(_replace_qdep(f.sub, target, replacement, distribute_g))
@@ -149,12 +138,6 @@ def _replace_qdep(f: Formula, target: QDep, replacement: Formula,
         return type(f)(_replace_qdep(f.left, target, replacement, distribute_g),
                        _replace_qdep(f.right, target, replacement, distribute_g))
     return f
-
-
-def _flatten_and(f: Formula) -> List[Formula]:
-    if isinstance(f, And):
-        return _flatten_and(f.left) + _flatten_and(f.right)
-    return [f]
 
 
 def unwind(f: Formula, g: DependencyGraph) -> UnwoundFormula:
@@ -167,17 +150,14 @@ def unwind(f: Formula, g: DependencyGraph) -> UnwoundFormula:
     result = f
     all_entries: List[Tuple[str, QDep]] = []
     table: Dict[QDep, int] = {}
-    provenance: Dict[QDep, str] = {}
-    for tup in extract_qdep(f):
-        emitted, budgets = _unwind_tuple(tup, g)
+    for dep in extract_qdep(f):
+        emitted, budgets = _unwind_dep(dep, g)
         if not emitted:
             continue
         replacement = conj([q for _, q in emitted])
-        original = QDep(tup.left, tup.right, tup.bound)
-        result = _replace_qdep(result, original, replacement, distribute_g=True)
+        result = _replace_qdep(result, dep, replacement, distribute_g=True)
         for pid, conjunct in emitted:
             if conjunct not in table:
                 all_entries.append((pid, conjunct))
                 table[conjunct] = budgets[conjunct]
-                provenance[conjunct] = pid
-    return UnwoundFormula(result, tuple(all_entries), table, provenance)
+    return UnwoundFormula(result, tuple(all_entries), table)

@@ -5,12 +5,19 @@ exit codes, and printed documents are exercised exactly as a user sees them.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import costmon
 from conftest import PIPELINE_DOC
+
+# the child imports the same package as the tests, installed or not
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(costmon.__file__)))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -19,6 +26,7 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         timeout=120,
+        env=ENV,
     )
 
 
@@ -171,6 +179,38 @@ def test_simulate_zero_rounds():
 def test_simulate_unknown_scenario_is_usage_error():
     r = run_cli("simulate", "--scenario", "no_such_scenario")
     assert r.returncode == 64
+
+
+SCENARIO = {"graph": json.loads(PIPELINE_DOC),
+            "stimuli": {"3": ["I0", "I1"]},
+            "formula": "G ((I0 & I1) o<=20 Of)", "rounds": 40}
+
+
+@pytest.mark.parametrize("override, argv, code", [
+    ({}, [], 0),
+    ({"stimuli": []}, [], 2),
+    ({"stimuli": {"3": 5}}, [], 2),
+    ({"behaviors": []}, [], 2),
+    ({"faults": [{"kind": "drop"}]}, [], 2),
+    ({"recoveries": {"drop": {"params": {}}}}, [], 2),
+    ({"recoveries": {"drop": {"kind": "reduce_belt_speed",
+                              "params": {"factor": "x"}}}}, [], 2),
+    ({"deadline": 5}, [], 2),
+    ({"graph": dict(json.loads(PIPELINE_DOC), environment=5)}, [], 2),
+    ({"rounds": -1}, [], 2),
+    ({}, ["--rounds", "-1"], 64),
+], ids=["valid", "stimuli-list", "stimulus-not-names", "behaviors-list",
+        "fault-without-target", "recovery-without-kind",
+        "recovery-factor-text", "deadline-number",
+        "environment-number", "negative-rounds", "negative-rounds-flag"])
+def test_malformed_scenario_exits_without_traceback(tmp_path, override,
+                                                    argv, code):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(SCENARIO, **override)))
+    for command in ("simulate", "check"):
+        r = run_cli(command, "--scenario", str(path), *argv)
+        assert r.returncode == code
+        assert "Traceback" not in r.stderr
 
 
 # ---------------------------------------------------------------- check

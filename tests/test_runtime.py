@@ -57,7 +57,7 @@ def test_shared_group_members_carry_the_same_formula():
     plan, mons = monitors_for("!O0", chain)
     assert len(plan.groups) == 1
     assert len({m.assigned for m in mons}) == 1
-    assert [m.pid for m in mons] == list(plan.groups[0].comm_order)
+    assert [m.pid for m in mons] == list(plan.groups[0].members)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_pipeline_unwinding(pipeline, phi_pipeline):
     assert len(u.entries) == 7
     assert {pid for pid, _ in u.entries} == {"p0", "p1", "p2", "p3", "p4", "p5", "p6"}
     for pid, d in u.entries:
-        assert u.provenance[d] == pid
+        assert pipeline.producer[d.right.name] == pid
 
 
 def test_unwinding_preserves_temporal_wrapper(pipeline, phi_pipeline):
