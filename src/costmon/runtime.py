@@ -229,11 +229,9 @@ def aggregate_verdict(verdicts: Sequence[Verdict], *,
     return Verdict.UNKNOWN
 
 
-def _static_precharge(dep: QDep, graph: Optional[DependencyGraph]) -> int:
+def _static_precharge(dep: QDep, graph: DependencyGraph) -> int:
     """Cost provably consumed before the anchor can complete: the largest
     lower-bound completion cost among the left operand's variables."""
-    if graph is None:
-        return 0
     return max((graph.lb_completion(a) for a in sorted(atoms(dep.left))),
                default=0)
 
@@ -241,8 +239,7 @@ def _static_precharge(dep: QDep, graph: Optional[DependencyGraph]) -> int:
 def synthesize_monitors(groups: Sequence[MonitorGroup],
                         assignment: Dict[str, Formula],
                         index_table: Dict[Formula, int],
-                        graph: Optional[DependencyGraph] = None
-                        ) -> List[LocalMonitor]:
+                        graph: DependencyGraph) -> List[LocalMonitor]:
     """One monitor per group member.  Dependency conjuncts assigned to a
     member become budget watchers there; whatever the group formula needs
     beyond those is progressed by the group's last member, whose latched

@@ -75,9 +75,10 @@ class RecoveryAction:
     def __post_init__(self):
         if self.kind not in RECOVERY_KINDS:
             raise ValueError("unknown recovery kind %r" % self.kind)
-        if not (isinstance(self.param("factor", 2), int)
-                and isinstance(self.param("variable", ""), str)):
-            raise ValueError("recovery 'factor' must be an integer and "
+        factor = self.param("factor", 2)
+        if (not isinstance(factor, (int, float)) or isinstance(factor, bool)
+                or not isinstance(self.param("variable", ""), str)):
+            raise ValueError("recovery 'factor' must be a number and "
                              "'variable' a name")
 
     def param(self, name: str, default=None):
@@ -458,7 +459,11 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
         raise ValueError("'graph' must be an object or a file path")
     stimuli = {}
     for key, names in _typed(doc["stimuli"], dict, "'stimuli'").items():
-        stimuli[_int(key, "stimulus round")] = _names(names, "stimuli")
+        try:
+            rnd = int(key)  # JSON object keys are always strings
+        except ValueError:
+            raise ValueError("stimulus round %r is not an integer" % key)
+        stimuli[rnd] = _names(names, "stimuli")
     behaviors = {p.pid: p.cost for p in graph.processes}
     for pid, latency in _typed(doc.get("behaviors", {}), dict,
                                "'behaviors'").items():
@@ -526,10 +531,10 @@ def _typed(value, kind: type, what: str):
 
 
 def _int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError("%s %r is not an integer" % (what, value))
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s: expected an integer, got %s"
+                         % (what, json.dumps(value)))
+    return value
 
 
 def _names(value, what: str) -> frozenset:

@@ -195,13 +195,18 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
     ({"recoveries": {"drop": {"params": {}}}}, [], 2),
     ({"recoveries": {"drop": {"kind": "reduce_belt_speed",
                               "params": {"factor": "x"}}}}, [], 2),
+    ({"recoveries": {"drop": {"kind": "reduce_belt_speed",
+                              "params": {"factor": 1.5}}}}, [], 0),
+    ({"behaviors": {"p0": 2.5}}, [], 2),
+    ({"rounds": True}, [], 2),
     ({"deadline": 5}, [], 2),
     ({"graph": dict(json.loads(PIPELINE_DOC), environment=5)}, [], 2),
     ({"rounds": -1}, [], 2),
     ({}, ["--rounds", "-1"], 64),
 ], ids=["valid", "stimuli-list", "stimulus-not-names", "behaviors-list",
         "fault-without-target", "recovery-without-kind",
-        "recovery-factor-text", "deadline-number",
+        "recovery-factor-text", "recovery-factor-fraction",
+        "latency-fraction", "rounds-bool", "deadline-number",
         "environment-number", "negative-rounds", "negative-rounds-flag"])
 def test_malformed_scenario_exits_without_traceback(tmp_path, override,
                                                     argv, code):
