@@ -2,7 +2,7 @@
 
 Subcommands expose each stage (parse, unwind, tableau, group) plus the
 simulator (simulate) and the decentralized-versus-centralized comparison
-harness (check).  Exit codes: 0 success, 1 formula syntax error, 2 graph
+harness (check).  Exit codes: 0 success, 1 formula error, 2 graph
 or scenario error, 3 infeasible budget, 4 unobservable atom, 5 verdict
 disagreement, 64 usage error.  All output is deterministic for fixed
 inputs.
@@ -53,7 +53,7 @@ from .simulator import (
     run_simulation,
 )
 from .sortingline import build_sorting_line_scenario
-from .tableau import branches, build_tableau, export_dot
+from .tableau import TableauLimitError, branches, build_tableau, export_dot
 from .unwinding import InfeasibleConstraintError, unwind
 
 EXIT_OK = 0
@@ -525,7 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
-    except FormulaSyntaxError as e:
+    except (FormulaSyntaxError, TableauLimitError) as e:
         sys.stderr.write("formula error: %s\n" % e)
         return EXIT_FORMULA
     except InfeasibleConstraintError as e:

@@ -71,39 +71,49 @@ class DependencyGraph:
                              "by any process" % sorted(unknown)[0])
         # edge (p, p') iff some output of p feeds an input of p'
         self.edges = frozenset(
-            (a.pid, b.pid)
-            for a in self.processes
-            for b in self.processes
-            if a.pid != b.pid and set(a.outputs) & set(b.inputs))
+            (self.producer[v], p.pid)
+            for p in self.processes for v in p.inputs if v in self.producer)
         self._succ: Dict[str, List[str]] = {p.pid: [] for p in self.processes}
         self._pred: Dict[str, List[str]] = {p.pid: [] for p in self.processes}
         for a, b in sorted(self.edges):
             self._succ[a].append(b)
             self._pred[b].append(a)
-        self._check_acyclic()
+        self._lb: Dict[str, int] = {}
+        self._order = self._topological_order()
         self._check_isolated()
-        self._lb_cache: Dict[str, int] = {}
+        self._cheapest: Dict[str, Dict[str, Tuple[int, Optional[str]]]] = {}
 
-    def _check_acyclic(self):
-        state: Dict[str, int] = {}
-        order: List[str] = []
-
-        def visit(pid, stack):
-            state[pid] = 1
-            stack.append(pid)
+    def _topological_order(self) -> Tuple[str, ...]:
+        """Kahn's algorithm; fills the lower-bound completion table on the
+        way, since a process is taken only after all its producers."""
+        indegree = {pid: len(preds) for pid, preds in self._pred.items()}
+        order = [p.pid for p in self.processes if not indegree[p.pid]]
+        for pid in order:
+            p = self.by_pid[pid]
+            done = p.cost + max((self._lb.get(v, 0) for v in p.inputs),
+                                default=0)
+            for v in p.outputs:
+                self._lb[v] = done
             for nxt in self._succ[pid]:
-                if state.get(nxt) == 1:
-                    cycle = stack[stack.index(nxt):] + [nxt]
-                    raise GraphError("dependency cycle: %s" % " -> ".join(cycle))
-                if nxt not in state:
-                    visit(nxt, stack)
-            stack.pop()
-            state[pid] = 2
-            order.append(pid)
+                indegree[nxt] -= 1
+                if not indegree[nxt]:
+                    order.append(nxt)
+        if len(order) < len(self.processes):
+            raise GraphError("dependency cycle: %s"
+                             % " -> ".join(self._cycle(indegree)))
+        return tuple(order)
 
-        for p in self.processes:
-            if p.pid not in state:
-                visit(p.pid, [])
+    def _cycle(self, indegree: Dict[str, int]) -> List[str]:
+        """A cycle among the processes Kahn's algorithm left over.  Each of
+        them has a leftover predecessor, so walking predecessors must
+        revisit a process; the walk from there on, reversed, is the cycle."""
+        walk: Dict[str, int] = {}
+        pid = next(p.pid for p in self.processes if indegree[p.pid])
+        while pid not in walk:
+            walk[pid] = len(walk)
+            pid = next(prev for prev in self._pred[pid] if indegree[prev])
+        back = list(walk)[walk[pid]:]
+        return [pid] + back[:0:-1] + [pid]
 
     def _check_isolated(self):
         # the source/intermediate/sink trichotomy has no slot for a
@@ -130,7 +140,9 @@ class DependencyGraph:
 
         Without ``from_pid``, paths start anywhere upstream (including the
         producer itself).  With it, only paths starting at that process are
-        returned.  Environment variables have no paths.
+        returned.  Environment variables have no paths.  The count grows
+        exponentially on reconvergent graphs, so planning never enumerates;
+        this is the exhaustive reference for ``cheapest_path``.
         """
         if variable not in self.producer:
             return []
@@ -152,27 +164,49 @@ class DependencyGraph:
     def path_cost(self, path: Sequence[str]) -> int:
         return sum(self.by_pid[pid].cost for pid in path)
 
+    def _cheapest_to(self, variable: str) -> Dict[str, Tuple[int, Optional[str]]]:
+        """For every process with a path to producer(variable): the cost of
+        the cheapest such path, its first process excluded, and the next
+        process on it.  One pass in reverse topological order per producer;
+        ties go to the least next pid, so following the links spells the
+        lexicographically least cheapest path."""
+        end = self.producer.get(variable)
+        if end is None:
+            return {}
+        table = self._cheapest.get(end)
+        if table is None:
+            table = {end: (0, None)}
+            for pid in reversed(self._order):
+                for nxt in self._succ[pid]:  # ascending pid order
+                    if nxt in table:
+                        cost = table[nxt][0] + self.by_pid[nxt].cost
+                        if pid not in table or cost < table[pid][0]:
+                            table[pid] = (cost, nxt)
+            self._cheapest[end] = table
+        return table
+
     def min_downstream_cost(self, from_pid: str, variable: str) -> Optional[int]:
         """Cheapest cost of reaching producer(variable) from ``from_pid``,
         excluding from_pid's own cost.  None when no path exists."""
-        paths = self.dependency_paths(variable, from_pid=from_pid)
-        if not paths:
+        entry = self._cheapest_to(variable).get(from_pid)
+        return None if entry is None else entry[0]
+
+    def cheapest_path(self, from_pid: str, variable: str) -> Optional[List[str]]:
+        """The lexicographically least of the cheapest pid paths from
+        ``from_pid`` to producer(variable).  None when no path exists."""
+        table = self._cheapest_to(variable)
+        if from_pid not in table:
             return None
-        return min(self.path_cost(p[1:]) for p in paths)
+        path = [from_pid]
+        while table[path[-1]][1] is not None:
+            path.append(table[path[-1]][1])
+        return path
 
     def lb_completion(self, variable: str) -> int:
         """Lower-bound cumulative cost to produce ``variable`` from the
         environment: the critical (most expensive) chain of producers,
         since a process cannot start before all inputs are present."""
-        if variable in self._lb_cache:
-            return self._lb_cache[variable]
-        if variable not in self.producer:
-            self._lb_cache[variable] = 0
-            return 0
-        p = self.by_pid[self.producer[variable]]
-        total = p.cost + max((self.lb_completion(v) for v in p.inputs), default=0)
-        self._lb_cache[variable] = total
-        return total
+        return self._lb.get(variable, 0)
 
 
 _PROCESS_KEYS = {"pid", "inputs", "outputs", "cost"}

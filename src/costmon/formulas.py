@@ -219,16 +219,24 @@ def disj(parts: Sequence[Formula]) -> Formula:
     return out
 
 
+def _operands(f: Formula, kind: type) -> list:
+    """Left-to-right operands of the ``kind`` nest at the top of ``f``."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, kind):
+            stack += [g.right, g.left]
+        else:
+            out.append(g)
+    return out
+
+
 def conjuncts_of(f: Formula) -> list:
-    if isinstance(f, And):
-        return conjuncts_of(f.left) + conjuncts_of(f.right)
-    return [f]
+    return _operands(f, And)
 
 
 def disjuncts_of(f: Formula) -> list:
-    if isinstance(f, Or):
-        return disjuncts_of(f.left) + disjuncts_of(f.right)
-    return [f]
+    return _operands(f, Or)
 
 
 # --- normal forms -----------------------------------------------------------
@@ -377,12 +385,11 @@ def eval_props(f: Formula, props: frozenset) -> bool:
 # --- progression ------------------------------------------------------------
 
 
-def progress(f: Formula, event: Event, cumulative_before: int = 0) -> Formula:
+def progress(f: Formula, event: Event) -> Formula:
     """One-step residual of ``f`` (in negation normal form) over ``event``.
 
-    Only true/false absorption is applied to the residual.  The cumulative
-    cost before the event is accepted for interface completeness; budgets
-    carry their own remaining amounts.
+    Only true/false absorption is applied to the residual.  Budgets carry
+    their own remaining amounts.
     """
     if isinstance(f, (TrueF, FalseF)):
         return f
@@ -407,22 +414,20 @@ def progress(f: Formula, event: Event, cumulative_before: int = 0) -> Formula:
             if eval_props(g.target, event.props):
                 return FALSE
             return Not(Budget(g.target, remaining))
-        return progress(nnf(f), event, cumulative_before)
+        return progress(nnf(f), event)
     if isinstance(f, And):
-        return and_(progress(f.left, event, cumulative_before),
-                    progress(f.right, event, cumulative_before))
+        return and_(progress(f.left, event), progress(f.right, event))
     if isinstance(f, Or):
-        return or_(progress(f.left, event, cumulative_before),
-                   progress(f.right, event, cumulative_before))
+        return or_(progress(f.left, event), progress(f.right, event))
     if isinstance(f, Next):
         return f.sub
     if isinstance(f, Globally):
-        return and_(progress(f.sub, event, cumulative_before), f)
+        return and_(progress(f.sub, event), f)
     if isinstance(f, Eventually):
-        return or_(progress(f.sub, event, cumulative_before), f)
+        return or_(progress(f.sub, event), f)
     if isinstance(f, Until):
-        keep = and_(progress(f.left, event, cumulative_before), f)
-        return or_(progress(f.right, event, cumulative_before), keep)
+        keep = and_(progress(f.left, event), f)
+        return or_(progress(f.right, event), keep)
     if isinstance(f, QDep):
         if not eval_props(f.left, event.props):
             return TRUE
@@ -452,10 +457,8 @@ def evaluate_trace_with_position(f: Formula, trace: Trace):
         return Verdict.TRUE, None
     if residual == FALSE:
         return Verdict.FALSE, None
-    total = 0
     for k, event in enumerate(trace):
-        residual = progress(residual, event, total)
-        total += event.cost
+        residual = progress(residual, event)
         if residual == TRUE:
             return Verdict.TRUE, k
         if residual == FALSE:

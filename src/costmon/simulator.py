@@ -463,7 +463,8 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
             rnd = int(key)  # JSON object keys are always strings
         except ValueError:
             raise ValueError("stimulus round %r is not an integer" % key)
-        stimuli[rnd] = _names(names, "stimuli")
+        stimuli[rnd] = _names(names, "stimuli", graph.environment,
+                              "an environment variable")
     behaviors = {p.pid: p.cost for p in graph.processes}
     for pid, latency in _typed(doc.get("behaviors", {}), dict,
                                "'behaviors'").items():
@@ -501,6 +502,15 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
         rounds = _int(rounds, "'rounds'")
         if rounds < 0:
             raise ValueError("'rounds' must be non-negative, got %d" % rounds)
+    trigger_sets = {}
+    for pid, sets in _typed(doc.get("trigger_sets", {}), dict,
+                            "'trigger_sets'").items():
+        if pid not in graph.by_pid:
+            raise ValueError("trigger sets for unknown process %r" % pid)
+        trigger_sets[pid] = tuple(
+            _names(names, "trigger_sets", graph.environment | graph.dependent,
+                   "a variable of the graph")
+            for names in _typed(sets, list, "'trigger_sets'"))
     return Scenario(
         graph=graph,
         behaviors=behaviors,
@@ -511,12 +521,9 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
         formula=formula,
         suggested_rounds=rounds,
         suppressed_outputs=_names(doc.get("suppressed_outputs", []),
-                                  "suppressed_outputs"),
-        trigger_sets={
-            pid: tuple(_names(names, "trigger_sets")
-                       for names in _typed(sets, list, "'trigger_sets'"))
-            for pid, sets in _typed(doc.get("trigger_sets", {}), dict,
-                                    "'trigger_sets'").items()},
+                                  "suppressed_outputs", graph.dependent,
+                                  "produced by a process"),
+        trigger_sets=trigger_sets,
         deadline=deadline)
 
 
@@ -537,10 +544,15 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _names(value, what: str) -> frozenset:
+def _names(value, what: str, known, kind: str) -> frozenset:
+    """``value`` as a set of names, each of them in ``known`` (``kind``
+    says what that means in the error message)."""
     if not all(isinstance(v, str) for v in _typed(value, list, what)):
         raise ValueError("%s: expected a list of names, got %s"
                          % (what, json.dumps(value)))
+    unknown = sorted(set(value).difference(known))
+    if unknown:
+        raise ValueError("%s: %r is not %s" % (what, unknown[0], kind))
     return frozenset(value)
 
 

@@ -39,6 +39,10 @@ from .formulas import (
 NODE_LIMIT = 30000
 
 
+class TableauLimitError(RuntimeError):
+    """The tableau grew past NODE_LIMIT nodes."""
+
+
 @dataclass
 class TableauNode:
     label: Tuple[Formula, ...]
@@ -119,7 +123,7 @@ def _dedup(items) -> Tuple[Formula, ...]:
 
 
 def _child_labels(label, idx, *repls) -> List[Tuple[Formula, ...]]:
-    """Labels a fan-out rule hands its children, distinct ones only."""
+    """Labels a rule hands its children, distinct ones only."""
     out: List[Tuple[Formula, ...]] = []
     for repl in repls:
         lab = _replace(label, idx, *repl)
@@ -172,7 +176,7 @@ class _Builder:
     def node(self, label: Tuple[Formula, ...]) -> TableauNode:
         self.count += 1
         if self.count > NODE_LIMIT:
-            raise RuntimeError("tableau exceeded %d nodes" % NODE_LIMIT)
+            raise TableauLimitError("tableau exceeded %d nodes" % NODE_LIMIT)
         return TableauNode(label)
 
     def expand(self, node: TableauNode, history: List[Tuple[Formula, ...]],
@@ -222,52 +226,28 @@ class _Builder:
             if is_literal(f) or is_atomic_qdep(f) or isinstance(f, Next):
                 continue
             if isinstance(f, And):
-                node.rule = "AND"
-                child = self.node(_replace(label, idx, f.left, f.right))
-                node.children.append(child)
-                self.expand(child, history + [label], poised_history)
-                return
-            if isinstance(f, Or):
-                node.rule = "OR"
-                for lab in _child_labels(label, idx, (f.left,), (f.right,)):
-                    node.children.append(self.node(lab))
-                for child in node.children:
-                    self.expand(child, history + [label], poised_history)
-                return
-            if isinstance(f, Globally):
-                node.rule = "G"
-                child = self.node(_replace(label, idx, f.sub, Next(f)))
-                node.children.append(child)
-                self.expand(child, history + [label], poised_history)
-                return
-            if isinstance(f, Eventually):
-                node.rule = "F"
-                for lab in _child_labels(label, idx, (f.sub,), (Next(f),)):
-                    node.children.append(self.node(lab))
-                for child in node.children:
-                    self.expand(child, history + [label], poised_history)
-                return
-            if isinstance(f, Until):
-                node.rule = "U"
-                for lab in _child_labels(label, idx, (f.right,), (f.left, Next(f))):
-                    node.children.append(self.node(lab))
-                for child in node.children:
-                    self.expand(child, history + [label], poised_history)
-                return
-            if _needs_dist(f):
-                node.rule = "DIST"
-                child = self.node(_replace(label, idx, apply_dist(f)))
-                node.children.append(child)
-                self.expand(child, history + [label], poised_history)
-                return
-            if isinstance(f, Not):
+                rule, repls = "AND", [(f.left, f.right)]
+            elif isinstance(f, Or):
+                rule, repls = "OR", [(f.left,), (f.right,)]
+            elif isinstance(f, Globally):
+                rule, repls = "G", [(f.sub, Next(f))]
+            elif isinstance(f, Eventually):
+                rule, repls = "F", [(f.sub,), (Next(f),)]
+            elif isinstance(f, Until):
+                rule, repls = "U", [(f.right,), (f.left, Next(f))]
+            elif _needs_dist(f):
+                rule, repls = "DIST", [(apply_dist(f),)]
+            elif isinstance(f, Not):
                 # safety net: push one negation step and continue
-                node.rule = "NNF"
-                child = self.node(_replace(label, idx, nnf(f)))
-                node.children.append(child)
+                rule, repls = "NNF", [(nnf(f),)]
+            else:
+                raise TypeError("no tableau rule for %r" % (f,))
+            node.rule = rule
+            for lab in _child_labels(label, idx, *repls):
+                node.children.append(self.node(lab))
+            for child in node.children:
                 self.expand(child, history + [label], poised_history)
-                return
-            raise TypeError("no tableau rule for %r" % (f,))
+            return
         raise AssertionError("non-poised label with no expandable member")
 
 

@@ -73,12 +73,9 @@ def local_constraint(g: DependencyGraph, from_pid: str, target: str, q: int) -> 
                          % (from_pid, target))
     c = q - downstream
     if c < 0:
-        path = min(
-            (p for p in g.dependency_paths(target, from_pid=from_pid)),
-            key=lambda p: g.path_cost(p[1:]))
         raise InfeasibleConstraintError(
             "budget %d cannot cover path %s (downstream cost %d)"
-            % (q, " -> ".join(path), downstream))
+            % (q, " -> ".join(g.cheapest_path(from_pid, target)), downstream))
     return c
 
 

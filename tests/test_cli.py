@@ -127,6 +127,14 @@ def test_tableau_output_is_deterministic():
     assert a.stdout == b.stdout
 
 
+def test_tableau_size_limit_is_formula_error():
+    r = run_cli("tableau", "--formula",
+                "(X G (c U a) U G ((b | b) | (c U c)))")
+    assert r.returncode == 1
+    assert r.stderr == "formula error: tableau exceeded 30000 nodes\n"
+    assert "Traceback" not in r.stderr
+
+
 # ---------------------------------------------------------------- group
 
 
@@ -203,11 +211,17 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
     ({"graph": dict(json.loads(PIPELINE_DOC), environment=5)}, [], 2),
     ({"rounds": -1}, [], 2),
     ({}, ["--rounds", "-1"], 64),
+    ({"stimuli": {"3": ["I0", "I9"]}}, [], 2),
+    ({"trigger_sets": {"p9": [["O0"]]}}, [], 2),
+    ({"trigger_sets": {"p2": [["O0", "O9"]]}}, [], 2),
+    ({"suppressed_outputs": ["O9"]}, [], 2),
 ], ids=["valid", "stimuli-list", "stimulus-not-names", "behaviors-list",
         "fault-without-target", "recovery-without-kind",
         "recovery-factor-text", "recovery-factor-fraction",
         "latency-fraction", "rounds-bool", "deadline-number",
-        "environment-number", "negative-rounds", "negative-rounds-flag"])
+        "environment-number", "negative-rounds", "negative-rounds-flag",
+        "stimulus-unknown", "trigger-set-unknown-pid",
+        "trigger-set-unknown-variable", "suppressed-output-unknown"])
 def test_malformed_scenario_exits_without_traceback(tmp_path, override,
                                                     argv, code):
     path = tmp_path / "scenario.json"

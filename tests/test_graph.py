@@ -1,10 +1,16 @@
 """Process wiring: loading, validation, classification, path costs."""
 
 import json
+import random
 
 import pytest
 
-from costmon import GraphError, load_graph
+from costmon import (
+    GraphError,
+    InfeasibleConstraintError,
+    load_graph,
+    local_constraint,
+)
 from conftest import CHAIN_DOC, PIPELINE_DOC
 from oracles import min_downstream
 
@@ -47,6 +53,15 @@ def test_self_wiring_rejected():
 def test_two_process_cycle():
     with pytest.raises(GraphError, match="cycle"):
         load_graph(doc([proc("a", ["x", "w"], ["y"]), proc("b", ["y"], ["w"])]))
+
+
+def test_cycle_with_downstream_tail_names_only_the_cycle():
+    # the tail e hangs off the cycle and is listed first, so the cycle has
+    # to be told apart from what merely sits downstream of it
+    with pytest.raises(GraphError, match=r"dependency cycle: c -> d -> b -> c$"):
+        load_graph(doc([proc("e", ["v"], ["z"]), proc("a", ["x"], ["y"]),
+                        proc("b", ["y", "w"], ["u"]), proc("c", ["u"], ["v"]),
+                        proc("d", ["v"], ["w"])]))
 
 
 def test_duplicate_producer_rejected():
@@ -167,3 +182,52 @@ def test_lb_completion(pipeline):
     assert pipeline.lb_completion("O0") == 2
     assert pipeline.lb_completion("O4") == 7
     assert pipeline.lb_completion("Of") == 11
+
+
+# ---------------------------------------------------------------------------
+# cheapest paths on random reconvergent DAGs
+
+def random_dag(seed: int) -> str:
+    """Processes in a random topological order under shuffled pids, so pid
+    order and wiring order disagree.  Each takes one to three earlier
+    outputs (reconvergence), sometimes an environment variable as well,
+    and has one or two outputs; costs include 0, so cheapest paths tie."""
+    rng = random.Random(seed)
+    pids = ["p%d" % i for i in range(rng.randint(3, 9))]
+    rng.shuffle(pids)
+    procs, outputs = [], []
+    for i, pid in enumerate(pids):
+        if i == 0:
+            ins = ["I0"]
+        else:
+            ins = rng.sample(outputs, rng.randint(1, min(3, len(outputs))))
+            if i == 1 and outputs[0] not in ins:
+                ins.append(outputs[0])
+            if rng.random() < 0.3:
+                ins.append("I%d" % i)
+        outs = [pid + suffix for suffix in "ab"[:rng.randint(1, 2)]]
+        procs.append(proc(pid, ins, outs, rng.randint(0, 3)))
+        outputs += outs
+    return doc(procs)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_cheapest_path_matches_enumeration_on_random_dags(seed):
+    text = random_dag(seed)
+    g = load_graph(text)
+    for var in sorted(g.dependent):
+        for p in g.processes:
+            down = g.min_downstream_cost(p.pid, var)
+            assert down == min_downstream(text, p.pid, var)
+            paths = g.dependency_paths(var, p.pid)
+            if down is None:
+                assert paths == [] and g.cheapest_path(p.pid, var) is None
+                continue
+            least = min(paths, key=lambda path: (g.path_cost(path[1:]), path))
+            assert g.cheapest_path(p.pid, var) == least
+            if down > 0:
+                with pytest.raises(InfeasibleConstraintError) as exc:
+                    local_constraint(g, p.pid, var, down - 1)
+                assert str(exc.value) == (
+                    "budget %d cannot cover path %s (downstream cost %d)"
+                    % (down - 1, " -> ".join(least), down))

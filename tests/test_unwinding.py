@@ -1,5 +1,7 @@
 """Rewriting an end-to-end budget into per-process conjuncts."""
 
+import json
+
 import pytest
 
 from conftest import CHAIN_DOC, PIPELINE_DOC
@@ -182,3 +184,43 @@ def test_unwinding_only_adds_atoms(pipeline, phi_pipeline):
     u = unwind(phi_pipeline, pipeline)
     assert atoms(phi_pipeline) <= atoms(u.formula)
     assert atoms(u.formula) == {"I0", "I1", "O0", "O1", "O2", "O3", "O4", "O5", "Of"}
+
+
+# ---------------------------------------------------------------------------
+# scale: no recursion depth grows with the graph
+
+
+def test_chain_of_5000_unwinds():
+    n = 5000
+    procs = [{"pid": "p%d" % i, "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
+              "outputs": ["Of" if i == n - 1 else "O%d" % i], "cost": 1}
+             for i in range(n)]
+    g = load_graph(json.dumps({"processes": procs}))
+    u = unwind(parse_formula("G (I0 o<=%d Of)" % n), g)
+    budgets = {pid: u.constraint_table[d] for pid, d in u.entries}
+    assert len(budgets) == n
+    assert budgets["p0"] == 1 and budgets["p%d" % (n - 1)] == n
+
+
+def test_stack_of_20_diamonds_unwinds():
+    k = 20
+    procs = [{"pid": "s", "inputs": ["I0"], "outputs": ["B0"], "cost": 1}]
+    for i in range(k):
+        bottom = "Of" if i == k - 1 else "B%d" % (i + 1)
+        procs += [
+            {"pid": "l%d" % i, "inputs": ["B%d" % i], "outputs": ["C%d" % i],
+             "cost": 1},
+            {"pid": "r%d" % i, "inputs": ["B%d" % i], "outputs": ["D%d" % i],
+             "cost": 2},
+            {"pid": "m%d" % i, "inputs": ["C%d" % i, "D%d" % i],
+             "outputs": [bottom], "cost": 1}]
+    g = load_graph(json.dumps({"processes": procs}))
+    q = 1 + 4 * k
+    u = unwind(parse_formula("G (I0 o<=%d Of)" % q), g)
+    budgets = {pid: u.constraint_table[d] for pid, d in u.entries}
+    assert len(budgets) == 1 + 3 * k
+    # the cheapest stretch below s takes every left branch: 2 per diamond
+    assert budgets["s"] == q - 2 * k
+    with pytest.raises(InfeasibleConstraintError,
+                       match="path s -> l0 -> m0 -> l1 -> m1 -> l2 "):
+        unwind(parse_formula("G (I0 o<=%d Of)" % (2 * k - 1)), g)
