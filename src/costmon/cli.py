@@ -2,7 +2,8 @@
 
 Subcommands expose each stage (parse, unwind, tableau, group) plus the
 simulator (simulate) and the decentralized-versus-centralized comparison
-harness (check).  Exit codes: 0 success, 1 formula error, 2 graph
+harness (check).  Exit codes: 0 success, 1 formula error (including
+parentheses nested deeper than ``formulas.MAX_PAREN_DEPTH``), 2 graph
 or scenario error, 3 infeasible budget, 4 unobservable atom, 5 verdict
 disagreement, 64 usage error.  All output is deterministic for fixed
 inputs.
@@ -19,22 +20,12 @@ from typing import Optional, Sequence
 
 from .depgraph import GraphError, load_graph_file
 from .formulas import (
-    And,
-    Atom,
-    Budget,
-    Eventually,
-    FalseF,
     Formula,
     FormulaSyntaxError,
-    Globally,
-    Next,
-    Not,
-    Or,
     QDep,
-    TrueF,
-    Until,
     Verdict,
     evaluate_trace_with_position,
+    fold,
     parse_formula,
     render_formula,
 )
@@ -198,28 +189,44 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+# AST op names: the node's class name in lower case, save these three
+_AST_OPS = {"TrueF": "true", "FalseF": "false", "QDep": "dep"}
+
+
 def _formula_ast(f: Formula) -> dict:
-    if isinstance(f, TrueF):
-        return {"op": "true"}
-    if isinstance(f, FalseF):
-        return {"op": "false"}
-    if isinstance(f, Atom):
-        return {"op": "atom", "name": f.name}
-    if isinstance(f, (Not, Next, Eventually, Globally)):
-        ops = {Not: "not", Next: "next", Eventually: "eventually",
-               Globally: "globally"}
-        return {"op": ops[type(f)], "sub": _formula_ast(f.sub)}
-    if isinstance(f, (And, Or, Until)):
-        ops = {And: "and", Or: "or", Until: "until"}
-        return {"op": ops[type(f)], "left": _formula_ast(f.left),
-                "right": _formula_ast(f.right)}
-    if isinstance(f, QDep):
-        return {"op": "dep", "left": _formula_ast(f.left),
-                "right": _formula_ast(f.right), "bound": f.bound}
-    if isinstance(f, Budget):
-        return {"op": "budget", "target": _formula_ast(f.target),
-                "remaining": f.remaining}
-    raise TypeError("unknown formula node: %r" % (f,))
+    """JSON-ready tree: each node's op, its fields, and its kids' trees."""
+    def step(g, kids):
+        doc = {fd.name: getattr(g, fd.name) for fd in dataclasses.fields(g)}
+        doc.update(zip(g.kids, kids))
+        name = type(g).__name__
+        doc["op"] = _AST_OPS.get(name, name.lower())
+        return doc
+
+    return fold(f, step)
+
+
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for nested dicts of
+    strings and numbers, written without recursion so that a formula of
+    any depth prints."""
+    out, todo = [], [(doc, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        value, level = item
+        if type(value) is not dict or not value:
+            out.append(json.dumps(value))
+            continue
+        out.append("{")
+        items = []
+        for key in sorted(value):
+            items += ["\n" + "  " * (level + 1) + json.dumps(key) + ": ",
+                      (value[key], level + 1), ","]
+        items[-1] = "\n" + "  " * level + "}"
+        todo += reversed(items)
+    return "".join(out)
 
 
 def cmd_parse(args) -> int:
@@ -227,7 +234,7 @@ def cmd_parse(args) -> int:
     f = _read_formula(args.formula)
     if args.format == "json":
         doc = {"formula": render_formula(f), "ast": _formula_ast(f)}
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+        _emit(args, _json_text(doc))
     else:
         _emit(args, render_formula(f))
     return EXIT_OK

@@ -26,13 +26,6 @@ class Verdict(enum.Enum):
     FALSE = "false"
     UNKNOWN = "unknown"
 
-    def negate(self) -> "Verdict":
-        if self is Verdict.TRUE:
-            return Verdict.FALSE
-        if self is Verdict.FALSE:
-            return Verdict.TRUE
-        return Verdict.UNKNOWN
-
 
 @dataclass(frozen=True)
 class Event:
@@ -54,88 +47,78 @@ def make_event(props=(), cost: int = 0) -> Event:
 
 
 class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable."""
+    """Base class for formula nodes.  Instances are immutable and hashable.
+
+    ``kids`` names a node's subformula fields, left to right.  It is the
+    one declaration of the tree's shape: every walk reaches children
+    through it, never by naming fields.
+    """
 
     __slots__ = ()
+    kids = ()
+
+    def __str__(self):
+        return render_formula(self)
 
 
 @dataclass(frozen=True)
 class TrueF(Formula):
-    def __str__(self):
-        return "true"
+    pass
 
 
 @dataclass(frozen=True)
 class FalseF(Formula):
-    def __str__(self):
-        return "false"
+    pass
 
 
 @dataclass(frozen=True)
 class Atom(Formula):
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     sub: Formula
-
-    def __str__(self):
-        return "!" + _wrap(self.sub)
+    kids = ("sub",)
 
 
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return "(%s & %s)" % (self.left, self.right)
+    kids = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return "(%s | %s)" % (self.left, self.right)
+    kids = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Next(Formula):
     sub: Formula
-
-    def __str__(self):
-        return "X " + _wrap(self.sub)
+    kids = ("sub",)
 
 
 @dataclass(frozen=True)
 class Eventually(Formula):
     sub: Formula
-
-    def __str__(self):
-        return "F " + _wrap(self.sub)
+    kids = ("sub",)
 
 
 @dataclass(frozen=True)
 class Globally(Formula):
     sub: Formula
-
-    def __str__(self):
-        return "G " + _wrap(self.sub)
+    kids = ("sub",)
 
 
 @dataclass(frozen=True)
 class Until(Formula):
     left: Formula
     right: Formula
-
-    def __str__(self):
-        return "(%s U %s)" % (self.left, self.right)
+    kids = ("left", "right")
 
 
 @dataclass(frozen=True)
@@ -145,13 +128,11 @@ class QDep(Formula):
     left: Formula
     right: Formula
     bound: int
+    kids = ("left", "right")
 
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError("dependency bound must be non-negative")
-
-    def __str__(self):
-        return "(%s o<=%d %s)" % (self.left, self.bound, self.right)
 
 
 @dataclass(frozen=True)
@@ -163,19 +144,37 @@ class Budget(Formula):
 
     target: Formula
     remaining: int
-
-    def __str__(self):
-        return "<%s within %d>" % (self.target, self.remaining)
+    kids = ("target",)
 
 
 TRUE = TrueF()
 FALSE = FalseF()
 
 
-def _wrap(f: Formula) -> str:
-    if isinstance(f, (Atom, TrueF, FalseF)):
-        return str(f)
-    return "(%s)" % f if not str(f).startswith("(") else str(f)
+def subformulas(f: Formula):
+    """Every node of ``f`` in pre-order: a node, then its kids left to right."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        for k in reversed(g.kids):
+            stack.append(getattr(g, k))
+
+
+def fold(f: Formula, step):
+    """Post-order fold of ``f``: ``step(g, results)`` gets the folded kids
+    of ``g`` in order, and the root's result is returned."""
+    done, todo = [], [(f, False)]
+    while todo:
+        g, ready = todo.pop()
+        if ready:
+            n = len(done) - len(g.kids)
+            done[n:] = [step(g, done[n:])]
+        else:
+            todo.append((g, True))
+            for k in reversed(g.kids):
+                todo.append((getattr(g, k), False))
+    return done[0]
 
 
 def and_(left: Formula, right: Formula) -> Formula:
@@ -224,8 +223,9 @@ def _operands(f: Formula, kind: type) -> list:
     out, stack = [], [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, kind):
-            stack += [g.right, g.left]
+        if type(g) is kind:
+            for k in reversed(g.kids):
+                stack.append(getattr(g, k))
         else:
             out.append(g)
     return out
@@ -241,63 +241,59 @@ def disjuncts_of(f: Formula) -> list:
 
 # --- normal forms -----------------------------------------------------------
 
+# what each connective becomes in negation normal form, as it stands
+# (_SAME) and under a negation (_DUAL)
+_SAME = {And: and_, Or: or_, Next: Next, Eventually: Eventually,
+         Globally: Globally, Until: Until}
+_DUAL = {And: or_, Or: and_, Next: Next, Eventually: Globally,
+         Globally: Eventually}
+
+
+def _polar(f: Formula, positive: bool) -> Formula:
+    """Negation normal form of ``f`` (``positive``) or of its negation, in
+    one post-order pass that carries each node's polarity."""
+    done, todo = [], [(f, positive, False)]
+    while todo:
+        g, pos, ready = todo.pop()
+        t = type(g)
+        if ready:
+            n = len(done) - len(g.kids)
+            args = done[n:]
+            if t is QDep:
+                r = QDep(*args, g.bound)
+                r = r if pos else Not(r)
+            elif t is Until and not pos:
+                # not (p U q)  ==  (!q U (!p & !q)) | G !q
+                np, nq = args
+                r = or_(Until(nq, and_(np, nq)), Globally(nq))
+            else:
+                r = (_SAME if pos else _DUAL)[t](*args)
+            done[n:] = [r]
+        elif t is Not:
+            for k in g.kids:
+                todo.append((getattr(g, k), not pos, False))
+        elif t is Atom or t is Budget:
+            done.append(g if pos else Not(g))
+        elif t is TrueF or t is FalseF:
+            done.append(g if pos else (FALSE if t is TrueF else TRUE))
+        else:
+            todo.append((g, pos, True))
+            # a dependency's operands are normalised as they stand, even
+            # under a negation (which stays on the dependency)
+            kid_pos = pos or t is QDep
+            for k in reversed(g.kids):
+                todo.append((getattr(g, k), kid_pos, False))
+    return done[0]
+
 
 def nnf(f: Formula) -> Formula:
     """Push negations inward until they sit on atoms or dependency literals."""
-    if isinstance(f, (TrueF, FalseF, Atom, Budget)):
-        return f
-    if isinstance(f, Not):
-        return _neg(f.sub)
-    if isinstance(f, And):
-        return and_(nnf(f.left), nnf(f.right))
-    if isinstance(f, Or):
-        return or_(nnf(f.left), nnf(f.right))
-    if isinstance(f, Next):
-        return Next(nnf(f.sub))
-    if isinstance(f, Eventually):
-        return Eventually(nnf(f.sub))
-    if isinstance(f, Globally):
-        return Globally(nnf(f.sub))
-    if isinstance(f, Until):
-        return Until(nnf(f.left), nnf(f.right))
-    if isinstance(f, QDep):
-        return QDep(nnf(f.left), nnf(f.right), f.bound)
-    raise TypeError("unknown formula node: %r" % (f,))
-
-
-def _neg(f: Formula) -> Formula:
-    if isinstance(f, TrueF):
-        return FALSE
-    if isinstance(f, FalseF):
-        return TRUE
-    if isinstance(f, Atom):
-        return Not(f)
-    if isinstance(f, Not):
-        return nnf(f.sub)
-    if isinstance(f, And):
-        return or_(_neg(f.left), _neg(f.right))
-    if isinstance(f, Or):
-        return and_(_neg(f.left), _neg(f.right))
-    if isinstance(f, Next):
-        return Next(_neg(f.sub))
-    if isinstance(f, Eventually):
-        return Globally(_neg(f.sub))
-    if isinstance(f, Globally):
-        return Eventually(_neg(f.sub))
-    if isinstance(f, Until):
-        # not (p U q)  ==  (!q U (!p & !q)) | G !q
-        np, nq = _neg(f.left), _neg(f.right)
-        return or_(Until(nq, and_(np, nq)), Globally(nq))
-    if isinstance(f, QDep):
-        return Not(QDep(nnf(f.left), nnf(f.right), f.bound))
-    if isinstance(f, Budget):
-        return Not(f)
-    raise TypeError("unknown formula node: %r" % (f,))
+    return _polar(f, True)
 
 
 def negate(f: Formula) -> Formula:
     """Negation-normal-form negation of ``f``."""
-    return _neg(f)
+    return _polar(f, False)
 
 
 def atoms(f: Formula) -> frozenset:
@@ -306,55 +302,25 @@ def atoms(f: Formula) -> frozenset:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Atom):
+        if type(g) is Atom:
             out.add(g.name)
-        elif isinstance(g, (Not, Next, Eventually, Globally)):
-            stack.append(g.sub)
-        elif isinstance(g, (And, Or, Until, QDep)):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, Budget):
-            stack.append(g.target)
+        else:
+            for k in g.kids:
+                stack.append(getattr(g, k))
     return frozenset(out)
 
 
 def ordered_atoms(f: Formula) -> list:
     """Atom names in first-occurrence (left-to-right) order."""
-    out, seen = [], set()
-
-    def walk(g):
-        if isinstance(g, Atom):
-            if g.name not in seen:
-                seen.add(g.name)
-                out.append(g.name)
-        elif isinstance(g, (Not, Next, Eventually, Globally)):
-            walk(g.sub)
-        elif isinstance(g, (And, Or, Until, QDep)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Budget):
-            walk(g.target)
-
-    walk(f)
-    return out
+    return list(dict.fromkeys(g.name for g in subformulas(f)
+                              if type(g) is Atom))
 
 
 def subformula_index(f: Formula) -> dict:
     """Stable pre-order numbering of distinct subformulas, root first."""
     table = {}
-
-    def walk(g):
-        if g not in table:
-            table[g] = len(table)
-        if isinstance(g, (Not, Next, Eventually, Globally)):
-            walk(g.sub)
-        elif isinstance(g, (And, Or, Until, QDep)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Budget):
-            walk(g.target)
-
-    walk(f)
+    for g in subformulas(f):
+        table.setdefault(g, len(table))
     return table
 
 
@@ -507,10 +473,21 @@ def _tokenize(text: str):
     return out
 
 
+# prefix connectives and their text; the parser reads the text stripped
+_PREFIX = {Not: "!", Next: "X ", Eventually: "F ", Globally: "G "}
+_PREFIX_TOKENS = {text.strip(): cls for cls, text in _PREFIX.items()}
+_INFIX = {And: " & ", Or: " | ", Until: " U "}
+
+# deepest parenthesis nesting the parser accepts; it bounds the parser's
+# recursion, while prefix and binary chains are read in loops
+MAX_PAREN_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -530,12 +507,15 @@ class _Parser:
         return f
 
     def until_expr(self) -> Formula:
-        left = self.or_expr()
-        if self.peek()[0] == "U":
+        # right-associative: a U b U c == a U (b U c)
+        parts = [self.or_expr()]
+        while self.peek()[0] == "U":
             self.take("U")
-            right = self.until_expr()
-            return Until(left, right)
-        return left
+            parts.append(self.or_expr())
+        f = parts.pop()
+        while parts:
+            f = Until(parts.pop(), f)
+        return f
 
     def or_expr(self) -> Formula:
         f = self.and_expr()
@@ -552,20 +532,13 @@ class _Parser:
         return f
 
     def unary_expr(self) -> Formula:
-        kind, _, _ = self.peek()
-        if kind == "!":
-            self.take()
-            return Not(self.unary_expr())
-        if kind == "X":
-            self.take()
-            return Next(self.unary_expr())
-        if kind == "F":
-            self.take()
-            return Eventually(self.unary_expr())
-        if kind == "G":
-            self.take()
-            return Globally(self.unary_expr())
-        return self.primary()
+        ops = []
+        while self.peek()[0] in _PREFIX_TOKENS:
+            ops.append(_PREFIX_TOKENS[self.take()[0]])
+        f = self.primary()
+        for op in reversed(ops):
+            f = op(f)
+        return f
 
     def primary(self) -> Formula:
         kind, value, pos = self.peek()
@@ -579,15 +552,18 @@ class _Parser:
             self.take()
             return Atom(value)
         if kind == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise FormulaSyntaxError("parentheses nested deeper than %d"
+                                         % MAX_PAREN_DEPTH, pos)
             self.take()
+            self.depth += 1
             inner = self.until_expr()
             if self.peek()[0] == "QLE":
                 self.take("QLE")
                 bound_tok = self.take("INT")
-                right = self.until_expr()
-                self.take(")")
-                return QDep(inner, right, int(bound_tok[1]))
+                inner = QDep(inner, self.until_expr(), int(bound_tok[1]))
             self.take(")")
+            self.depth -= 1
             return inner
         raise FormulaSyntaxError("expected a formula, found %r" % (value or "end of input"), pos)
 
@@ -599,5 +575,30 @@ def parse_formula(text: str) -> Formula:
 
 def render_formula(f: Formula) -> str:
     """Deterministic text form; parse_formula(render_formula(f)) == f for
-    parseable nodes (budget residuals are debug-only)."""
-    return str(f)
+    parseable nodes (budget residuals are debug-only).  A prefix operator's
+    operand is parenthesised unless it is a leaf or its text opens with a
+    parenthesis."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+            continue
+        kids = [getattr(g, k) for k in g.kids]
+        if t is Atom:
+            out.append(g.name)
+        elif t is TrueF or t is FalseF:
+            out.append("true" if t is TrueF else "false")
+        elif t in _PREFIX:
+            wrap = type(kids[0]) in _PREFIX or type(kids[0]) is Budget
+            out.append(_PREFIX[t] + "(" * wrap)
+            todo += [")" * wrap, kids[0]]
+        elif t is Budget:
+            out.append("<")
+            todo += [" within %d>" % g.remaining, kids[0]]
+        else:
+            op = " o<=%d " % g.bound if t is QDep else _INFIX[t]
+            out.append("(")
+            todo += [")", kids[1], op, kids[0]]
+    return "".join(out)

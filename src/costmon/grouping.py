@@ -16,15 +16,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .depgraph import DependencyGraph, Process
 from .formulas import (
-    And,
+    Budget,
     Eventually,
     Formula,
     Globally,
     Next,
     Not,
-    Or,
     QDep,
     TRUE,
+    Until,
     atoms,
     conj,
     disj,
@@ -108,18 +108,18 @@ def _sole_owner(f: Formula, procs: Sequence[Process],
 
 
 def _qdeps_of(f: Formula) -> List[QDep]:
+    """Dependencies of ``f`` outside Until, dependency operands and budget
+    residuals."""
     out: List[QDep] = []
-
-    def walk(g):
-        if isinstance(g, QDep):
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is QDep:
             out.append(g)
-        elif isinstance(g, (Not, Next, Eventually, Globally)):
-            walk(g.sub)
-        elif isinstance(g, (And, Or)):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
+        elif t is not Until and t is not Budget:
+            for k in reversed(g.kids):
+                stack.append(getattr(g, k))
     return out
 
 

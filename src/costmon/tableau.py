@@ -28,6 +28,7 @@ from .formulas import (
     TRUE,
     TrueF,
     Until,
+    fold,
     nnf,
 )
 
@@ -86,16 +87,16 @@ def apply_dist(f: Formula) -> Formula:
     """Distribute a dependency over its left operand's And/Or structure;
     the right operand is left untouched.  Non-matching input is returned
     unchanged."""
-    if not isinstance(f, QDep):
+    if not _needs_dist(f):
         return f
-    left = f.left
-    if isinstance(left, And):
-        return And(apply_dist(QDep(left.left, f.right, f.bound)),
-                   apply_dist(QDep(left.right, f.right, f.bound)))
-    if isinstance(left, Or):
-        return Or(apply_dist(QDep(left.left, f.right, f.bound)),
-                  apply_dist(QDep(left.right, f.right, f.bound)))
-    return f
+
+    def step(g, kids):
+        t = type(g)
+        if t is And or t is Or:
+            return t(*kids)
+        return QDep(g, f.right, f.bound)
+
+    return fold(f.left, step)
 
 
 def _dedup(items) -> Tuple[Formula, ...]:

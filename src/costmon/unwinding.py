@@ -17,17 +17,14 @@ from .depgraph import DependencyGraph, GraphError, Process
 from .formulas import (
     And,
     Atom,
-    Eventually,
+    Budget,
     Formula,
     Globally,
-    Next,
-    Not,
-    Or,
     QDep,
-    Until,
     atoms,
     conj,
     conjuncts_of,
+    fold,
     ordered_atoms,
 )
 
@@ -44,21 +41,17 @@ class UnwoundFormula:
 
 
 def extract_qdep(f: Formula) -> List[QDep]:
-    """All dependency operators in pre-order; duplicates preserved."""
+    """All dependency operators in pre-order; duplicates preserved.  The
+    target of a budget residual is not searched."""
     out: List[QDep] = []
-
-    def walk(g: Formula):
-        if isinstance(g, QDep):
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is QDep:
             out.append(g)
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Not, Next, Eventually, Globally)):
-            walk(g.sub)
-        elif isinstance(g, (And, Or, Until)):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
+        if type(g) is not Budget:
+            for k in reversed(g.kids):
+                stack.append(getattr(g, k))
     return out
 
 
@@ -117,24 +110,21 @@ def _unwind_dep(dep: QDep, g: DependencyGraph):
     return emitted, budgets
 
 
-def _replace_qdep(f: Formula, target: QDep, replacement: Formula,
-                  distribute_g: bool) -> Formula:
+def _replace_qdep(f: Formula, target: QDep, replacement: Formula) -> Formula:
     """Replace occurrences of ``target`` in ``f``.  Directly under G the
-    replacement conjunction is split so G distributes over it."""
-    if f == target:
-        return replacement
-    if isinstance(f, Globally):
-        if f.sub == target and distribute_g and isinstance(replacement, And):
+    replacement conjunction is split so G distributes over it.  Other
+    dependencies and budget residuals are kept as they are."""
+    def step(g, kids):
+        if g == target:
+            return replacement
+        t = type(g)
+        if t is Globally and type(replacement) is And and g.sub == target:
             return conj([Globally(p) for p in conjuncts_of(replacement)])
-        return Globally(_replace_qdep(f.sub, target, replacement, distribute_g))
-    if isinstance(f, (Not, Next)):
-        return type(f)(_replace_qdep(f.sub, target, replacement, distribute_g))
-    if isinstance(f, Eventually):
-        return Eventually(_replace_qdep(f.sub, target, replacement, distribute_g))
-    if isinstance(f, (And, Or, Until)):
-        return type(f)(_replace_qdep(f.left, target, replacement, distribute_g),
-                       _replace_qdep(f.right, target, replacement, distribute_g))
-    return f
+        if t is QDep or t is Budget or not kids:
+            return g
+        return t(*kids)
+
+    return fold(f, step)
 
 
 def unwind(f: Formula, g: DependencyGraph) -> UnwoundFormula:
@@ -152,7 +142,7 @@ def unwind(f: Formula, g: DependencyGraph) -> UnwoundFormula:
         if not emitted:
             continue
         replacement = conj([q for _, q in emitted])
-        result = _replace_qdep(result, dep, replacement, distribute_g=True)
+        result = _replace_qdep(result, dep, replacement)
         for pid, conjunct in emitted:
             if conjunct not in table:
                 all_entries.append((pid, conjunct))

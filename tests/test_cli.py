@@ -62,6 +62,41 @@ def test_parse_error_is_exit_1():
     assert "position 6" in blob
 
 
+@pytest.mark.parametrize("text, rendered", [
+    ("!" * 5000 + "a", "!(" * 4999 + "!a" + ")" * 4999),
+    ("X " * 5000 + "a", "X (" * 4999 + "X a" + ")" * 4999),
+    (" U ".join(["a"] * 5000), "(a U " * 4999 + "a" + ")" * 4999),
+    ("(" * 3000 + "a" + ")" * 3000, None),
+], ids=["5000-not", "5000-next", "5000-until", "3000-parens"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_parse_deep_input_exits_without_traceback(text, rendered, fmt):
+    r = run_cli("parse", "--formula", text, "--format", fmt)
+    assert "Traceback" not in r.stderr
+    if rendered is None:
+        assert r.returncode == 1
+        assert r.stderr == ("formula error: parentheses nested deeper than "
+                            "100 (at position 100)\n")
+    elif fmt == "text":
+        assert (r.returncode, r.stdout) == (0, rendered + "\n")
+    else:
+        assert r.returncode == 0
+        assert r.stdout.endswith('  "formula": "%s"\n}\n' % rendered)
+
+
+def test_parse_json_of_deep_formula_is_json_dumps_output():
+    # json.loads recurses, so read a nesting the decoder can take
+    text = "!" * 300 + "(a o<=3 b)"
+    r = run_cli("parse", "--formula", text, "--format", "json")
+    doc = json.loads(r.stdout)
+    assert r.stdout == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    doc = doc["ast"]
+    for _ in range(300):
+        assert doc["op"] == "not"
+        doc = doc["sub"]
+    assert doc == {"op": "dep", "bound": 3, "left": {"op": "atom", "name": "a"},
+                   "right": {"op": "atom", "name": "b"}}
+
+
 # ---------------------------------------------------------------- unwind
 
 
@@ -87,6 +122,22 @@ def test_unwind_infeasible_is_exit_3(graph_file):
     blob = r.stdout + r.stderr
     assert "infeasible constraint" in blob
     assert "budget 5" in blob
+
+
+def test_unwind_chain_of_1000_prints(tmp_path):
+    n = 1000
+    procs = [{"pid": "p%d" % i, "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
+              "outputs": ["Of" if i == n - 1 else "O%d" % i], "cost": 1}
+             for i in range(n)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"processes": procs}))
+    r = run_cli("unwind", "--formula", "G (I0 o<=%d Of)" % n,
+                "--graph", str(path))
+    assert r.returncode == 0
+    assert "Traceback" not in r.stderr
+    first = r.stdout.splitlines()[0]
+    assert first.startswith("(G (O998 o<=1000 Of) & (G (O997 o<=999 O998) & ")
+    assert first.endswith("(G (O0 o<=2 O1) & G (I0 o<=1 O0)" + ")" * (n - 1))
 
 
 def test_unwind_unknown_variable_is_exit_2(graph_file):

@@ -1,6 +1,7 @@
 """Formula layer: grammar, normalization, progression, oracle agreement."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,15 +23,18 @@ from costmon.formulas import (
     Until,
     Verdict,
     atoms,
+    conj,
     evaluate_trace,
     make_event,
     negate,
     nnf,
+    ordered_atoms,
     parse_formula,
     progress,
     render_formula,
     subformula_index,
 )
+from costmon.unwinding import extract_qdep
 from oracles import flip, pair_verdict_bare, pair_verdict_globally
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -309,3 +313,74 @@ def test_index_counts_pipeline_conjuncts(pipeline, phi_pipeline):
     deps = [k for k in table if isinstance(k, QDep)]
     assert len(deps) == 7
     assert len(set(table.values())) == len(table)
+
+
+# ---------------------------------------------------------------------------
+# depth: the walkers use explicit stacks, so inputs far deeper than the
+# default recursion limit are fine
+
+DEPTH = 5000
+
+
+def _spine():
+    """A right-nested conjunction of DEPTH dependencies."""
+    return conj([QDep(Atom("a%d" % i), Atom("b%d" % i), i)
+                 for i in range(DEPTH)])
+
+
+def _spine_text(parts, op):
+    return ("".join("(%s %s " % (p, op) for p in parts[:-1]) + parts[-1]
+            + ")" * (len(parts) - 1))
+
+
+def _chain_text(ops, core):
+    """Prefix operators ``ops`` over ``core``; each wraps the next."""
+    return ("".join(op + "(" for op in ops[:-1]) + ops[-1] + core
+            + ")" * (len(ops) - 1))
+
+
+def test_walkers_take_a_deep_and_spine():
+    f = _spine()
+    deps = ["(a%d o<=%d b%d)" % (i, i, i) for i in range(DEPTH)]
+    assert render_formula(f) == _spine_text(deps, "&")
+    assert str(f) == render_formula(f)
+    assert render_formula(nnf(f)) == _spine_text(deps, "&")
+    assert render_formula(negate(f)) == _spine_text(
+        ["!" + d for d in deps], "|")
+    names = [n for i in range(DEPTH) for n in ("a%d" % i, "b%d" % i)]
+    assert atoms(f) == frozenset(names)
+    assert ordered_atoms(f) == names
+    assert [d.bound for d in extract_qdep(f)] == list(range(DEPTH))
+
+
+_DUAL_TEXT = {"X ": "X ", "F ": "G ", "G ": "F "}
+
+
+def test_walkers_take_a_deep_unary_chain():
+    ops = ["!", "X ", "F ", "G "] * (DEPTH // 4)
+    classes = {"!": Not, "X ": Next, "F ": Eventually, "G ": Globally}
+    f = QDep(a, b, 1)
+    for op in reversed(ops):
+        f = classes[op](f)
+    assert render_formula(f) == _chain_text(ops, "(a o<=1 b)")
+    for positive, result in ((True, nnf(f)), (False, negate(f))):
+        # each ! flips the polarity; X stays, F and G swap under negation
+        kept = []
+        for op in ops:
+            if op == "!":
+                positive = not positive
+            else:
+                kept.append(op if positive else _DUAL_TEXT[op])
+        # a prefix operator wraps a negation in parentheses
+        core = "(a o<=1 b)" if positive else "(!(a o<=1 b))"
+        assert render_formula(result) == _chain_text(kept, core)
+    assert atoms(f) == {"a", "b"}
+    assert ordered_atoms(f) == ["a", "b"]
+    assert extract_qdep(f) == [QDep(a, b, 1)]
+
+
+def test_render_of_thirty_negations_is_immediate():
+    f = parse_formula("!" * 30 + "a")
+    start = time.perf_counter()
+    assert render_formula(f) == "!(" * 29 + "!a" + ")" * 29
+    assert time.perf_counter() - start < 1.0
