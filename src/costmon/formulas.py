@@ -50,8 +50,8 @@ class Formula:
     """Base class for formula nodes.  Instances are immutable and hashable.
 
     ``kids`` names a node's subformula fields, left to right.  It is the
-    one declaration of the tree's shape: every walk reaches children
-    through it, never by naming fields.
+    one declaration of the tree's shape; the walks over whole trees
+    (``subformulas``, ``fold`` and the stack loops beside them) read it.
     """
 
     __slots__ = ()
