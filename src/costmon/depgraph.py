@@ -8,6 +8,7 @@ variables; the rest are dependent variables.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -32,10 +33,10 @@ class Process:
             raise GraphError("process %s lists %s as both input and output"
                              % (self.pid, sorted(overlap)[0]))
 
-    @property
+    @functools.cached_property
     def alphabet(self) -> frozenset:
         """Locally observable propositions: inputs plus outputs."""
-        return frozenset(self.inputs) | frozenset(self.outputs)
+        return frozenset(self.inputs).union(self.outputs)
 
 
 class DependencyGraph:

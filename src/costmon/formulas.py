@@ -354,8 +354,11 @@ def eval_props(f: Formula, props: frozenset) -> bool:
 def progress(f: Formula, event: Event) -> Formula:
     """One-step residual of ``f`` (in negation normal form) over ``event``.
 
-    Only true/false absorption is applied to the residual.  Budgets carry
-    their own remaining amounts.
+    Disjunctions get true/false absorption only.  Conjunctions are built by
+    ``_progress_conj``, which also drops repeated conjuncts and keeps the
+    tightest budget per target, so the residual of ``G (a o<=q b)`` or
+    ``G F a`` stays the same size over any trace.  Budgets carry their own
+    remaining amounts.
     """
     if isinstance(f, (TrueF, FalseF)):
         return f
@@ -382,17 +385,17 @@ def progress(f: Formula, event: Event) -> Formula:
             return Not(Budget(g.target, remaining))
         return progress(nnf(f), event)
     if isinstance(f, And):
-        return and_(progress(f.left, event), progress(f.right, event))
+        return _progress_conj([progress(g, event) for g in conjuncts_of(f)])
     if isinstance(f, Or):
         return or_(progress(f.left, event), progress(f.right, event))
     if isinstance(f, Next):
         return f.sub
     if isinstance(f, Globally):
-        return and_(progress(f.sub, event), f)
+        return _progress_conj([progress(f.sub, event), f])
     if isinstance(f, Eventually):
         return or_(progress(f.sub, event), f)
     if isinstance(f, Until):
-        keep = and_(progress(f.left, event), f)
+        keep = _progress_conj([progress(f.left, event), f])
         return or_(progress(f.right, event), keep)
     if isinstance(f, QDep):
         if not eval_props(f.left, event.props):
@@ -409,6 +412,35 @@ def progress(f: Formula, event: Event) -> Formula:
             return TRUE
         return Budget(f.target, remaining)
     raise TypeError("unknown formula node: %r" % (f,))
+
+
+def _progress_conj(parts: Sequence[Formula]) -> Formula:
+    """Right-nested conjunction of the conjuncts of ``parts``, for
+    progression only: false absorbs, true and repeated conjuncts drop, and
+    of several budgets on one target only the tightest stays, in the place
+    of the first (``Budget(t, r1) & Budget(t, r2)`` holds exactly when
+    ``Budget(t, min(r1, r2))`` does).  Otherwise first-occurrence order is
+    kept."""
+    out: dict = {}  # conjunct, or (Budget, target) for a budget -> conjunct
+    todo = list(reversed(parts))
+    while todo:
+        g = todo.pop()
+        t = type(g)
+        if t is And:
+            todo += (g.right, g.left)
+        elif t is FalseF:
+            return FALSE
+        elif t is Budget:
+            kept = out.setdefault((Budget, g.target), g)
+            if g.remaining < kept.remaining:
+                out[Budget, g.target] = g
+        elif t is not TrueF:
+            out.setdefault(g, g)
+    kept = list(out.values())
+    res = kept.pop() if kept else TRUE
+    while kept:
+        res = And(kept.pop(), res)
+    return res
 
 
 def evaluate_trace(f: Formula, trace: Trace) -> Verdict:

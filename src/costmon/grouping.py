@@ -146,9 +146,10 @@ def organize_groups(procs: Sequence[Process], root: TableauNode,
             contents.append(c)
     # exploring phase: one (processes, formula) pair per distinct content
     raw: List[Tuple[set, List[Formula]]] = []
+    observable = _system_alphabet(procs)
     for c in contents:
         names = atoms(c)
-        unseen = names - _system_alphabet(procs)
+        unseen = names - observable
         if unseen:
             raise UnobservableAtomError(
                 "no process observes %s" % sorted(unseen)[0])

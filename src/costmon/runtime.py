@@ -1,12 +1,20 @@
 """Decentralized monitor execution over synchronous rounds.
 
 Each process runs a local monitor for its assigned falsification conjuncts.
-Rounds are lockstep: every monitor reads its local event, updates budget
-obligations, and forwards newly observed atoms to the next group member,
-who receives them within the same round (perfect synchrony).  Groups with
-one member never send anything.  Any monitor confirming its conjunct makes
-the global property false; satisfaction of a globally-rooted property is
-never claimable from a finite prefix, so nominal runs end unknown.
+Rounds are lockstep: every monitor reads its local event, checks its
+budget watchers, and forwards newly observed atoms to the next group
+member, who receives them within the same round (perfect synchrony).
+Groups with one member never send anything.  Any monitor confirming its
+conjunct makes the global property false; satisfaction of a
+globally-rooted property is never claimable from a finite prefix, so
+nominal runs end unknown.
+
+A budget watcher turns its activation into a due round (activation plus
+bound minus precharge) and fires at that round unless its right operand
+latched first.  A monitor therefore only works in a round where it
+observes something, receives a message, has a watcher due, or progresses
+a residual watcher (cost accrues every round); in every other round its
+step returns at once.
 """
 
 from __future__ import annotations
@@ -38,22 +46,16 @@ class MonitorMessage:
     val: Verdict
 
 
-@dataclass(frozen=True)
-class Obligation:
-    target: Formula  # right operand awaited
-    remaining: int
-    activation_round: int
-
-
 class BudgetWatcher:
     """Tracks one budgeted dependency conjunct F!(L o<=c R) at its owner.
 
-    Every round after activation costs one unit (the shared clock), so the
-    obligation drains by one per round.  With latched inputs, later
-    anchors of L can only be slacker than the first, and once R is latched
-    they discharge instantly; a single earliest obligation is therefore
-    enough.  The watcher concludes at remaining zero with R still absent:
-    any later R costs at least one more unit and cannot fit the budget.
+    Every round after activation costs one unit (the shared clock).  When
+    L latches without R, the watcher sets its due round: the activation
+    round plus c minus the precharge.  It is satisfied if R latches by the
+    due round, and it fires at the due round otherwise: any later R costs
+    at least one more unit and cannot fit the budget.  With latched
+    inputs, later anchors of L can only be slacker than the first, so one
+    activation is enough.
     """
 
     def __init__(self, formula: Formula, dep: QDep, precharge: int = 0):
@@ -64,43 +66,32 @@ class BudgetWatcher:
         self.precharge = precharge
         self._left_atoms = atoms(dep.left)
         self._right_atoms = atoms(dep.right)
-        self.obligation: Optional[Obligation] = None
+        self.due: Optional[int] = None  # set while an activation awaits R
         self._activated = False
-        self._satisfied = False
         self.verdict = Verdict.UNKNOWN
         self.detection_round: Optional[int] = None
 
     def step(self, rnd: int, latched: frozenset) -> None:
         if self.verdict is not Verdict.UNKNOWN:
             return
-        right_here = self._right_atoms <= latched
-        ob = self.obligation
-        if ob is not None:
-            remaining = ob.remaining
-            if ob.activation_round < rnd:
-                remaining -= 1
-            if right_here and remaining >= 0:
-                self.obligation = None
-                self._satisfied = True
-            elif remaining <= 0:
+        if self.due is not None:
+            if self._right_atoms <= latched:
+                self.due = None
+            elif rnd >= self.due:
                 self._fire(rnd)
-            else:
-                self.obligation = Obligation(ob.target, remaining,
-                                             ob.activation_round)
             return
         if not self._activated and self._left_atoms <= latched:
             self._activated = True
-            if self._satisfied or right_here:
-                self._satisfied = True
+            if self._right_atoms <= latched:
                 return
-            remaining = self.dep.bound - self.precharge
-            if remaining <= 0:
+            due = rnd + self.dep.bound - self.precharge
+            if due <= rnd:
                 self._fire(rnd)
             else:
-                self.obligation = Obligation(self.dep.right, remaining, rnd)
+                self.due = due
 
     def _fire(self, rnd: int) -> None:
-        self.obligation = None
+        self.due = None
         self.verdict = Verdict.TRUE
         self.detection_round = rnd
 
@@ -130,7 +121,12 @@ class ResidualWatcher:
 
 class LocalMonitor:
     """Per-process monitor: latches observations, runs its watchers, and
-    forwards new group-relevant atoms to its successor in the group."""
+    forwards new group-relevant atoms to its successor in the group.
+
+    ``verdict`` is recomputed whenever the monitor works, and a round
+    with no inbox, no observation, no due watcher and no undecided
+    residual watcher costs nothing: nothing a watcher reads has changed.
+    """
 
     def __init__(self, pid: str, assigned: Formula, watchers: Sequence,
                  index_table: Dict[Formula, int],
@@ -146,23 +142,16 @@ class LocalMonitor:
         self.successor = successor
         self.latched: set = set()
         self.inbox: List[MonitorMessage] = []
-
-    @property
-    def verdict(self) -> Verdict:
-        vs = [w.verdict for w in self.watchers]
-        if any(v is Verdict.TRUE for v in vs):
-            return Verdict.TRUE
-        if vs and all(v is Verdict.FALSE for v in vs):
-            return Verdict.FALSE
-        return Verdict.UNKNOWN
-
-    @property
-    def detection_round(self) -> Optional[int]:
-        rounds = [w.detection_round for w in self.watchers
-                  if w.verdict is Verdict.TRUE]
-        return min(rounds) if rounds else None
+        self.verdict = Verdict.UNKNOWN
+        # earliest round that needs a step without new input; the first
+        # round always does, so watchers whose anchor needs no atom start
+        self._next_due: Optional[int] = 0
+        self._progressing = False  # an undecided residual watcher is left
 
     def step(self, rnd: int, event: Event) -> List[MonitorMessage]:
+        if not (self.inbox or event.props or self._progressing
+                or (self._next_due is not None and rnd >= self._next_due)):
+            return []
         newly: List[str] = []
         for msg in self.inbox:
             f = self._atom_of_idx.get(msg.idx)
@@ -179,11 +168,28 @@ class LocalMonitor:
         view = frozenset(self.latched)
         for w in self.watchers:
             w.step(rnd, view)
+        self._settle()
         if self.successor is None:
             return []
         return [MonitorMessage(self.index_table[Atom(n)], Verdict.TRUE)
                 for n in newly
                 if n in self.group_atoms and Atom(n) in self.index_table]
+
+    def _settle(self) -> None:
+        """Caches the verdict and when the next input-free step is due."""
+        vs = [w.verdict for w in self.watchers]
+        if any(v is Verdict.TRUE for v in vs):
+            self.verdict = Verdict.TRUE
+        elif vs and all(v is Verdict.FALSE for v in vs):
+            self.verdict = Verdict.FALSE
+        else:
+            self.verdict = Verdict.UNKNOWN
+        dues = [w.due for w in self.watchers
+                if isinstance(w, BudgetWatcher) and w.due is not None]
+        self._next_due = min(dues) if dues else None
+        self._progressing = any(
+            isinstance(w, ResidualWatcher) and w.verdict is Verdict.UNKNOWN
+            for w in self.watchers)
 
 
 @dataclass(frozen=True)

@@ -222,9 +222,23 @@ def run_simulation(scenario: Scenario, rounds: int,
                                  % f.target)
             delays[f.target] = (f.at_round, f.extra)
 
+    pids = sorted(graph.by_pid)
+    triggers = {pid: scenario.trigger_sets.get(
+                    pid, (frozenset(graph.by_pid[pid].inputs),))
+                for pid in pids}
+    starters: Dict[str, List[str]] = {}  # variable -> processes it can start
+    observers: Dict[str, List[str]] = {}  # variable -> processes seeing it
+    for pid in pids:
+        for var in frozenset().union(*triggers[pid]):
+            starters.setdefault(var, []).append(pid)
+        for var in graph.by_pid[pid].alphabet:
+            observers.setdefault(var, []).append(pid)
+    observable = frozenset(observers)
+    idle = Event(frozenset(), 1)  # every process seeing nothing shares it
+
     arrived: Dict[str, int] = {}
     started: Set[str] = set()
-    pending: List[Tuple[int, str, str]] = []  # (emit round, pid, variable)
+    pending: Dict[int, List[str]] = {}  # emit round -> variables
     injected: Dict[int, Set[str]] = {}
     recovered: Set[int] = set()
     recovery_log: List[Tuple[int, FaultSpec, RecoveryAction, Formula]] = []
@@ -232,7 +246,8 @@ def run_simulation(scenario: Scenario, rounds: int,
     deadline_var, deadline_round = (scenario.deadline
                                     if scenario.deadline else (None, None))
 
-    traces: Dict[str, List[Event]] = {pid: [] for pid in sorted(graph.by_pid)}
+    seen: Dict[str, List[Tuple[int, Event]]] = {pid: [] for pid in pids}
+    global_trace: List[Event] = []
     per_round_msgs: List[int] = []
 
     def suppressed(var: str, rnd: int) -> bool:
@@ -249,41 +264,38 @@ def run_simulation(scenario: Scenario, rounds: int,
     for rnd in range(rounds):
         pulses: Set[str] = set(scenario.stimuli.get(rnd, ()))
         pulses |= injected.pop(rnd, set())
-        still_pending = []
-        for emit_round, pid, var in pending:
-            if emit_round != rnd:
-                still_pending.append((emit_round, pid, var))
-            elif not suppressed(var, rnd):
+        for var in pending.pop(rnd, ()):
+            if not suppressed(var, rnd):
                 pulses.add(var)
-        pending = still_pending
-        # starts cascade within the round so zero-latency chains resolve
-        changed = True
-        while changed:
-            changed = False
-            for var in sorted(pulses):
-                arrived.setdefault(var, rnd)
-            for pid in sorted(graph.by_pid):
-                if pid in started:
-                    continue
-                p = graph.by_pid[pid]
-                sets = scenario.trigger_sets.get(
-                    pid, (frozenset(p.inputs),))
-                if not any(s <= arrived.keys() for s in sets):
+        # after the first round, which tries every process, only a newly
+        # arrived variable can start one; starts cascade within the round
+        # so zero-latency chains resolve
+        fresh = [var for var in pulses if var not in arrived]
+        candidates = set(pids) if rnd == 0 else set()
+        while fresh or candidates:
+            for var in fresh:
+                arrived[var] = rnd
+                candidates.update(starters.get(var, ()))
+            fresh = []
+            for pid in sorted(candidates - started):
+                if not any(s <= arrived.keys() for s in triggers[pid]):
                     continue
                 started.add(pid)
-                changed = True
                 lat = latency(pid, rnd)
-                for var in p.outputs:
-                    if lat <= 0:
-                        if not suppressed(var, rnd):
-                            pulses.add(var)
-                    else:
-                        pending.append((rnd + lat, pid, var))
+                for var in graph.by_pid[pid].outputs:
+                    if lat > 0:
+                        pending.setdefault(rnd + lat, []).append(var)
+                    elif not suppressed(var, rnd):
+                        pulses.add(var)
+                        if var not in arrived:
+                            fresh.append(var)
+            candidates = set()
         frozen_pulses = frozenset(pulses)
-        events = {pid: Event(frozen_pulses & graph.by_pid[pid].alphabet, 1)
-                  for pid in traces}
-        for pid in traces:
-            traces[pid].append(events[pid])
+        events = dict.fromkeys(pids, idle)
+        for pid in {pid for var in pulses for pid in observers.get(var, ())}:
+            events[pid] = Event(frozen_pulses & graph.by_pid[pid].alphabet, 1)
+            seen[pid].append((rnd, events[pid]))
+        global_trace.append(Event(frozen_pulses & observable, 1))
         sent, _ = monitor_round(monitors, events, rnd,
                                 eventually_rooted=eventually_rooted)
         per_round_msgs.append(sent)
@@ -322,10 +334,15 @@ def run_simulation(scenario: Scenario, rounds: int,
         got = arrived.get(deadline_var)
         outcome = "sorted" if got is not None and got <= deadline_round \
             else "missed"
-    fixed = {pid: tuple(t) for pid, t in traces.items()}
+    traces: Dict[str, Tuple[Event, ...]] = {}
+    for pid in pids:
+        trace = [idle] * rounds
+        for rnd, event in seen[pid]:
+            trace[rnd] = event
+        traces[pid] = tuple(trace)
     return SimulationResult(
-        per_process_traces=fixed,
-        global_trace=merge_traces(fixed),
+        per_process_traces=traces,
+        global_trace=tuple(global_trace) if pids else (),
         report=report,
         recovery_log=tuple(recovery_log),
         arrival_rounds=dict(sorted(arrived.items())),

@@ -1,6 +1,7 @@
 """Formula layer: grammar, normalization, progression, oracle agreement."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -33,6 +34,7 @@ from costmon.formulas import (
     progress,
     render_formula,
     subformula_index,
+    subformulas,
 )
 from costmon.unwinding import extract_qdep
 from oracles import flip, pair_verdict_bare, pair_verdict_globally
@@ -216,6 +218,74 @@ def test_dep_discharge_at_anchor_costs_nothing():
 
 def test_dep_vacuous_when_anchor_fails():
     assert evaluate_trace(QDep(a, b, 1), [E((), 9)]) == Verdict.TRUE
+
+
+def _residual_sizes(f, events):
+    """Node count of each residual of progressing ``f`` over ``events``."""
+    r, sizes = nnf(f), []
+    for e in events:
+        r = progress(r, e)
+        sizes.append(sum(1 for _ in subformulas(r)))
+    return r, sizes
+
+
+def test_progress_keeps_the_tightest_budget_per_target():
+    # every latched event re-activates the dependency; the older budget
+    # is tighter and the only one kept
+    f = parse_formula("G (a o<=50 b)")
+    events = [E(("a", "b") if k % 40 == 39 else ("a",), 1)
+              for k in range(10 ** 4)]
+    r, sizes = _residual_sizes(f, events)
+    assert r not in (TRUE, FALSE)
+    assert max(sizes) <= 7
+
+
+def test_progress_drops_repeated_conjuncts():
+    # a pending eventuality re-unrolls every event until ``a`` comes
+    f = parse_formula("G F a")
+    events = [E(("a",) if k % 2500 == 2499 else ("b",) if k % 2 else (), 1)
+              for k in range(10 ** 4)]
+    r, sizes = _residual_sizes(f, events)
+    assert max(sizes) <= 6
+    assert progress(And(b, And(c, b)), E((), 0)) == FALSE
+    g = And(Eventually(b), Eventually(b))
+    assert progress(g, E((), 1)) == Eventually(b)
+
+
+def test_progress_merges_budgets_in_first_place():
+    r = progress(And(Budget(b, 5), And(Eventually(c), Budget(b, 3))),
+                 E((), 1))
+    assert r == And(Budget(b, 2), Eventually(c))
+
+
+def _anchor_trace(rng, left, latch):
+    """A random trace of 30 to 200 events, costs 0 to 2, whose anchor
+    atoms either pulse or stay true from their first occurrence on."""
+    events, seen = [], set()
+    for _ in range(rng.randint(30, 200)):
+        props = {x for x in left if rng.random() < 0.2}
+        if latch:
+            seen |= props
+            props = set(seen)
+        if rng.random() < 0.08:
+            props.add("b")
+        events.append(E(sorted(props), rng.randint(0, 2)))
+    return events
+
+
+def test_long_traces_agree_with_the_pair_oracle():
+    rng = random.Random(500)
+    seen = set()
+    for k in range(500):
+        left = frozenset(rng.choice((("a",), ("a", "c"))))
+        q = rng.randint(0, 60)
+        trace = _anchor_trace(rng, sorted(left), latch=k % 2 == 0)
+        anchor = conj([Atom(x) for x in sorted(left)])
+        verdict = evaluate_trace(Globally(QDep(anchor, b, q)), trace)
+        assert verdict is pair_verdict_globally(trace, left, "b", q), (q, trace)
+        seen.add((verdict, k % 2))
+    assert seen == {(v, k) for v in (Verdict.FALSE, Verdict.UNKNOWN)
+                    for k in (0, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,21 @@ def test_sink_fault_detected_by_the_sink():
     assert rep.detection_round == 23 <= pos == 24
 
 
+def test_budget_watcher_steps_only_when_its_input_or_due_round_comes():
+    # the watcher reads the first round, its activation and its due
+    # round; the idle rounds in between cost it nothing
+    sc = example2_scenario(fault=FaultSpec("p0", "drop", 0), stimulus_round=3)
+    mons = plan_monitors(sc.formula, sc.graph).fresh_monitors()
+    (p0,) = [m for m in mons if m.pid == "p0"]
+    (w,) = p0.watchers
+    rounds = []
+    step = w.step
+    w.step = lambda rnd, latched: (rounds.append(rnd), step(rnd, latched))
+    res = run_scenario(sc, monitors=mons)
+    assert rounds == [0, 3, 14] == [0, 3, res.report.detection_round]
+    assert p0.verdict is T
+
+
 def test_nominal_run_stays_unknown():
     rep = run_scenario(example2_scenario(stimulus_round=3, rounds=40)).report
     assert rep.global_verdict is U

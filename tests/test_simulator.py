@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -18,6 +19,8 @@ from costmon import (
     random_scenario,
     run_scenario,
 )
+from costmon.depgraph import DependencyGraph, Process
+from costmon.simulator import Scenario, run_simulation
 
 LIMITS = {"max_processes": 5, "max_fanout": 3, "max_cost": 3, "max_rounds": 15}
 
@@ -211,3 +214,21 @@ def test_endpoint_only_monitor_detects_later():
         assert (rep.detection_round, rep.detecting_pid) == (rnd, "EC")
         integrated = run_scenario(sc).report
         assert integrated.detection_round < rnd
+
+
+def test_thousand_process_chain_simulates_in_time_linear_in_events():
+    # each round looks only at the processes a new arrival can start and
+    # at the events that carry a proposition
+    n = 1000
+    procs = [Process("p%d" % i, ("I0" if i == 0 else "O%d" % (i - 1),),
+                     ("O%d" % i,), 1 + i % 3) for i in range(n)]
+    sc = Scenario(graph=DependencyGraph(procs),
+                  behaviors={p.pid: p.cost for p in procs},
+                  stimuli={1: frozenset(["I0"])})
+    done = 1 + sum(p.cost for p in procs)
+    start = time.perf_counter()
+    res = run_simulation(sc, done + 3, [])
+    elapsed = time.perf_counter() - start
+    assert res.arrival_rounds["O%d" % (n - 1)] == done
+    assert len(res.global_trace) == done + 3
+    assert elapsed < 3.0
