@@ -11,10 +11,10 @@ nominal runs end unknown.
 
 A budget watcher turns its activation into a due round (activation plus
 bound minus precharge) and fires at that round unless its right operand
-latched first.  A monitor therefore only works in a round where it
-observes something, receives a message, has a watcher due, or progresses
-a residual watcher (cost accrues every round); in every other round its
-step returns at once.
+latched first; a residual watcher is due every round until it decides,
+because cost accrues every round.  A monitor therefore only works in a
+round where it observes something, receives a message or has a watcher
+due; in every other round its step returns at once.
 """
 
 from __future__ import annotations
@@ -99,11 +99,13 @@ class BudgetWatcher:
 class ResidualWatcher:
     """Progresses an arbitrary assigned formula over the latched view, one
     cost unit per round.  Used by the tail of a multi-member group, where
-    the latched set has been completed by forwarded observations."""
+    the latched set has been completed by forwarded observations.  Until
+    it decides, it is due every round (``due`` 0)."""
 
     def __init__(self, formula: Formula):
         self.formula = formula
         self.residual = formula
+        self.due: Optional[int] = 0
         self.verdict = Verdict.UNKNOWN
         self.detection_round: Optional[int] = None
 
@@ -113,10 +115,12 @@ class ResidualWatcher:
         self.residual = progress(self.residual, Event(latched, 1))
         if self.residual == TRUE:
             self.verdict = Verdict.TRUE
-            self.detection_round = rnd
         elif self.residual == FALSE:
             self.verdict = Verdict.FALSE
-            self.detection_round = rnd
+        else:
+            return
+        self.due = None
+        self.detection_round = rnd
 
 
 class LocalMonitor:
@@ -124,8 +128,8 @@ class LocalMonitor:
     forwards new group-relevant atoms to its successor in the group.
 
     ``verdict`` is recomputed whenever the monitor works, and a round
-    with no inbox, no observation, no due watcher and no undecided
-    residual watcher costs nothing: nothing a watcher reads has changed.
+    with no inbox, no observation and no due watcher costs nothing:
+    nothing a watcher reads has changed.
     """
 
     def __init__(self, pid: str, assigned: Formula, watchers: Sequence,
@@ -143,13 +147,12 @@ class LocalMonitor:
         self.latched: set = set()
         self.inbox: List[MonitorMessage] = []
         self.verdict = Verdict.UNKNOWN
-        # earliest round that needs a step without new input; the first
-        # round always does, so watchers whose anchor needs no atom start
+        # earliest round in which a watcher is due without new input; the
+        # first round always is, so an anchor that needs no atom activates
         self._next_due: Optional[int] = 0
-        self._progressing = False  # an undecided residual watcher is left
 
     def step(self, rnd: int, event: Event) -> List[MonitorMessage]:
-        if not (self.inbox or event.props or self._progressing
+        if not (self.inbox or event.props
                 or (self._next_due is not None and rnd >= self._next_due)):
             return []
         newly: List[str] = []
@@ -184,12 +187,8 @@ class LocalMonitor:
             self.verdict = Verdict.FALSE
         else:
             self.verdict = Verdict.UNKNOWN
-        dues = [w.due for w in self.watchers
-                if isinstance(w, BudgetWatcher) and w.due is not None]
-        self._next_due = min(dues) if dues else None
-        self._progressing = any(
-            isinstance(w, ResidualWatcher) and w.verdict is Verdict.UNKNOWN
-            for w in self.watchers)
+        self._next_due = min((w.due for w in self.watchers
+                              if w.due is not None), default=None)
 
 
 @dataclass(frozen=True)
