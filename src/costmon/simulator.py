@@ -246,7 +246,7 @@ def run_simulation(scenario: Scenario, rounds: int,
     deadline_var, deadline_round = (scenario.deadline
                                     if scenario.deadline else (None, None))
 
-    seen: Dict[str, List[Tuple[int, Event]]] = {pid: [] for pid in pids}
+    observed: Dict[str, List[Tuple[int, Event]]] = {pid: [] for pid in pids}
     global_trace: List[Event] = []
     per_round_msgs: List[int] = []
 
@@ -294,7 +294,7 @@ def run_simulation(scenario: Scenario, rounds: int,
         events = dict.fromkeys(pids, idle)
         for pid in {pid for var in pulses for pid in observers.get(var, ())}:
             events[pid] = Event(frozen_pulses & graph.by_pid[pid].alphabet, 1)
-            seen[pid].append((rnd, events[pid]))
+            observed[pid].append((rnd, events[pid]))
         global_trace.append(Event(frozen_pulses & observable, 1))
         sent, _ = monitor_round(monitors, events, rnd,
                                 eventually_rooted=eventually_rooted)
@@ -337,7 +337,7 @@ def run_simulation(scenario: Scenario, rounds: int,
     traces: Dict[str, Tuple[Event, ...]] = {}
     for pid in pids:
         trace = [idle] * rounds
-        for rnd, event in seen[pid]:
+        for rnd, event in observed[pid]:
             trace[rnd] = event
         traces[pid] = tuple(trace)
     return SimulationResult(
