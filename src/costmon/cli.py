@@ -251,7 +251,7 @@ def cmd_unwind(args) -> int:
             "unwound": render_formula(u.formula),
             "constraints": [
                 {"pid": pid, "formula": render_formula(dep),
-                 "bound": u.constraint_table[dep]}
+                 "bound": dep.bound}
                 for pid, dep in u.entries],
         }
         _emit(args, json.dumps(doc, indent=2, sort_keys=True))

@@ -1,9 +1,11 @@
 """Organizing processes into disjoint monitor groups from a tableau.
 
 Each ticked branch contributes the conjunction of its terminal content;
-processes whose local alphabet meets the branch's atoms join its group.
-Groups sharing processes are merged (formulas disjoined) until the member
-sets are pairwise disjoint.  When every branch formula of a merged group is
+processes whose local alphabet meets the branch's atoms are its members.
+Contents that share a member end up in one group, its formula their
+disjunction.  A group grows from the earliest content not yet grouped:
+each step adds the earliest content that shares a process with the
+group so far (``grow_groups``).  When every branch formula of a group is
 owned outright by a single process, the group is split back into
 per-process singleton monitors, which is what makes communication-free
 monitoring possible for disjunctions of per-process obligations.
@@ -11,8 +13,9 @@ monitoring possible for disjunctions of per-process obligations.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .depgraph import DependencyGraph, Process
 from .formulas import (
@@ -30,7 +33,7 @@ from .formulas import (
     disj,
     render_formula,
 )
-from .tableau import Branch, TableauNode, branches, last_poised_label
+from .tableau import Branch, TableauNode, branches
 
 
 class UnobservableAtomError(ValueError):
@@ -56,7 +59,7 @@ def branch_content(b: Branch) -> Optional[Formula]:
     if b.outcome != "ticked":
         return None
     parts: List[Formula] = []
-    for f in last_poised_label(b):
+    for f in b.leaf.label:
         g = f.sub if isinstance(f, Next) else f
         if g not in parts:
             parts.append(g)
@@ -74,21 +77,9 @@ def branch_content(b: Branch) -> Optional[Formula]:
     return conj(kept)
 
 
-def _observers(f: Formula, procs: Sequence[Process]) -> Tuple[str, ...]:
-    names = atoms(f)
-    out = []
-    for p in procs:
-        if p.alphabet & names:
-            out.append(p.pid)
-    return tuple(out)
-
-
-def _sole_owner(f: Formula, procs: Sequence[Process],
-                graph: Optional[DependencyGraph]) -> Optional[str]:
+def _sole_owner(f: Formula, graph: DependencyGraph) -> Optional[str]:
     """The unique process that can watch ``f`` alone: it produces the right
     operand of every dependency in ``f`` and observes all of its atoms."""
-    if graph is None:
-        return None
     deps = _qdeps_of(f)
     if not deps:
         return None
@@ -123,9 +114,39 @@ def _qdeps_of(f: Formula) -> List[QDep]:
     return out
 
 
+def grow_groups(member_sets: Sequence[AbstractSet[str]]) -> List[List[int]]:
+    """Partition content indices into groups whose member sets are
+    disjoint.  A group starts at the earliest ungrouped content; each step
+    takes the earliest content that shares a process with the group so
+    far.  This is the order in which merging the first overlapping pair
+    and restarting adds contents, which a union-find in index order does
+    not give: with only A-C and B-C overlapping it is A, C, B."""
+    holders: Dict[str, List[int]] = {}
+    for i, members in enumerate(member_sets):
+        for pid in members:
+            holders.setdefault(pid, []).append(i)
+    taken = set()
+    out: List[List[int]] = []
+    for start in range(len(member_sets)):
+        if start in taken:
+            continue
+        taken.add(start)
+        group, frontier = [], [start]
+        while frontier:
+            i = heapq.heappop(frontier)
+            group.append(i)
+            for pid in member_sets[i]:
+                for j in holders.pop(pid, ()):
+                    if j not in taken:
+                        taken.add(j)
+                        heapq.heappush(frontier, j)
+        out.append(group)
+    return out
+
+
 def organize_groups(procs: Sequence[Process], root: TableauNode,
                     original: Formula,
-                    graph: Optional[DependencyGraph] = None) -> List[MonitorGroup]:
+                    graph: DependencyGraph) -> List[MonitorGroup]:
     """Partition processes into monitor groups for the tableau's branches."""
     if not procs:
         raise ValueError("no processes to organize")
@@ -137,67 +158,42 @@ def organize_groups(procs: Sequence[Process], root: TableauNode,
             return []
         pids = tuple(sorted(p.pid for p in procs))
         return [MonitorGroup(pids, original, (original,))]
-    contents: List[Formula] = []
-    for b in all_branches:
-        c = branch_content(b)
-        if c is None:
-            continue
-        if c not in contents:
-            contents.append(c)
-    # exploring phase: one (processes, formula) pair per distinct content
-    raw: List[Tuple[set, List[Formula]]] = []
-    observable = _system_alphabet(procs)
+    contents = list(dict.fromkeys(
+        c for c in map(branch_content, all_branches) if c is not None))
+    observers: Dict[str, List[str]] = {}
+    for p in procs:
+        for name in p.alphabet:
+            observers.setdefault(name, []).append(p.pid)
+    member_sets: List[set] = []
     for c in contents:
         names = atoms(c)
-        unseen = names - observable
+        unseen = names - observers.keys()
         if unseen:
             raise UnobservableAtomError(
                 "no process observes %s" % sorted(unseen)[0])
-        members = set(_observers(c, procs))
-        raw.append((members, [c]))
-    # merging phase, iterated to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(raw)):
-            for j in range(i + 1, len(raw)):
-                if raw[i][0] & raw[j][0]:
-                    members = raw[i][0] | raw[j][0]
-                    formulas = raw[i][1] + [f for f in raw[j][1]
-                                            if f not in raw[i][1]]
-                    raw[i] = (members, formulas)
-                    del raw[j]
-                    changed = True
-                    break
-            if changed:
-                break
+        member_sets.append({pid for name in names for pid in observers[name]})
     groups: List[MonitorGroup] = []
-    for members, formulas in raw:
-        split = _owner_split(formulas, procs, graph)
+    for indices in grow_groups(member_sets):
+        formulas = [contents[i] for i in indices]
+        split = _owner_split(formulas, graph)
         if split is not None:
             groups.extend(split)
         else:
+            members = set().union(*(member_sets[i] for i in indices))
             groups.append(MonitorGroup(tuple(sorted(members)),
                                        disj(formulas), tuple(formulas)))
     groups.sort(key=lambda g: g.members)
     return groups
 
 
-def _system_alphabet(procs: Sequence[Process]) -> frozenset:
-    out = set()
-    for p in procs:
-        out |= p.alphabet
-    return frozenset(out)
-
-
-def _owner_split(formulas: List[Formula], procs: Sequence[Process],
-                 graph: Optional[DependencyGraph]) -> Optional[List[MonitorGroup]]:
+def _owner_split(formulas: List[Formula],
+                 graph: DependencyGraph) -> Optional[List[MonitorGroup]]:
     """Split a merged group into per-owner singletons when every branch
     formula has a sole owner.  Within one owner, a formula subsumed by its
     own F-version collapses onto the F-version."""
     owners: Dict[str, List[Formula]] = {}
     for f in formulas:
-        owner = _sole_owner(f, procs, graph)
+        owner = _sole_owner(f, graph)
         if owner is None:
             return None
         owners.setdefault(owner, []).append(f)

@@ -42,8 +42,7 @@ from .grouping import MonitorGroup, dep_core
 
 @dataclass(frozen=True)
 class MonitorMessage:
-    idx: int  # key into the shared subformula index table
-    val: Verdict
+    idx: int  # an observed atom's key in the shared subformula index table
 
 
 class BudgetWatcher:
@@ -133,15 +132,14 @@ class LocalMonitor:
     """
 
     def __init__(self, pid: str, assigned: Formula, watchers: Sequence,
-                 index_table: Dict[Formula, int],
+                 index_table: Dict[Formula, int], atom_of_idx: Dict[int, str],
                  group_atoms: frozenset = frozenset(),
                  successor: Optional[str] = None):
         self.pid = pid
         self.assigned = assigned
         self.watchers = list(watchers)
         self.index_table = index_table
-        self._atom_of_idx = {i: f for f, i in index_table.items()
-                             if isinstance(f, Atom)}
+        self._atom_of_idx = atom_of_idx  # the table's atoms, by index
         self.group_atoms = group_atoms
         self.successor = successor
         self.latched: set = set()
@@ -157,12 +155,12 @@ class LocalMonitor:
             return []
         newly: List[str] = []
         for msg in self.inbox:
-            f = self._atom_of_idx.get(msg.idx)
-            if f is None:
+            name = self._atom_of_idx.get(msg.idx)
+            if name is None:
                 raise ValueError("message references unknown index %d" % msg.idx)
-            if msg.val is Verdict.TRUE and f.name not in self.latched:
-                self.latched.add(f.name)
-                newly.append(f.name)
+            if name not in self.latched:
+                self.latched.add(name)
+                newly.append(name)
         self.inbox = []
         for name in sorted(event.props):
             if name not in self.latched:
@@ -174,7 +172,7 @@ class LocalMonitor:
         self._settle()
         if self.successor is None:
             return []
-        return [MonitorMessage(self.index_table[Atom(n)], Verdict.TRUE)
+        return [MonitorMessage(self.index_table[Atom(n)])
                 for n in newly
                 if n in self.group_atoms and Atom(n) in self.index_table]
 
@@ -249,6 +247,8 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
     member become budget watchers there; whatever the group formula needs
     beyond those is progressed by the group's last member, whose latched
     view is completed by the forwarded observations of the others."""
+    atom_of_idx = {i: f.name for f, i in index_table.items()
+                   if isinstance(f, Atom)}
     monitors: List[LocalMonitor] = []
     for group in groups:
         order = group.members
@@ -273,7 +273,7 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
                 watchers.append(ResidualWatcher(disj(residual_parts)))
             monitors.append(LocalMonitor(
                 pid, assigned if assigned is not None else group.formula,
-                watchers, index_table,
+                watchers, index_table, atom_of_idx,
                 group_atoms=atoms(group.formula), successor=successor))
     return monitors
 

@@ -106,7 +106,6 @@ class Scenario:
     deadline: Optional[Tuple[str, int]] = None  # (variable, round)
     monitor_specs: Tuple[Tuple[str, str, Formula], ...] = ()
     baseline_specs: Tuple[Tuple[str, str, Formula], ...] = ()
-    metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         for pid, latency in self.behaviors.items():
@@ -395,8 +394,8 @@ def case_monitors(scenario: Scenario,
         for name, f in by_pid[pid]:
             watchers.append(BudgetWatcher(f, _spec_dep(f), 0))
         assigned = conj([f for _, f in by_pid[pid]])
-        monitors.append(LocalMonitor(pid, assigned, watchers,
-                                     subformula_index(assigned)))
+        # a monitor without successor neither sends nor receives
+        monitors.append(LocalMonitor(pid, assigned, watchers, {}, {}))
     return monitors
 
 

@@ -2,8 +2,8 @@
 eject, and arrival confirmation stages, each guarded by a budgeted watcher
 at the process that can observe it.
 
-The published per-watcher budget table rides along as scenario metadata
-and is kept verbatim; the overall arrival watchers run with the bound of
+The published per-watcher budget table is kept verbatim as
+``PUBLISHED_BOUNDS``; the overall arrival watchers run with the bound of
 the end-to-end property itself (one step larger), which is the loosest
 setting under which a nominal token never raises an alarm.  A token run
 deploys only the matching color family; the classifier of the other color
@@ -41,7 +41,7 @@ FAULT_NAMES = ("trigger_failure", "lost_step_count", "classify_delay",
 
 # published budgets; the arrival/overall rows are one unit tighter than
 # what the end-to-end property allows and would alarm on nominal runs,
-# so the deployed watchers widen exactly those two (see metadata)
+# so the deployed watchers widen exactly those two
 PUBLISHED_BOUNDS = {
     "trigger": 1,
     "step_count": 2,
@@ -149,12 +149,4 @@ def build_sorting_line_scenario(token: str = "white",
                              frozenset(["LS1", "SC", "LS2", "E_B"]))},
         deadline=(arrival_var, s + 8),
         monitor_specs=specs,
-        baseline_specs=baseline,
-        metadata={
-            "token": token,
-            "fault": fault,
-            "published_bounds": dict(PUBLISHED_BOUNDS),
-            "note": ("arrival/overall watchers deploy with the end-to-end "
-                     "property bound (%d), one unit wider than the "
-                     "published table row" % overall_bound),
-        })
+        baseline_specs=baseline)

@@ -51,9 +51,6 @@ class TableauNode:
     status: str = "interior"  # interior | ticked | crossed
     rule: str = ""
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -266,57 +263,51 @@ def build_tableau(f: Formula) -> TableauNode:
 
 
 def branches(root: TableauNode) -> List[Branch]:
-    """All root-to-leaf paths, left to right."""
+    """All root-to-leaf paths, left to right.  Every leaf is ticked or
+    crossed, so its status is the branch's outcome."""
     out: List[Branch] = []
-
-    def walk(node, acc):
-        acc = acc + [node]
-        if node.is_leaf():
-            outcome = node.status if node.status in ("ticked", "crossed") else "ticked"
-            out.append(Branch(tuple(acc), outcome))
-            return
-        for child in node.children:
-            walk(child, acc)
-
-    walk(root, [])
+    path: List[TableauNode] = []
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        del path[depth:]
+        path.append(node)
+        if node.children:
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+        else:
+            out.append(Branch(tuple(path), node.status))
     return out
 
 
-def last_poised_label(b: Branch) -> Tuple[Formula, ...]:
-    """The label of the branch's last poised node, or the leaf's label on a
-    degenerate branch with no poised node (e.g. plain `true`)."""
-    for node in reversed(b.nodes):
-        if _is_poised(node.label):
-            return node.label
-    return b.leaf.label
-
-
 def terminal_node(b: Branch) -> Tuple[Formula, ...]:
-    """The recurring content of a ticked branch: its last poised label with
-    next-step obligations stripped."""
+    """The recurring content of a ticked branch: its leaf's label (a node
+    is ticked only when its label is poised) with next-step obligations
+    stripped."""
     if b.outcome != "ticked":
         raise ValueError("terminal content is defined for ticked branches only")
-    return tuple(f for f in last_poised_label(b) if not isinstance(f, Next))
+    return tuple(f for f in b.leaf.label if not isinstance(f, Next))
 
 
 def export_dot(root: TableauNode) -> str:
-    """Deterministic DOT text with labels, tick/cross marks, and rule tags."""
+    """Deterministic DOT text with labels, tick/cross marks, and rule tags.
+    Nodes are numbered in pre-order; the edge into a node follows its
+    subtree."""
     lines = ["digraph tableau {", '  node [shape=box, fontname="monospace"];']
-    counter = [0]
-
-    def walk(node) -> int:
-        my_id = counter[0]
-        counter[0] += 1
+    count = 0
+    stack: list = [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        if type(node) is str:  # an edge line, due once its subtree is out
+            lines.append(node)
+            continue
         text = ", ".join(str(f) for f in node.label) or "(empty)"
         mark = {"ticked": " ✓", "crossed": " ×"}.get(node.status, "")
         rule = (" [%s]" % node.rule) if node.rule else ""
         safe = text.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append('  n%d [label="%s%s%s"];' % (my_id, safe, rule, mark))
-        for child in node.children:
-            child_id = walk(child)
-            lines.append("  n%d -> n%d;" % (my_id, child_id))
-        return my_id
-
-    walk(root)
+        lines.append('  n%d [label="%s%s%s"];' % (count, safe, rule, mark))
+        if parent is not None:
+            stack.append(("  n%d -> n%d;" % (parent, count), None))
+        stack.extend((child, count) for child in reversed(node.children))
+        count += 1
     lines.append("}")
     return "\n".join(lines)

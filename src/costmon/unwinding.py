@@ -36,8 +36,9 @@ class InfeasibleConstraintError(ValueError):
 @dataclass(frozen=True)
 class UnwoundFormula:
     formula: Formula
-    entries: Tuple[Tuple[str, QDep], ...]  # (producing pid, emitted conjunct)
-    constraint_table: Dict[QDep, int]
+    # (producing pid, emitted conjunct); a conjunct's bound is its local
+    # budget
+    entries: Tuple[Tuple[str, QDep], ...]
 
 
 def extract_qdep(f: Formula) -> List[QDep]:
@@ -84,12 +85,12 @@ def apply_dependency_rule(p: Process, v: str, c: int) -> QDep:
     return QDep(left, Atom(v), c)
 
 
-def _unwind_dep(dep: QDep, g: DependencyGraph):
+def _unwind_dep(dep: QDep, g: DependencyGraph) -> Dict[Tuple[str, str, int], QDep]:
     """Backward traversal per dependent variable of the dependency's right
-    operand.  Returns the emitted (pid, conjunct, budget) list in discovery
-    order; empty when nothing is dependent."""
-    emitted: List[Tuple[str, QDep]] = []
-    budgets: Dict[QDep, int] = {}
+    operand.  Returns the emitted conjuncts in discovery order, keyed by
+    (pid, output, local budget), which determines the conjunct; empty when
+    nothing is dependent."""
+    emitted: Dict[Tuple[str, str, int], QDep] = {}
     for v_root in ordered_atoms(dep.right):
         if v_root not in g.producer:
             continue
@@ -99,15 +100,13 @@ def _unwind_dep(dep: QDep, g: DependencyGraph):
             v = worklist.pop(0)
             p = g.by_pid[g.producer[v]]
             c = local_constraint(g, p.pid, v_root, dep.bound)
-            conjunct = apply_dependency_rule(p, v, c)
-            if conjunct not in budgets:
-                emitted.append((p.pid, conjunct))
-                budgets[conjunct] = c
+            conjunct = emitted.setdefault(
+                (p.pid, v, c), apply_dependency_rule(p, v, c))
             for name in ordered_atoms(conjunct.left):
                 if name != v and name in g.producer and name not in seen:
                     seen.add(name)
                     worklist.append(name)
-    return emitted, budgets
+    return emitted
 
 
 def _replace_qdep(f: Formula, target: QDep, replacement: Formula) -> Formula:
@@ -129,22 +128,19 @@ def _replace_qdep(f: Formula, target: QDep, replacement: Formula) -> Formula:
 
 def unwind(f: Formula, g: DependencyGraph) -> UnwoundFormula:
     """Unwind every dependency operator of ``f`` whose right operand names
-    dependent variables.  Returns the transformed formula plus the budget
-    table keyed by emitted conjunct."""
+    dependent variables.  Returns the transformed formula plus each
+    emitted conjunct with its producing process, first emission first."""
     for name in atoms(f):
         if name not in g.producer and name not in g.environment:
             raise GraphError("formula variable %s is unknown to the graph" % name)
     result = f
-    all_entries: List[Tuple[str, QDep]] = []
-    table: Dict[QDep, int] = {}
+    entries: Dict[Tuple[str, str, int], QDep] = {}
     for dep in extract_qdep(f):
-        emitted, budgets = _unwind_dep(dep, g)
+        emitted = _unwind_dep(dep, g)
         if not emitted:
             continue
-        replacement = conj([q for _, q in emitted])
-        result = _replace_qdep(result, dep, replacement)
-        for pid, conjunct in emitted:
-            if conjunct not in table:
-                all_entries.append((pid, conjunct))
-                table[conjunct] = budgets[conjunct]
-    return UnwoundFormula(result, tuple(all_entries), table)
+        result = _replace_qdep(result, dep, conj(list(emitted.values())))
+        for key, conjunct in emitted.items():
+            entries.setdefault(key, conjunct)
+    return UnwoundFormula(
+        result, tuple((pid, q) for (pid, _, _), q in entries.items()))

@@ -6,13 +6,15 @@ accrued cost stays within the budget, the activation event itself
 costing nothing) and never call the package's progression code, so an
 implementation bug cannot vouch for itself.  The path-cost helper
 recomputes unwinding constraints by exhaustive enumeration over the
-raw JSON wiring for the same reason.
+raw JSON wiring for the same reason, and the grouping reference merges
+member sets pair by pair instead of growing groups from an index.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from costmon.formulas import (
     And,
@@ -241,3 +243,25 @@ def min_downstream(doc_text: str, from_pid: str, target_var: str) -> Optional[in
     for s in succ[from_pid]:
         walk(s, 0, frozenset([s]))
     return min(best) if best else None
+
+
+# ---------------------------------------------------------------------------
+# monitor grouping by restart-on-merge
+
+
+def merged_groups(member_sets: Sequence[AbstractSet[str]]) -> List[List[int]]:
+    """Content indices grouped the literal way: merge the first pair, in
+    index order, whose member sets overlap (the later group's contents
+    appended to the earlier one's), then start over, until no two groups
+    overlap."""
+    raw = [(set(members), [i]) for i, members in enumerate(member_sets)]
+    merged = True
+    while merged:
+        merged = False
+        for i, j in itertools.combinations(range(len(raw)), 2):
+            if raw[i][0] & raw[j][0]:
+                raw[i] = (raw[i][0] | raw[j][0], raw[i][1] + raw[j][1])
+                del raw[j]
+                merged = True
+                break
+    return [indices for _, indices in raw]

@@ -98,7 +98,7 @@ def corpus():
 def test_budget_synthesis_exact(pipeline, phi_pipeline):
     with criterion("[1/8] local budget synthesis, exact integers", budget=1.0):
         u = unwind(phi_pipeline, pipeline)
-        got = {(d.left, d.right): u.constraint_table[d]
+        got = {(d.left, d.right): d.bound
                for _, d in u.entries}
         assert got == {
             (Atom("I0"), Atom("O0")): 11,

@@ -140,6 +140,25 @@ def test_unwind_chain_of_1000_prints(tmp_path):
     assert first.endswith("(G (O0 o<=2 O1) & G (I0 o<=1 O0)" + ")" * (n - 1))
 
 
+def test_unwind_fan_in_of_1000(tmp_path):
+    n = 1000
+    procs = [{"pid": "s%d" % i, "inputs": ["I%d" % i], "outputs": ["O%d" % i],
+              "cost": 1} for i in range(n)]
+    procs.append({"pid": "sink", "inputs": ["O%d" % i for i in range(n)],
+                  "outputs": ["Of"], "cost": 1})
+    path = tmp_path / "fanin.json"
+    path.write_text(json.dumps({"processes": procs}))
+    r = run_cli("unwind", "--formula", "G (I0 o<=10 Of)",
+                "--graph", str(path), "--format", "json")
+    assert r.returncode == 0
+    assert "Traceback" not in r.stderr
+    rows = json.loads(r.stdout)["constraints"]
+    assert [(row["pid"], row["bound"]) for row in rows[:2]] == [
+        ("sink", 10), ("s0", 9)]
+    assert len(rows) == n + 1
+    assert {row["bound"] for row in rows[1:]} == {9}
+
+
 def test_unwind_unknown_variable_is_exit_2(graph_file):
     r = run_cli("unwind", "--formula", "G (x o<=2 y)", "--graph", graph_file)
     assert r.returncode == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -22,6 +23,8 @@ from costmon import (
     plan_monitors,
     unwind,
 )
+from costmon.grouping import grow_groups
+from oracles import merged_groups
 
 TWO_PROC_DOC = json.dumps({"processes": [
     {"pid": "p0", "inputs": ["e"], "outputs": ["a"], "cost": 1},
@@ -90,6 +93,37 @@ def test_overlapping_branches_merge():
                                        repeat=n):
             tr = [make_event(props=c) for c in combo]
             assert evaluate_trace(grp.formula, tr) == evaluate_trace(f, tr)
+
+
+def test_group_lists_contents_in_growth_order():
+    # !e is seen by p0 only, !h by p1 only, (!e & !h) by both: the third
+    # content joins the first before the second does
+    g = load_graph(json.dumps({"processes": [
+        {"pid": "p0", "inputs": ["e"], "outputs": ["a"], "cost": 1},
+        {"pid": "p1", "inputs": ["h"], "outputs": ["b"], "cost": 1},
+        {"pid": "p2", "inputs": ["a", "b"], "outputs": ["d"], "cost": 1},
+    ]}))
+    f = parse_formula("!e | (!h | (!e & !h))")
+    [grp] = organize_groups(g.processes, build_tableau(f), f, graph=g)
+    assert grp.members == ("p0", "p1")
+    assert grp.branch_formulas == (parse_formula("!e"),
+                                   parse_formula("!e & !h"),
+                                   parse_formula("!h"))
+    assert grp.formula == parse_formula("!e | ((!e & !h) | !h)")
+
+
+def test_growth_rule_matches_restart_on_merge():
+    rng = random.Random(6)
+    out_of_index_order = 0
+    for _ in range(2000):
+        pids = ["p%d" % i for i in range(rng.randint(1, 10))]
+        member_sets = [set(rng.sample(pids, rng.randint(0, min(3, len(pids)))))
+                       for _ in range(rng.randint(0, 12))]
+        got = grow_groups(member_sets)
+        assert got == merged_groups(member_sets), member_sets
+        out_of_index_order += any(grp != sorted(grp) for grp in got)
+    # the order rule is exercised, not just the partition
+    assert out_of_index_order > 100
 
 
 def test_unobservable_atom_is_rejected(pipeline):

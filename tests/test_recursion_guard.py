@@ -26,7 +26,7 @@ ALLOWED = {
         "_Parser.until_expr", "_Parser.or_expr", "_Parser.and_expr",
         "_Parser.unary_expr", "_Parser.primary",
     },
-    "tableau": {"_Builder.expand", "branches.walk", "export_dot.walk"},
+    "tableau": {"_Builder.expand"},
     # the exhaustive path enumeration kept as a reference for tests
     "depgraph": {"DependencyGraph.dependency_paths.backward"},
 }

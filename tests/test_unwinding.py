@@ -126,7 +126,7 @@ def test_chain_unwinding():
     assert {c.sub for c in got} == want
     # constraints re-derived from the raw document: q minus downstream sums
     for pid, d in u.entries:
-        assert u.constraint_table[d] == 12 - min_downstream(CHAIN_DOC, pid, "Of")
+        assert d.bound == 12 - min_downstream(CHAIN_DOC, pid, "Of")
 
 
 def test_pipeline_unwinding(pipeline, phi_pipeline):
@@ -140,7 +140,7 @@ def test_pipeline_unwinding(pipeline, phi_pipeline):
         dep("O3", "O5", 16): 16,
         QDep(And(Atom("O1"), And(Atom("O4"), Atom("O5"))), Atom("Of"), 20): 20,
     }
-    assert u.constraint_table == want
+    assert {d: d.bound for _, d in u.entries} == want
     assert len(u.entries) == 7
     assert {pid for pid, _ in u.entries} == {"p0", "p1", "p2", "p3", "p4", "p5", "p6"}
     for pid, d in u.entries:
@@ -163,7 +163,7 @@ def test_environment_only_dependency_left_alone(pipeline):
 
 def test_constraints_grow_along_every_path(pipeline, phi_pipeline):
     u = unwind(phi_pipeline, pipeline)
-    by_pid = {pid: u.constraint_table[d] for pid, d in u.entries}
+    by_pid = {pid: d.bound for pid, d in u.entries}
     for path in pipeline.dependency_paths("Of"):
         values = [by_pid[pid] for pid in path]
         assert values == sorted(values)
@@ -197,7 +197,7 @@ def test_chain_of_5000_unwinds():
              for i in range(n)]
     g = load_graph(json.dumps({"processes": procs}))
     u = unwind(parse_formula("G (I0 o<=%d Of)" % n), g)
-    budgets = {pid: u.constraint_table[d] for pid, d in u.entries}
+    budgets = {pid: d.bound for pid, d in u.entries}
     assert len(budgets) == n
     assert budgets["p0"] == 1 and budgets["p%d" % (n - 1)] == n
 
@@ -217,7 +217,7 @@ def test_stack_of_20_diamonds_unwinds():
     g = load_graph(json.dumps({"processes": procs}))
     q = 1 + 4 * k
     u = unwind(parse_formula("G (I0 o<=%d Of)" % q), g)
-    budgets = {pid: u.constraint_table[d] for pid, d in u.entries}
+    budgets = {pid: d.bound for pid, d in u.entries}
     assert len(budgets) == 1 + 3 * k
     # the cheapest stretch below s takes every left branch: 2 per diamond
     assert budgets["s"] == q - 2 * k
