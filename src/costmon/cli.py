@@ -196,7 +196,7 @@ _AST_OPS = {"TrueF": "true", "FalseF": "false", "QDep": "dep"}
 def _formula_ast(f: Formula) -> dict:
     """JSON-ready tree: each node's op, its fields, and its kids' trees."""
     def step(g, kids):
-        doc = {fd.name: getattr(g, fd.name) for fd in dataclasses.fields(g)}
+        doc = {name: getattr(g, name) for name in g.fields}
         doc.update(zip(g.kids, kids))
         name = type(g).__name__
         doc["op"] = _AST_OPS.get(name, name.lower())

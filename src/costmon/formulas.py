@@ -9,12 +9,18 @@ Syntax (ASCII):
 ``(L o<=q R)`` reads: whenever L holds, R must follow before more than q
 cost units accrue.  Cost accrues from event costs strictly after the
 activating event; fulfilment at the activation event itself consumes 0.
+
+Formula nodes are interned (hash-consed): every node is built by
+``Formula.__new__``, which keeps one node per distinct tree in a weak
+table.  Equal trees are therefore the same object, equality is identity
+and hashing takes constant time at any depth.
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,103 +53,115 @@ def make_event(props=(), cost: int = 0) -> Event:
 
 
 class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable.
+    """Base class for formula nodes.  Nodes are interned: ``Formula.__new__``
+    looks ``(class, *args)`` up in one weak table and returns the node
+    already there, so equal trees are the same object.  Equality is
+    identity, a hash takes constant time at any depth, and nodes are
+    immutable.  The table holds its nodes weakly, so a node no one refers
+    to leaves it.
 
-    ``kids`` names a node's subformula fields, left to right.  It is the
-    one declaration of the tree's shape; the walks over whole trees
+    ``fields`` names a class's constructor arguments in order; ``kids``
+    names its subformula fields, left to right.  ``kids`` is the one
+    declaration of the tree's shape; the walks over whole trees
     (``subformulas``, ``fold`` and the stack loops beside them) read it.
     """
 
-    __slots__ = ()
-    kids = ()
+    __slots__ = ("__weakref__",)
+    fields = kids = ()
+    _interned = weakref.WeakValueDictionary()
+
+    def __new__(cls, *args):
+        key = (cls,) + args
+        node = Formula._interned.get(key)
+        if node is None:
+            if len(args) != len(cls.fields):
+                raise TypeError("%s takes %d arguments"
+                                % (cls.__name__, len(cls.fields)))
+            node = object.__new__(cls)
+            for name, value in zip(cls.fields, args):
+                object.__setattr__(node, name, value)
+            Formula._interned[key] = node
+        return node
+
+    def __setattr__(self, *_):
+        raise AttributeError("formula nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copies and unpickled nodes are interned too
+        return type(self), tuple(getattr(self, k) for k in self.fields)
+
+    def __repr__(self):
+        def step(g, kids):
+            shown = dict(zip(g.kids, kids))
+            return "%s(%s)" % (type(g).__name__, ", ".join(
+                "%s=%s" % (k, shown[k] if k in shown else repr(getattr(g, k)))
+                for k in g.fields))
+        return fold(self, step)
 
     def __str__(self):
         return render_formula(self)
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = fields = ("name",)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
-    kids = ("sub",)
+    __slots__ = fields = kids = ("sub",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
-    kids = ("left", "right")
+    __slots__ = fields = kids = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
-    kids = ("left", "right")
+    __slots__ = fields = kids = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Next(Formula):
-    sub: Formula
-    kids = ("sub",)
+    __slots__ = fields = kids = ("sub",)
 
 
-@dataclass(frozen=True)
 class Eventually(Formula):
-    sub: Formula
-    kids = ("sub",)
+    __slots__ = fields = kids = ("sub",)
 
 
-@dataclass(frozen=True)
 class Globally(Formula):
-    sub: Formula
-    kids = ("sub",)
+    __slots__ = fields = kids = ("sub",)
 
 
-@dataclass(frozen=True)
 class Until(Formula):
-    left: Formula
-    right: Formula
-    kids = ("left", "right")
+    __slots__ = fields = kids = ("left", "right")
 
 
-@dataclass(frozen=True)
 class QDep(Formula):
     """Budgeted dependency: whenever ``left`` holds, ``right`` within ``bound``."""
 
-    left: Formula
-    right: Formula
-    bound: int
+    __slots__ = fields = ("left", "right", "bound")
     kids = ("left", "right")
 
-    def __post_init__(self):
-        if self.bound < 0:
+    def __new__(cls, left, right, bound):
+        if bound < 0:
             raise ValueError("dependency bound must be non-negative")
+        return Formula.__new__(cls, left, right, bound)
 
 
-@dataclass(frozen=True)
 class Budget(Formula):
     """Internal residual: ``target`` must hold before ``remaining`` is exhausted.
 
     Produced by progression of an activated dependency; not parseable.
     """
 
-    target: Formula
-    remaining: int
+    __slots__ = fields = ("target", "remaining")
     kids = ("target",)
 
 
@@ -298,16 +316,7 @@ def negate(f: Formula) -> Formula:
 
 def atoms(f: Formula) -> frozenset:
     """All proposition names occurring in ``f``."""
-    out = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is Atom:
-            out.add(g.name)
-        else:
-            for k in g.kids:
-                stack.append(getattr(g, k))
-    return frozenset(out)
+    return frozenset(g.name for g in subformulas(f) if type(g) is Atom)
 
 
 def ordered_atoms(f: Formula) -> list:
@@ -328,24 +337,38 @@ def subformula_index(f: Formula) -> dict:
 
 
 def eval_props(f: Formula, props: frozenset) -> bool:
-    """Evaluate a propositional formula against one event's propositions.
+    """Evaluate a propositional formula against one event's propositions,
+    left to right with short-circuit.
 
     Dependency operands are propositional by contract; temporal connectives
-    or nested dependencies inside an operand are rejected.
+    or nested dependencies inside an operand are rejected when reached.
     """
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Atom):
-        return f.name in props
-    if isinstance(f, Not):
-        return not eval_props(f.sub, props)
-    if isinstance(f, And):
-        return eval_props(f.left, props) and eval_props(f.right, props)
-    if isinstance(f, Or):
-        return eval_props(f.left, props) or eval_props(f.right, props)
-    raise ValueError("dependency operands must be propositional: %s" % (f,))
+    stack = []  # (connective, whether its right operand is being evaluated)
+    while True:
+        t = type(f)
+        if t is Not or t is And or t is Or:
+            stack.append((f, False))
+            f = f.sub if t is Not else f.left
+            continue
+        if t is Atom:
+            value = f.name in props
+        elif t is TrueF or t is FalseF:
+            value = t is TrueF
+        else:
+            raise ValueError("dependency operands must be propositional: %s"
+                             % (f,))
+        while stack:
+            g, right = stack.pop()
+            if type(g) is Not:
+                value = not value
+            elif not right and value == (type(g) is And):
+                # a true left conjunct or a false left disjunct decides
+                # nothing: the right operand gives the value
+                stack.append((g, True))
+                f = g.right
+                break
+        else:
+            return value
 
 
 # --- progression ------------------------------------------------------------
@@ -354,11 +377,10 @@ def eval_props(f: Formula, props: frozenset) -> bool:
 def progress(f: Formula, event: Event) -> Formula:
     """One-step residual of ``f`` (in negation normal form) over ``event``.
 
-    Disjunctions get true/false absorption only.  Conjunctions are built by
-    ``_progress_conj``, which also drops repeated conjuncts and keeps the
-    tightest budget per target, so the residual of ``G (a o<=q b)`` or
-    ``G F a`` stays the same size over any trace.  Budgets carry their own
-    remaining amounts.
+    Conjunctions and disjunctions are built by ``_progress_nest``, which
+    drops repeated operands and keeps the tightest budget per target, so
+    the residual of ``G (a o<=q b)``, ``G F a`` or ``F G a`` stays the same
+    size over any trace.  Budgets carry their own remaining amounts.
     """
     if isinstance(f, (TrueF, FalseF)):
         return f
@@ -385,18 +407,20 @@ def progress(f: Formula, event: Event) -> Formula:
             return Not(Budget(g.target, remaining))
         return progress(nnf(f), event)
     if isinstance(f, And):
-        return _progress_conj([progress(g, event) for g in conjuncts_of(f)])
+        return _progress_nest(And, [progress(g, event)
+                                    for g in conjuncts_of(f)])
     if isinstance(f, Or):
-        return or_(progress(f.left, event), progress(f.right, event))
+        return _progress_nest(Or, [progress(g, event)
+                                   for g in disjuncts_of(f)])
     if isinstance(f, Next):
         return f.sub
     if isinstance(f, Globally):
-        return _progress_conj([progress(f.sub, event), f])
+        return _progress_nest(And, [progress(f.sub, event), f])
     if isinstance(f, Eventually):
-        return or_(progress(f.sub, event), f)
+        return _progress_nest(Or, [progress(f.sub, event), f])
     if isinstance(f, Until):
-        keep = _progress_conj([progress(f.left, event), f])
-        return or_(progress(f.right, event), keep)
+        keep = _progress_nest(And, [progress(f.left, event), f])
+        return _progress_nest(Or, [progress(f.right, event), keep])
     if isinstance(f, QDep):
         if not eval_props(f.left, event.props):
             return TRUE
@@ -414,32 +438,34 @@ def progress(f: Formula, event: Event) -> Formula:
     raise TypeError("unknown formula node: %r" % (f,))
 
 
-def _progress_conj(parts: Sequence[Formula]) -> Formula:
-    """Right-nested conjunction of the conjuncts of ``parts``, for
-    progression only: false absorbs, true and repeated conjuncts drop, and
-    of several budgets on one target only the tightest stays, in the place
-    of the first (``Budget(t, r1) & Budget(t, r2)`` holds exactly when
-    ``Budget(t, min(r1, r2))`` does).  Otherwise first-occurrence order is
-    kept."""
-    out: dict = {}  # conjunct, or (Budget, target) for a budget -> conjunct
+def _progress_nest(kind: type, parts: Sequence[Formula]) -> Formula:
+    """Right-nested ``kind`` (``And`` or ``Or``) of the operands of
+    ``parts``, for progression only.  The absorbing constant (false for
+    ``And``, true for ``Or``) absorbs; the neutral one and repeated
+    operands drop.  In a conjunction, of several budgets on one target only
+    the tightest stays, in the place of the first (``Budget(t, r1) &
+    Budget(t, r2)`` holds exactly when ``Budget(t, min(r1, r2))`` does).
+    Otherwise first-occurrence order is kept."""
+    absorbing, neutral = (FalseF, TrueF) if kind is And else (TrueF, FalseF)
+    out: dict = {}  # operand, or (Budget, target) for a budget -> operand
     todo = list(reversed(parts))
     while todo:
         g = todo.pop()
         t = type(g)
-        if t is And:
+        if t is kind:
             todo += (g.right, g.left)
-        elif t is FalseF:
-            return FALSE
-        elif t is Budget:
+        elif t is absorbing:
+            return g
+        elif t is Budget and kind is And:
             kept = out.setdefault((Budget, g.target), g)
             if g.remaining < kept.remaining:
                 out[Budget, g.target] = g
-        elif t is not TrueF:
+        elif t is not neutral:
             out.setdefault(g, g)
     kept = list(out.values())
-    res = kept.pop() if kept else TRUE
+    res = kept.pop() if kept else neutral()
     while kept:
-        res = And(kept.pop(), res)
+        res = kind(kept.pop(), res)
     return res
 
 

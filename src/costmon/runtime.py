@@ -132,14 +132,14 @@ class LocalMonitor:
     """
 
     def __init__(self, pid: str, assigned: Formula, watchers: Sequence,
-                 index_table: Dict[Formula, int], atom_of_idx: Dict[int, str],
+                 index_of_atom: Dict[str, int], atom_of_idx: Dict[int, str],
                  group_atoms: frozenset = frozenset(),
                  successor: Optional[str] = None):
         self.pid = pid
         self.assigned = assigned
         self.watchers = list(watchers)
-        self.index_table = index_table
-        self._atom_of_idx = atom_of_idx  # the table's atoms, by index
+        self._index_of_atom = index_of_atom
+        self._atom_of_idx = atom_of_idx
         self.group_atoms = group_atoms
         self.successor = successor
         self.latched: set = set()
@@ -172,9 +172,8 @@ class LocalMonitor:
         self._settle()
         if self.successor is None:
             return []
-        return [MonitorMessage(self.index_table[Atom(n)])
-                for n in newly
-                if n in self.group_atoms and Atom(n) in self.index_table]
+        return [MonitorMessage(self._index_of_atom[n]) for n in newly
+                if n in self.group_atoms and n in self._index_of_atom]
 
     def _settle(self) -> None:
         """Caches the verdict and when the next input-free step is due."""
@@ -249,6 +248,7 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
     view is completed by the forwarded observations of the others."""
     atom_of_idx = {i: f.name for f, i in index_table.items()
                    if isinstance(f, Atom)}
+    index_of_atom = {name: i for i, name in atom_of_idx.items()}
     monitors: List[LocalMonitor] = []
     for group in groups:
         order = group.members
@@ -273,7 +273,7 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
                 watchers.append(ResidualWatcher(disj(residual_parts)))
             monitors.append(LocalMonitor(
                 pid, assigned if assigned is not None else group.formula,
-                watchers, index_table, atom_of_idx,
+                watchers, index_of_atom, atom_of_idx,
                 group_atoms=atoms(group.formula), successor=successor))
     return monitors
 

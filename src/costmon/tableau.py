@@ -6,6 +6,12 @@ or a next-step obligation, and applies its rule.  Time steps via the X-rule
 once a label is poised.  Termination comes from the LOOP rule (tick a
 repeated poised label) and the PRUNE rule (cross a thrice-repeated label
 with no eventuality progress).
+
+``_rule`` holds the rules: it maps a label and the labels above it to the
+node's status, rule tag and child labels, and changes nothing.
+``build_tableau`` is one loop over an explicit stack that creates the
+nodes and counts them against ``NODE_LIMIT``, so no recursion depth grows
+with the tableau's depth.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .formulas import (
     Not,
     Or,
     QDep,
-    TRUE,
     TrueF,
     Until,
     fold,
@@ -102,37 +107,24 @@ def _dedup(items) -> Tuple[Formula, ...]:
     and a bare `true` is dropped unless it is all the label says.  Both
     preserve the label's conjunction reading; without them poised labels
     rarely repeat exactly and the LOOP rule starves."""
-    seen = set()
-    out = []
-    for f in items:
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-    kept = []
-    for f in out:
-        if isinstance(f, Eventually) and f.sub in seen:
-            continue
-        if isinstance(f, Until) and f.right in seen:
-            continue
-        kept.append(f)
+    seen = dict.fromkeys(items)  # first occurrences, in order
+    kept = [f for f in seen
+            if not (isinstance(f, Eventually) and f.sub in seen
+                    or isinstance(f, Until) and f.right in seen)]
     if len(kept) > 1:
         kept = [f for f in kept if not isinstance(f, TrueF)] or kept
     return tuple(kept)
 
 
 def _child_labels(label, idx, *repls) -> List[Tuple[Formula, ...]]:
-    """Labels a rule hands its children, distinct ones only."""
+    """Labels a rule hands its children, distinct ones only: ``label``
+    with its member ``idx`` replaced by each of ``repls`` in turn."""
     out: List[Tuple[Formula, ...]] = []
     for repl in repls:
-        lab = _replace(label, idx, *repl)
+        lab = _dedup(label[:idx] + repl + label[idx + 1:])
         if lab not in out:
             out.append(lab)
     return out
-
-
-def _replace(label: Tuple[Formula, ...], idx: int, *repl: Formula) -> Tuple[Formula, ...]:
-    out = list(label[:idx]) + list(repl) + list(label[idx + 1:])
-    return _dedup(out)
 
 
 def _is_poised(label: Tuple[Formula, ...]) -> bool:
@@ -141,23 +133,14 @@ def _is_poised(label: Tuple[Formula, ...]) -> bool:
 
 
 def _has_contradiction(label: Tuple[Formula, ...]) -> bool:
-    if any(f == FALSE for f in label):
-        return True
-    positives = {f for f in label if isinstance(f, Atom)}
-    for f in label:
-        if isinstance(f, Not) and isinstance(f.sub, Atom) and f.sub in positives:
-            return True
-    return False
+    members = set(label)
+    return FALSE in members or any(
+        isinstance(f, Not) and isinstance(f.sub, Atom) and f.sub in members
+        for f in label)
 
 
 def _eventualities(label: Tuple[Formula, ...]) -> frozenset:
-    evs = set()
-    for f in label:
-        if isinstance(f, Eventually):
-            evs.add(f)
-        elif isinstance(f, Until):
-            evs.add(f)
-    return frozenset(evs)
+    return frozenset(f for f in label if isinstance(f, (Eventually, Until)))
 
 
 def _satisfies(label: Tuple[Formula, ...], ev: Formula) -> bool:
@@ -167,98 +150,80 @@ def _satisfies(label: Tuple[Formula, ...], ev: Formula) -> bool:
     return goal in label
 
 
-class _Builder:
-    def __init__(self):
-        self.count = 0
-
-    def node(self, label: Tuple[Formula, ...]) -> TableauNode:
-        self.count += 1
-        if self.count > NODE_LIMIT:
-            raise TableauLimitError("tableau exceeded %d nodes" % NODE_LIMIT)
-        return TableauNode(label)
-
-    def expand(self, node: TableauNode, history: List[Tuple[Formula, ...]],
-               poised_history: List[Tuple[Formula, ...]]):
-        label = node.label
-        if _has_contradiction(label):
-            node.status = "crossed"
-            node.rule = "contradiction"
-            return
-        # PRUNE: the label's third appearance is cut when the stretch since
-        # the previous appearance satisfied no eventuality that the stretch
-        # before it did not already satisfy
-        occurrences = [i for i, past in enumerate(history) if past == label]
-        if len(occurrences) >= 2:
-            prev, last = occurrences[-2], occurrences[-1]
-            evs = _eventualities(label)
-            earlier = {ev for ev in evs
-                       if any(_satisfies(mid, ev) for mid in history[prev + 1:last])}
-            recent = {ev for ev in evs
-                      if any(_satisfies(mid, ev) for mid in history[last + 1:])}
-            if recent <= earlier:
-                node.status = "crossed"
-                node.rule = "PRUNE"
-                return
-        if len(occurrences) >= 4:
-            # hard backstop: no described rule fired after four repeats
-            node.status = "crossed"
-            node.rule = "PRUNE"
-            return
-        if _is_poised(label):
-            if label in poised_history:
-                node.status = "ticked"
-                node.rule = "LOOP"
-                return
-            nexts = [f.sub for f in label if isinstance(f, Next)]
-            if not nexts:
-                node.status = "ticked"
-                node.rule = "open"
-                return
-            child = self.node(_dedup(nexts))
-            node.rule = "X"
-            node.children.append(child)
-            self.expand(child, history + [label], poised_history + [label])
-            return
-        # first non-poised member decides the rule
-        for idx, f in enumerate(label):
-            if is_literal(f) or is_atomic_qdep(f) or isinstance(f, Next):
-                continue
-            if isinstance(f, And):
-                rule, repls = "AND", [(f.left, f.right)]
-            elif isinstance(f, Or):
-                rule, repls = "OR", [(f.left,), (f.right,)]
-            elif isinstance(f, Globally):
-                rule, repls = "G", [(f.sub, Next(f))]
-            elif isinstance(f, Eventually):
-                rule, repls = "F", [(f.sub,), (Next(f),)]
-            elif isinstance(f, Until):
-                rule, repls = "U", [(f.right,), (f.left, Next(f))]
-            elif _needs_dist(f):
-                rule, repls = "DIST", [(apply_dist(f),)]
-            elif isinstance(f, Not):
-                # safety net: push one negation step and continue
-                rule, repls = "NNF", [(nnf(f),)]
-            else:
-                raise TypeError("no tableau rule for %r" % (f,))
-            node.rule = rule
-            for lab in _child_labels(label, idx, *repls):
-                node.children.append(self.node(lab))
-            for child in node.children:
-                self.expand(child, history + [label], poised_history)
-            return
-        raise AssertionError("non-poised label with no expandable member")
+def _rule(label: Tuple[Formula, ...], history: Tuple[Tuple[Formula, ...], ...],
+          poised_history: Tuple[Tuple[Formula, ...], ...]):
+    """``(status, rule, child labels)`` of a node labelled ``label`` whose
+    ancestors, root first, carry ``history``; ``poised_history`` holds
+    those among them that took the X-rule."""
+    if _has_contradiction(label):
+        return "crossed", "contradiction", []
+    # PRUNE: the label's third appearance is cut when the stretch since
+    # the previous appearance satisfied no eventuality that the stretch
+    # before it did not already satisfy
+    occurrences = [i for i, past in enumerate(history) if past == label]
+    if len(occurrences) >= 2:
+        prev, last = occurrences[-2], occurrences[-1]
+        evs = _eventualities(label)
+        earlier = {ev for ev in evs
+                   if any(_satisfies(mid, ev) for mid in history[prev + 1:last])}
+        recent = {ev for ev in evs
+                  if any(_satisfies(mid, ev) for mid in history[last + 1:])}
+        if recent <= earlier:
+            return "crossed", "PRUNE", []
+    if len(occurrences) >= 4:
+        # hard backstop: no described rule fired after four repeats
+        return "crossed", "PRUNE", []
+    if _is_poised(label):
+        if label in poised_history:
+            return "ticked", "LOOP", []
+        nexts = [f.sub for f in label if isinstance(f, Next)]
+        if not nexts:
+            return "ticked", "open", []
+        return "interior", "X", [_dedup(nexts)]
+    # first non-poised member decides the rule
+    for idx, f in enumerate(label):
+        if is_literal(f) or is_atomic_qdep(f) or isinstance(f, Next):
+            continue
+        if isinstance(f, And):
+            rule, repls = "AND", [(f.left, f.right)]
+        elif isinstance(f, Or):
+            rule, repls = "OR", [(f.left,), (f.right,)]
+        elif isinstance(f, Globally):
+            rule, repls = "G", [(f.sub, Next(f))]
+        elif isinstance(f, Eventually):
+            rule, repls = "F", [(f.sub,), (Next(f),)]
+        elif isinstance(f, Until):
+            rule, repls = "U", [(f.right,), (f.left, Next(f))]
+        elif _needs_dist(f):
+            rule, repls = "DIST", [(apply_dist(f),)]
+        elif isinstance(f, Not):
+            # safety net: push one negation step and continue
+            rule, repls = "NNF", [(nnf(f),)]
+        else:
+            raise TypeError("no tableau rule for %r" % (f,))
+        return "interior", rule, _child_labels(label, idx, *repls)
+    raise AssertionError("non-poised label with no expandable member")
 
 
 def build_tableau(f: Formula) -> TableauNode:
-    """Build the full tableau for ``f`` (normalized internally)."""
-    root_formula = nnf(f)
-    builder = _Builder()
-    root = builder.node((root_formula,))
-    if root_formula == TRUE:
-        root.status = "ticked"
-        root.rule = "open"
-        return root
-    builder.expand(root, [], [])
+    """Build the full tableau for ``f`` (normalized internally): one loop
+    over a stack of ``(node, history, poised history)``, which asks
+    ``_rule`` for each node's status and children, depth first."""
+    root = TableauNode((nnf(f),))
+    count = 1
+    stack = [(root, (), ())]
+    while stack:
+        node, history, poised = stack.pop()
+        node.status, node.rule, labels = _rule(node.label, history, poised)
+        count += len(labels)
+        if count > NODE_LIMIT:
+            raise TableauLimitError("tableau exceeded %d nodes" % NODE_LIMIT)
+        node.children = [TableauNode(lab) for lab in labels]
+        history += (node.label,)
+        if node.rule == "X":
+            poised += (node.label,)
+        stack.extend((child, history, poised)
+                     for child in reversed(node.children))
     return root
 
 

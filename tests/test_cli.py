@@ -13,6 +13,10 @@ import pytest
 
 import costmon
 from conftest import PIPELINE_DOC
+from costmon.formulas import render_formula
+from costmon.simulator import example2_scenario
+from costmon.sortingline import (SORTING_LINE_GRAPH_JSON,
+                                 build_sorting_line_scenario)
 
 # the child imports the same package as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(costmon.__file__)))
@@ -20,13 +24,13 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, env=ENV) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "costmon", *args],
         capture_output=True,
         text=True,
         timeout=120,
-        env=ENV,
+        env=env,
     )
 
 
@@ -157,6 +161,32 @@ def test_unwind_fan_in_of_1000(tmp_path):
         ("sink", 10), ("s0", 9)]
     assert len(rows) == n + 1
     assert {row["bound"] for row in rows[1:]} == {9}
+    scenario = tmp_path / "fanin_scenario.json"
+    scenario.write_text(json.dumps({
+        "graph": {"processes": procs},
+        "stimuli": {"2": ["I%d" % i for i in range(n)]},
+        "formula": "G (I0 o<=10 Of)"}))
+    for argv in (["group", "--formula", "G (I0 o<=10 Of)", "--graph",
+                  str(path)], ["check", "--scenario", str(scenario)]):
+        r = run_cli(*argv)
+        assert r.returncode == 0, r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_check_chain_of_1000(tmp_path):
+    n, costs = 1000, (1, 2, 3)
+    procs = [{"pid": "p%d" % i, "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
+              "outputs": ["Of" if i == n - 1 else "O%d" % i],
+              "cost": costs[i % 3]} for i in range(n)]
+    q = sum(p["cost"] for p in procs) + 5
+    path = tmp_path / "chain_scenario.json"
+    path.write_text(json.dumps({
+        "graph": {"processes": procs}, "stimuli": {"0": ["I0"]},
+        "formula": "G (I0 o<=%d Of)" % q}))
+    r = run_cli("check", "--scenario", str(path))
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "agree: Unknown" in r.stdout
 
 
 def test_unwind_unknown_variable_is_exit_2(graph_file):
@@ -195,6 +225,27 @@ def test_tableau_output_is_deterministic():
     a = run_cli("tableau", "--formula", "G (p | q)")
     b = run_cli("tableau", "--formula", "G (p | q)")
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize("name", ["example2", "sorting_line"])
+def test_output_does_not_depend_on_the_hash_seed(tmp_path, name):
+    # formula nodes hash by identity, so a printed order taken from a set
+    # of formulas would differ between these two runs
+    sc = (example2_scenario() if name == "example2"
+          else build_sorting_line_scenario())
+    graph = tmp_path / "graph.json"
+    graph.write_text(PIPELINE_DOC if name == "example2"
+                     else SORTING_LINE_GRAPH_JSON)
+    formula = render_formula(sc.formula)
+    for argv in (["group", "--formula", formula, "--graph", str(graph),
+                  "--format", "json"],
+                 ["tableau", "--formula", formula],
+                 ["check", "--scenario", name, "--format", "json"]):
+        a, b = (run_cli(*argv, env=dict(ENV, PYTHONHASHSEED=seed))
+                for seed in ("1", "2"))
+        assert a.returncode in (0, 5) and a.stdout, argv
+        assert (a.returncode, a.stdout, a.stderr) == (
+            b.returncode, b.stdout, b.stderr), argv
 
 
 def test_tableau_size_limit_is_formula_error():

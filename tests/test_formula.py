@@ -1,6 +1,8 @@
 """Formula layer: grammar, normalization, progression, oracle agreement."""
 
+import copy
 import itertools
+import pickle
 import random
 import time
 
@@ -15,6 +17,7 @@ from costmon.formulas import (
     Atom,
     Budget,
     Eventually,
+    Formula,
     FormulaSyntaxError,
     Globally,
     Next,
@@ -25,6 +28,7 @@ from costmon.formulas import (
     Verdict,
     atoms,
     conj,
+    eval_props,
     evaluate_trace,
     make_event,
     negate,
@@ -122,6 +126,50 @@ formulas = st.recursive(leaves, _extend, max_leaves=9)
 @given(formulas)
 def test_render_parse_round_trip(f):
     assert parse_formula(render_formula(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# interning: equal trees are one object
+
+def test_parsing_twice_gives_the_same_object():
+    text = "G ((a & b) o<=5 c) & F (a U !b)"
+    assert parse_formula(text) is parse_formula(text)
+    assert QDep(And(a, b), c, 5) is QDep(And(a, b), c, 5)
+    assert Budget(c, 3) is not Budget(c, 4)
+
+
+def test_nodes_are_immutable():
+    f = And(a, b)
+    with pytest.raises(AttributeError):
+        f.left = c
+    with pytest.raises(AttributeError):
+        del f.left
+    assert f.left is a
+
+
+def test_copies_and_unpickled_nodes_are_the_interned_node():
+    f = parse_formula("G ((a & b) o<=5 c) | (X a U !b)")
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_negative_dependency_bound_is_rejected():
+    with pytest.raises(ValueError):
+        QDep(a, b, -1)
+
+
+def test_repr_names_the_fields():
+    assert repr(QDep(And(a, b), c, 5)) == (
+        "QDep(left=And(left=Atom(name='a'), right=Atom(name='b')), "
+        "right=Atom(name='c'), bound=5)")
+
+
+def test_throwaway_nodes_leave_the_intern_table():
+    before = len(Formula._interned)
+    for i in range(10 ** 5):
+        And(Atom("tmp%d" % i), a)
+    assert len(Formula._interned) <= before + 2
 
 
 def test_round_trip_nested_chains():
@@ -250,6 +298,16 @@ def test_progress_drops_repeated_conjuncts():
     assert progress(And(b, And(c, b)), E((), 0)) == FALSE
     g = And(Eventually(b), Eventually(b))
     assert progress(g, E((), 1)) == Eventually(b)
+
+
+def test_progress_drops_repeated_disjuncts():
+    # the mirror of the above: ``G a`` re-unrolls every event that holds a
+    r, sizes = _residual_sizes(parse_formula("F G a"),
+                               [E(("a",), 1)] * 10 ** 4)
+    assert r == Or(Globally(a), Eventually(Globally(a)))
+    assert max(sizes) <= 6
+    assert progress(Or(b, Or(c, b)), E(("a",), 0)) == FALSE
+    assert progress(Or(Globally(a), Globally(a)), E(("a",), 1)) == Globally(a)
 
 
 def test_progress_merges_budgets_in_first_place():
@@ -447,6 +505,47 @@ def test_walkers_take_a_deep_unary_chain():
     assert atoms(f) == {"a", "b"}
     assert ordered_atoms(f) == ["a", "b"]
     assert extract_qdep(f) == [QDep(a, b, 1)]
+
+
+def _eval_props_reference(f, props):
+    """The recursive evaluation that ``eval_props`` must match: left to
+    right, with short-circuit, rejecting a non-propositional node when
+    it is reached."""
+    if f in (TRUE, FALSE):
+        return f == TRUE
+    if isinstance(f, Atom):
+        return f.name in props
+    if isinstance(f, Not):
+        return not _eval_props_reference(f.sub, props)
+    if isinstance(f, And):
+        return (_eval_props_reference(f.left, props)
+                and _eval_props_reference(f.right, props))
+    if isinstance(f, Or):
+        return (_eval_props_reference(f.left, props)
+                or _eval_props_reference(f.right, props))
+    raise ValueError
+
+
+@given(formulas, st.sets(names))
+def test_eval_props_matches_the_recursive_reference(f, props):
+    try:
+        expected = _eval_props_reference(f, props)
+    except ValueError:
+        with pytest.raises(ValueError):
+            eval_props(f, props)
+    else:
+        assert eval_props(f, props) is expected
+
+
+def test_wide_dependency_operands_evaluate():
+    names_ = ["I%d" % i for i in range(1000)]
+    left = conj([Atom(n) for n in names_])
+    assert eval_props(left, frozenset(names_))
+    assert not eval_props(left, frozenset(names_[:-1]))
+    f = parse_formula("G ((%s) o<=3 Of)" % " & ".join(names_))
+    anchor = E(names_, 1)
+    assert evaluate_trace(f, [anchor] + [E((), 1)] * 4) is Verdict.FALSE
+    assert evaluate_trace(f, [anchor, E(("Of",), 1)]) is Verdict.UNKNOWN
 
 
 def test_render_of_thirty_negations_is_immediate():

@@ -21,12 +21,10 @@ PACKAGE = os.path.dirname(os.path.abspath(costmon.__file__))
 ALLOWED = {
     "formulas": {
         "progress",
-        "eval_props",
         # recursive descent; MAX_PAREN_DEPTH bounds its depth
         "_Parser.until_expr", "_Parser.or_expr", "_Parser.and_expr",
         "_Parser.unary_expr", "_Parser.primary",
     },
-    "tableau": {"_Builder.expand"},
     # the exhaustive path enumeration kept as a reference for tests
     "depgraph": {"DependencyGraph.dependency_paths.backward"},
 }
