@@ -1,0 +1,206 @@
+"""Stage timings of ``costmon check`` over chain-N, as curves over N.
+
+For each N in ``SIZES`` the script builds a chain of N processes (costs
+1, 2, 3 repeating, one process a third of the way down delayed by two
+rounds past its cost, budget at the lower bound) and times each stage of
+the check pipeline on its own with ``time.perf_counter``: load (scenario
+JSON and graph validation), unwind, negate, tableau, group, assign,
+synth (subformula index and monitor synthesis), run (simulated rounds
+with monitoring) and oracle (centralized progression).  A size whose
+pipeline stops with an error, such as the tableau passing ``NODE_LIMIT``,
+is recorded as a failure at that size, with the time of the stages up to
+and including the one that failed.
+
+Counters come from a second, untimed run: tableau nodes, monitor steps
+(calls of ``LocalMonitor.step``), messages and rounds.  The output, with
+the ``src/`` line count, the core count and the Python version, goes to
+``BENCH_curves.json`` at the repository root, or to the path given as
+the only argument.  Standard library only; run from a checkout with
+
+    python bench/curves.py [OUT.json]
+"""
+
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from costmon import formulas, grouping, runtime, simulator  # noqa: E402
+from costmon.tableau import build_tableau  # noqa: E402
+from costmon.unwinding import unwind  # noqa: E402
+
+SIZES = (50, 150, 300, 600, 1000, 2000, 5000)
+STAGES = ("load", "unwind", "negate", "tableau", "group", "assign", "synth",
+          "run", "oracle")
+REPEATS_BELOW = 1000  # sizes under this take the median of three runs
+DELAY = 2
+STIMULUS = 1
+
+
+def chain_text(n: int) -> str:
+    costs = [1 + i % 3 for i in range(n)]
+    procs = [{"pid": "p%d" % i,
+              "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
+              "outputs": ["Of" if i == n - 1 else "O%d" % i],
+              "cost": c} for i, c in enumerate(costs)]
+    q = sum(costs)
+    return json.dumps({
+        "graph": {"processes": procs, "environment": ["I0"]},
+        "stimuli": {str(STIMULUS): ["I0"]},
+        "faults": [{"target": "p%d" % (n // 3), "kind": "delay",
+                    "at_round": 0, "extra": DELAY}],
+        "formula": "G (I0 o<=%d Of)" % q,
+        "rounds": STIMULUS + q + DELAY + 3,
+    })
+
+
+def pipeline(text: str):
+    """The shared state and the ``(stage, thunk)`` pairs of one check;
+    each thunk leaves its result in the state for the later stages."""
+    state = {}
+
+    def load():
+        state["sc"] = simulator.load_scenario(text)
+
+    def do_unwind():
+        sc = state["sc"]
+        state["unwound"] = unwind(sc.formula, sc.graph)
+
+    def negate():
+        state["negated"] = formulas.negate(state["unwound"].formula)
+
+    def tableau():
+        state["root"] = build_tableau(state["negated"])
+
+    def group():
+        sc = state["sc"]
+        state["groups"] = grouping.organize_groups(
+            list(sc.graph.processes), state["root"], state["negated"],
+            sc.graph)
+
+    def assign():
+        state["assignment"] = grouping.assign_conjuncts(state["groups"],
+                                                        state["unwound"])
+
+    def synth():
+        index = formulas.subformula_index(state["negated"])
+        state["monitors"] = runtime.synthesize_monitors(
+            state["groups"], state["assignment"], index, state["sc"].graph)
+
+    def run():
+        sc = state["sc"]
+        state["result"] = simulator.run_simulation(
+            sc, sc.suggested_rounds, state["monitors"], root=sc.formula)
+
+    def oracle():
+        state["central"] = formulas.evaluate_trace_with_position(
+            state["sc"].formula,
+            simulator.latched(state["result"].global_trace))
+
+    thunks = (load, do_unwind, negate, tableau, group, assign, synth, run,
+              oracle)
+    return state, list(zip(STAGES, thunks))
+
+
+def timed(text: str) -> dict:
+    """Seconds per completed stage, and the error that stopped the
+    pipeline, if any."""
+    _, stages = pipeline(text)
+    out = {"stages": {}, "error": None}
+    for name, thunk in stages:
+        start = time.perf_counter()
+        try:
+            thunk()
+        except Exception as exc:  # recorded as a failure at this size
+            out["error"] = "%s: %s (%s)" % (name, exc, type(exc).__name__)
+        out["stages"][name] = time.perf_counter() - start
+        if out["error"]:
+            break
+    return out
+
+
+def counters(text: str) -> dict:
+    state, stages = pipeline(text)
+    steps = [0]
+    original = runtime.LocalMonitor.step
+
+    def counting(self, rnd, event):
+        steps[0] += 1
+        return original(self, rnd, event)
+
+    runtime.LocalMonitor.step = counting
+    try:
+        for _, thunk in stages:
+            thunk()
+    except Exception:
+        pass  # the counters cover the stages that completed
+    finally:
+        runtime.LocalMonitor.step = original
+    out = {}
+    if "root" in state:
+        nodes, todo = 0, [state["root"]]
+        while todo:
+            node = todo.pop()
+            nodes += 1
+            todo.extend(node.children)
+        out["tableau_nodes"] = nodes
+    if "result" in state:
+        report = state["result"].report
+        out.update(monitor_steps=steps[0], messages=report.message_total,
+                   rounds=report.rounds_run, monitors=len(state["monitors"]))
+    return out
+
+
+def measure(n: int) -> dict:
+    text = chain_text(n)
+    runs = [timed(text) for _ in range(3 if n < REPEATS_BELOW else 1)]
+    point = {"n": n, "failed": runs[0]["error"]}
+    point["stages_s"] = {
+        name: statistics.median(r["stages"][name] for r in runs)
+        for name in STAGES if name in runs[0]["stages"]}
+    point["total_s"] = sum(point["stages_s"].values())
+    point.update(counters(text))
+    return point
+
+
+def src_lines() -> int:
+    pkg = os.path.join(ROOT, "src", "costmon")
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                total += sum(1 for _ in fh)
+    return total
+
+
+def main(argv) -> int:
+    out_path = argv[0] if argv else os.path.join(ROOT, "BENCH_curves.json")
+    points = []
+    for n in SIZES:
+        point = measure(n)
+        points.append(point)
+        print("chain-%-5d %s  run %.4f s  total %.3f s" % (
+            n, "FAILED " + point["failed"] if point["failed"] else "ok",
+            point["stages_s"].get("run", float("nan")), point["total_s"]),
+            flush=True)
+    doc = {
+        "family": "chain-N, costs 1, 2, 3 repeating, one delayed process",
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "nproc": os.cpu_count(),
+        "src_lines": src_lines(),
+        "points": points,
+    }
+    with open(out_path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

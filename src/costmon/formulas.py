@@ -57,8 +57,8 @@ class Formula:
     looks ``(class, *args)`` up in one weak table and returns the node
     already there, so equal trees are the same object.  Equality is
     identity, a hash takes constant time at any depth, and nodes are
-    immutable.  The table holds its nodes weakly, so a node no one refers
-    to leaves it.
+    immutable.  The table is a plain dict of weak references, each with a
+    callback that drops its entry, so a node no one refers to leaves it.
 
     ``fields`` names a class's constructor arguments in order; ``kids``
     names its subformula fields, left to right.  ``kids`` is the one
@@ -68,11 +68,12 @@ class Formula:
 
     __slots__ = ("__weakref__",)
     fields = kids = ()
-    _interned = weakref.WeakValueDictionary()
+    _interned: dict = {}  # (class, *args) -> weakref.ref to the node
 
     def __new__(cls, *args):
         key = (cls,) + args
-        node = Formula._interned.get(key)
+        ref = Formula._interned.get(key)
+        node = ref() if ref is not None else None
         if node is None:
             if len(args) != len(cls.fields):
                 raise TypeError("%s takes %d arguments"
@@ -80,7 +81,13 @@ class Formula:
             node = object.__new__(cls)
             for name, value in zip(cls.fields, args):
                 object.__setattr__(node, name, value)
-            Formula._interned[key] = node
+
+            def gone(dead, key=key, table=Formula._interned):
+                # a node made anew under the same key keeps its entry
+                if table.get(key) is dead:
+                    del table[key]
+
+            Formula._interned[key] = weakref.ref(node, gone)
         return node
 
     def __setattr__(self, *_):

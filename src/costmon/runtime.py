@@ -12,15 +12,20 @@ nominal runs end unknown.
 A budget watcher turns its activation into a due round (activation plus
 bound minus precharge) and fires at that round unless its right operand
 latched first; a residual watcher is due every round until it decides,
-because cost accrues every round.  A monitor therefore only works in a
-round where it observes something, receives a message or has a watcher
-due; in every other round its step returns at once.
+because cost accrues every round.  A monitor therefore only has work in
+a round where it observes something, receives a message or has a
+watcher due.  ``MonitorNetwork`` is the one round engine: it keeps the
+monitors' due rounds in a heap and their verdicts as running counts, and
+visits only the monitors with work, so a round costs what happens in it,
+not the number of monitors.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .depgraph import DependencyGraph
 from .formulas import (
@@ -126,9 +131,9 @@ class LocalMonitor:
     """Per-process monitor: latches observations, runs its watchers, and
     forwards new group-relevant atoms to its successor in the group.
 
-    ``verdict`` is recomputed whenever the monitor works, and a round
-    with no inbox, no observation and no due watcher costs nothing:
-    nothing a watcher reads has changed.
+    ``verdict`` is recomputed at every step.  A step with no inbox, no
+    observation and no due watcher changes nothing, since nothing a
+    watcher reads has changed; ``MonitorNetwork`` makes no such step.
     """
 
     def __init__(self, pid: str, assigned: Formula, watchers: Sequence,
@@ -150,9 +155,6 @@ class LocalMonitor:
         self._next_due: Optional[int] = 0
 
     def step(self, rnd: int, event: Event) -> List[MonitorMessage]:
-        if not (self.inbox or event.props
-                or (self._next_due is not None and rnd >= self._next_due)):
-            return []
         newly: List[str] = []
         for msg in self.inbox:
             name = self._atom_of_idx.get(msg.idx)
@@ -224,9 +226,15 @@ def aggregate_verdict(verdicts: Sequence[Verdict], *,
     confirms it only when the property is eventuality-rooted, since a
     globally-rooted property has no finite witness of satisfaction."""
     vs = list(verdicts)
-    if any(v is Verdict.TRUE for v in vs):
+    return _verdict_of_counts(vs.count(Verdict.TRUE), vs.count(Verdict.FALSE),
+                              len(vs), eventually_rooted)
+
+
+def _verdict_of_counts(confirmed: int, refuted: int, total: int,
+                       eventually_rooted: bool) -> Verdict:
+    if confirmed:
         return Verdict.FALSE
-    if vs and all(v is Verdict.FALSE for v in vs):
+    if total and refuted == total:
         return Verdict.TRUE if eventually_rooted else Verdict.UNKNOWN
     return Verdict.UNKNOWN
 
@@ -278,26 +286,108 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
     return monitors
 
 
+_IDLE = Event(frozenset(), 1)
+
+
+class MonitorNetwork:
+    """The round engine over a fixed list of monitors, built once per run.
+
+    A round steps, in list order, exactly the monitors with work: those
+    that observe something, those with a message waiting and those with
+    a watcher due.  Due rounds come from a heap fed by each monitor's
+    ``_next_due``; an entry is live while it matches the round last
+    scheduled for its monitor.  A message goes to the last monitor of the
+    successor's pid; one to a later monitor joins the same round, one to
+    an earlier monitor (or the sender itself) waits for the next.  The
+    global verdict comes from running counts of the monitors' verdicts,
+    by the rule of ``aggregate_verdict``.
+    """
+
+    def __init__(self, monitors: Sequence[LocalMonitor], *,
+                 eventually_rooted: bool = False):
+        self.monitors = list(monitors)
+        self.eventually_rooted = eventually_rooted
+        self._by_pid: Dict[str, List[int]] = {}
+        for i, m in enumerate(self.monitors):
+            self._by_pid.setdefault(m.pid, []).append(i)
+        self._successor = [self._by_pid[m.successor][-1]
+                           if m.successor in self._by_pid else None
+                           for m in self.monitors]
+        self._waiting = {i for i, m in enumerate(self.monitors) if m.inbox}
+        self._scheduled = [m._next_due for m in self.monitors]
+        self._due = [(d, i) for i, d in enumerate(self._scheduled)
+                     if d is not None]
+        heapq.heapify(self._due)
+        self._tally = Counter(m.verdict for m in self.monitors)
+
+    def check_pids(self, pids, rnd: int) -> None:
+        """Raises unless every monitor's pid is among ``pids``."""
+        for m in self.monitors:
+            if m.pid not in pids:
+                raise ValueError("no event for process %s in round %d"
+                                 % (m.pid, rnd))
+
+    @property
+    def verdict(self) -> Verdict:
+        return _verdict_of_counts(self._tally[Verdict.TRUE],
+                                  self._tally[Verdict.FALSE],
+                                  len(self.monitors), self.eventually_rooted)
+
+    def round(self, rnd: int,
+              events: Mapping[str, Event]) -> Tuple[int, Verdict]:
+        """One synchronous round.  ``events`` needs to hold only the pids
+        that observe something; any other monitor reads an empty event.
+        Returns the number of messages sent and the global verdict."""
+        todo = self._waiting
+        self._waiting = set()
+        due, scheduled = self._due, self._scheduled
+        while due and due[0][0] <= rnd:
+            d, i = heapq.heappop(due)
+            if scheduled[i] == d:
+                scheduled[i] = None
+                todo.add(i)
+        for pid, event in events.items():
+            if event.props:
+                todo.update(self._by_pid.get(pid, ()))
+        work = sorted(todo)
+        monitors, tally = self.monitors, self._tally
+        sent = 0
+        while work:
+            i = heapq.heappop(work)
+            m = monitors[i]
+            before = m.verdict
+            out = m.step(rnd, events.get(m.pid, _IDLE))
+            if m.verdict is not before:
+                tally[before] -= 1
+                tally[m.verdict] += 1
+            d = m._next_due
+            if d != scheduled[i]:
+                scheduled[i] = d
+                if d is not None:
+                    heapq.heappush(due, (d, i))
+            if out:
+                sent += len(out)
+                j = self._successor[i]
+                if j is None:
+                    continue
+                monitors[j].inbox.extend(out)
+                if j <= i:
+                    self._waiting.add(j)
+                elif j not in todo:
+                    todo.add(j)
+                    heapq.heappush(work, j)
+        return sent, self.verdict
+
+
 def monitor_round(monitors: Sequence[LocalMonitor],
                   round_events: Dict[str, Event], rnd: int, *,
                   eventually_rooted: bool = False) -> Tuple[int, Verdict]:
-    """One synchronous round: every monitor reads its event; messages reach
-    the successor within the round because members run in group order.
-    Returns the number of messages sent and the global verdict so far."""
-    by_pid = {m.pid: m for m in monitors}
-    sent = 0
-    for m in monitors:
-        if m.pid not in round_events:
-            raise ValueError("no event for process %s in round %d"
-                             % (m.pid, rnd))
-        out = m.step(rnd, round_events[m.pid])
-        if out:
-            succ = by_pid.get(m.successor)
-            if succ is not None:
-                succ.inbox.extend(out)
-            sent += len(out)
-    return sent, aggregate_verdict([m.verdict for m in monitors],
-                                   eventually_rooted=eventually_rooted)
+    """One synchronous round over monitors that carry their state from
+    earlier rounds, with an event for every monitored process.  Returns
+    the number of messages sent and the global verdict so far."""
+    network = MonitorNetwork(monitors, eventually_rooted=eventually_rooted)
+    network.check_pids(round_events, rnd)
+    return network.round(rnd, round_events)
 
 
 def run_decentralized(traces: Dict[str, Sequence[Event]],
@@ -310,11 +400,14 @@ def run_decentralized(traces: Dict[str, Sequence[Event]],
         raise ValueError("per-process traces differ in length: %s"
                          % sorted(lengths))
     eventually_rooted = isinstance(root, Eventually)
+    network = MonitorNetwork(monitors, eventually_rooted=eventually_rooted)
+    rounds = lengths.pop() if lengths else 0
+    if rounds:
+        network.check_pids(traces, 0)
     per_round: List[int] = []
-    for rnd in range(lengths.pop() if lengths else 0):
-        sent, verdict = monitor_round(
-            monitors, {pid: t[rnd] for pid, t in traces.items()}, rnd,
-            eventually_rooted=eventually_rooted)
+    for rnd in range(rounds):
+        sent, verdict = network.round(
+            rnd, {pid: t[rnd] for pid, t in traces.items() if t[rnd].props})
         per_round.append(sent)
         if verdict is not Verdict.UNKNOWN:
             break

@@ -33,9 +33,9 @@ from .grouping import assign_conjuncts, organize_groups
 from .runtime import (
     BudgetWatcher,
     LocalMonitor,
+    MonitorNetwork,
     MonitorReport,
     compile_report,
-    monitor_round,
     synthesize_monitors,
 )
 from .tableau import build_tableau
@@ -204,6 +204,9 @@ def run_simulation(scenario: Scenario, rounds: int,
     if root is None:
         root = scenario.formula
     eventually_rooted = isinstance(root, Eventually)
+    network = MonitorNetwork(monitors, eventually_rooted=eventually_rooted)
+    if rounds > 0:
+        network.check_pids(graph.by_pid, 0)
 
     drop_from: Dict[str, int] = {}  # variable -> first suppressed round
     delays: Dict[str, Tuple[int, int]] = {}  # pid -> (at_round, extra)
@@ -290,18 +293,18 @@ def run_simulation(scenario: Scenario, rounds: int,
                             fresh.append(var)
             candidates = set()
         frozen_pulses = frozenset(pulses)
-        events = dict.fromkeys(pids, idle)
+        events = {}  # only the processes that observe something
         for pid in {pid for var in pulses for pid in observers.get(var, ())}:
             events[pid] = Event(frozen_pulses & graph.by_pid[pid].alphabet, 1)
             observed[pid].append((rnd, events[pid]))
         global_trace.append(Event(frozen_pulses & observable, 1))
-        sent, _ = monitor_round(monitors, events, rnd,
-                                eventually_rooted=eventually_rooted)
+        sent, verdict = network.round(rnd, events)
         per_round_msgs.append(sent)
         # recovery: only the designated watcher of a configured fault
-        # triggers; every other violation is data
+        # triggers; every other violation is data.  A watcher has fired
+        # exactly when the global verdict is False.
         for i, f in enumerate(scenario.faults):
-            if i in recovered:
+            if i in recovered or verdict is not Verdict.FALSE:
                 continue
             action = scenario.recoveries.get(f.key,
                                              scenario.recoveries.get(f.kind))

@@ -17,7 +17,7 @@ with the tableau's depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .formulas import (
     And,
@@ -150,31 +150,33 @@ def _satisfies(label: Tuple[Formula, ...], ev: Formula) -> bool:
     return goal in label
 
 
-def _rule(label: Tuple[Formula, ...], history: Tuple[Tuple[Formula, ...], ...],
-          poised_history: Tuple[Tuple[Formula, ...], ...]):
+def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
+          depths: Dict[Tuple[Formula, ...], List[int]]):
     """``(status, rule, child labels)`` of a node labelled ``label`` whose
-    ancestors, root first, carry ``history``; ``poised_history`` holds
-    those among them that took the X-rule."""
+    ancestors, root first, carry the labels ``path``; ``depths`` maps each
+    label on ``path`` to its positions there, in order."""
     if _has_contradiction(label):
         return "crossed", "contradiction", []
     # PRUNE: the label's third appearance is cut when the stretch since
     # the previous appearance satisfied no eventuality that the stretch
     # before it did not already satisfy
-    occurrences = [i for i, past in enumerate(history) if past == label]
+    occurrences = depths.get(label, ())
     if len(occurrences) >= 2:
         prev, last = occurrences[-2], occurrences[-1]
         evs = _eventualities(label)
         earlier = {ev for ev in evs
-                   if any(_satisfies(mid, ev) for mid in history[prev + 1:last])}
+                   if any(_satisfies(mid, ev) for mid in path[prev + 1:last])}
         recent = {ev for ev in evs
-                  if any(_satisfies(mid, ev) for mid in history[last + 1:])}
+                  if any(_satisfies(mid, ev) for mid in path[last + 1:])}
         if recent <= earlier:
             return "crossed", "PRUNE", []
     if len(occurrences) >= 4:
         # hard backstop: no described rule fired after four repeats
         return "crossed", "PRUNE", []
     if _is_poised(label):
-        if label in poised_history:
+        # an ancestor with a poised label is interior, so it took the
+        # X-rule: LOOP ticks a label that took it higher up the branch
+        if occurrences:
             return "ticked", "LOOP", []
         nexts = [f.sub for f in label if isinstance(f, Next)]
         if not nexts:
@@ -207,23 +209,34 @@ def _rule(label: Tuple[Formula, ...], history: Tuple[Tuple[Formula, ...], ...],
 
 def build_tableau(f: Formula) -> TableauNode:
     """Build the full tableau for ``f`` (normalized internally): one loop
-    over a stack of ``(node, history, poised history)``, which asks
-    ``_rule`` for each node's status and children, depth first."""
+    over a stack of ``(node, depth)``, which asks ``_rule`` for each
+    node's status and children, depth first.  The labels of the current
+    branch sit in one path list, cut back on each pop as in ``branches``,
+    and a map from each of them to its depths on the path, so no node
+    rescans its ancestors."""
     root = TableauNode((nnf(f),))
     count = 1
-    stack = [(root, (), ())]
+    path: List[Tuple[Formula, ...]] = []
+    depths: Dict[Tuple[Formula, ...], List[int]] = {}
+    stack = [(root, 0)]
     while stack:
-        node, history, poised = stack.pop()
-        node.status, node.rule, labels = _rule(node.label, history, poised)
+        node, depth = stack.pop()
+        while len(path) > depth:
+            label = path.pop()
+            seen = depths[label]
+            seen.pop()
+            if not seen:
+                del depths[label]
+        node.status, node.rule, labels = _rule(node.label, path, depths)
         count += len(labels)
         if count > NODE_LIMIT:
             raise TableauLimitError("tableau exceeded %d nodes" % NODE_LIMIT)
         node.children = [TableauNode(lab) for lab in labels]
-        history += (node.label,)
-        if node.rule == "X":
-            poised += (node.label,)
-        stack.extend((child, history, poised)
-                     for child in reversed(node.children))
+        if labels:  # leaves never become ancestors
+            depths.setdefault(node.label, []).append(depth)
+            path.append(node.label)
+            stack.extend((child, depth + 1)
+                         for child in reversed(node.children))
     return root
 
 

@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,17 @@ def test_throwaway_nodes_leave_the_intern_table():
     for i in range(10 ** 5):
         And(Atom("tmp%d" % i), a)
     assert len(Formula._interned) <= before + 2
+
+
+def test_a_dead_reference_drops_only_its_own_entry():
+    f = And(Atom("kept"), a)
+    key = (And, Atom("kept"), a)
+    ref = Formula._interned[key]
+    ref.__callback__(weakref.ref(f))  # an older reference under the key
+    assert Formula._interned[key] is ref
+    assert And(Atom("kept"), a) is f
+    ref.__callback__(ref)
+    assert key not in Formula._interned
 
 
 def test_round_trip_nested_chains():

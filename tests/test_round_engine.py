@@ -1,0 +1,194 @@
+"""The round engine against a naive loop that steps every monitor every
+round, and the engine's work against the activity of the run.
+
+``naive_report`` is the reference: every monitor, in list order, takes a
+full step in every round and a message reaches its successor's inbox at
+once.  The engine visits only the monitors with work, so on every input
+it must produce the same report: verdict, detections, messages per round
+and detecting process, known-wrong detections included.
+"""
+
+import json
+
+import pytest
+
+from costmon import (
+    Eventually,
+    FaultSpec,
+    Verdict,
+    aggregate_verdict,
+    build_sorting_line_scenario,
+    case_monitors,
+    cli,
+    example2_scenario,
+    make_event,
+    parse_formula,
+    plan_monitors,
+    random_scenario,
+    run_decentralized,
+    run_scenario,
+)
+from costmon.runtime import (LocalMonitor, ResidualWatcher, compile_report,
+                             monitor_round)
+from costmon.simulator import load_scenario
+from costmon.sortingline import FAULT_NAMES, TOKENS
+
+import test_golden_run
+
+LIMITS = {"max_processes": 6, "max_fanout": 3, "max_cost": 3,
+          "max_rounds": 20}
+
+
+def naive_report(traces, monitors, eventually_rooted=False,
+                 stop_early=False):
+    by_pid = {m.pid: m for m in monitors}
+    rounds = len(next(iter(traces.values()))) if traces else 0
+    per_round = []
+    for rnd in range(rounds):
+        sent = 0
+        for m in monitors:
+            out = m.step(rnd, traces[m.pid][rnd])
+            if out:
+                succ = by_pid.get(m.successor)
+                if succ is not None:
+                    succ.inbox.extend(out)
+                sent += len(out)
+        per_round.append(sent)
+        verdict = aggregate_verdict([m.verdict for m in monitors],
+                                    eventually_rooted=eventually_rooted)
+        if stop_early and verdict is not Verdict.UNKNOWN:
+            break
+    return compile_report(monitors, per_round, eventually_rooted)
+
+
+def _planned(sc):
+    return plan_monitors(sc.formula, sc.graph).fresh_monitors()
+
+
+def assert_engine_matches_naive(sc, make_monitors):
+    """The simulator's report against the naive loop over the same
+    per-process events (with recoveries, the events the monitors saw)."""
+    rooted = isinstance(sc.formula, Eventually)
+    res = run_scenario(sc, monitors=make_monitors(sc))
+    traces = res.per_process_traces
+    assert res.report == naive_report(traces, make_monitors(sc), rooted)
+    # the same events through run_decentralized, which stops at a verdict
+    assert (run_decentralized(traces, make_monitors(sc), root=sc.formula)
+            == naive_report(traces, make_monitors(sc), rooted,
+                            stop_early=True))
+    return res.report
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_scenarios_match_the_naive_loop(seed):
+    assert_engine_matches_naive(random_scenario(seed, LIMITS), _planned)
+
+
+@pytest.mark.parametrize("fault", (None,) + FAULT_NAMES)
+@pytest.mark.parametrize("token", TOKENS)
+def test_sorting_line_matches_the_naive_loop(token, fault):
+    sc = build_sorting_line_scenario(token=token, fault=fault)
+    for make in (case_monitors, lambda s: case_monitors(s, baseline=True),
+                 _planned):
+        assert_engine_matches_naive(sc, make)
+
+
+def test_generated_golden_run_inputs_match_the_naive_loop():
+    # staggered stimuli, slow processes, delay faults, recoveries and
+    # 150-process chains, where some detections are known to be wrong
+    detected = 0
+    for doc in test_golden_run._scenarios().values():
+        sc = load_scenario(json.dumps(doc))
+        report = assert_engine_matches_naive(sc, _planned)
+        detected += report.global_verdict is Verdict.FALSE
+    assert detected > 0
+
+
+def test_example2_faults_match_the_naive_loop():
+    for pid in ("p0", "p3", "p6"):
+        for kind in ("drop", "delay"):
+            sc = example2_scenario(fault=FaultSpec(pid, kind, 0, extra=4),
+                                   stimulus_round=3)
+            assert_engine_matches_naive(sc, _planned)
+
+
+def test_monitor_round_replays_like_the_naive_loop():
+    # one call per round with every process's event, as a caller that
+    # keeps the monitors between rounds does
+    for seed in range(20):
+        sc = random_scenario(seed, LIMITS)
+        traces = run_scenario(sc).per_process_traces
+        mons = _planned(sc)
+        per_round = []
+        for rnd in range(len(next(iter(traces.values())))):
+            sent, verdict = monitor_round(
+                mons, {pid: t[rnd] for pid, t in traces.items()}, rnd)
+            assert verdict is aggregate_verdict([m.verdict for m in mons])
+            per_round.append(sent)
+        assert (compile_report(mons, per_round, False)
+                == naive_report(traces, _planned(sc)))
+
+
+def test_monitor_round_raises_for_a_missing_process():
+    sc = example2_scenario(stimulus_round=3)
+    mons = _planned(sc)
+    events = {pid: t[0] for pid, t in
+              run_scenario(sc).per_process_traces.items()}
+    del events["p4"]
+    with pytest.raises(ValueError, match="no event for process p4 in round 0"):
+        monitor_round(mons, events, 0)
+
+
+def test_simulation_rejects_a_monitor_of_an_unknown_process():
+    sc = example2_scenario(stimulus_round=3)
+    mons = case_monitors(build_sorting_line_scenario())
+    with pytest.raises(ValueError, match="no event for process"):
+        run_scenario(sc, monitors=mons)
+
+
+def test_round_work_is_proportional_to_activity(tmp_path, monkeypatch,
+                                                 capsys):
+    # every process of the chain observes its input and its output once,
+    # and its watcher is due once: a handful of steps per monitor, not
+    # one per monitor per round
+    n, costs = 300, (1, 2, 3)
+    procs = [{"pid": "p%d" % i,
+              "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
+              "outputs": ["Of" if i == n - 1 else "O%d" % i],
+              "cost": costs[i % 3]} for i in range(n)]
+    q = sum(p["cost"] for p in procs)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "graph": {"processes": procs}, "stimuli": {"1": ["I0"]},
+        "formula": "G (I0 o<=%d Of)" % q, "rounds": q + 5}))
+    calls = [0]
+    step = LocalMonitor.step
+
+    def counted(self, rnd, event):
+        calls[0] += 1
+        return step(self, rnd, event)
+
+    monkeypatch.setattr(LocalMonitor, "step", counted)
+    assert cli.main(["check", "--scenario", str(path)]) == 0
+    assert "agree: Unknown" in capsys.readouterr().out
+    assert n <= calls[0] <= 5 * n
+
+
+def test_all_refuted_conjuncts_confirm_an_eventuality_rooted_property():
+    # the count of refuted monitors must reach the total: every monitor
+    # progresses G !a, which a refutes
+    def monitors():
+        return [LocalMonitor(pid, parse_formula("G !a"),
+                             [ResidualWatcher(parse_formula("G !a"))], {}, {})
+                for pid in ("p0", "p1")]
+
+    idle, seen = make_event(cost=1), make_event(("a",), cost=1)
+    traces = {"p0": [idle, seen, idle, idle], "p1": [idle, idle, seen, idle]}
+    for root, verdict in ((parse_formula("F a"), Verdict.TRUE),
+                          (parse_formula("G a"), Verdict.UNKNOWN)):
+        rooted = isinstance(root, Eventually)
+        report = run_decentralized(traces, monitors(), root=root)
+        assert report == naive_report(traces, monitors(), rooted,
+                                      stop_early=True)
+        assert report.global_verdict is verdict
+        assert report.rounds_run == (3 if rooted else 4)
