@@ -11,8 +11,10 @@ pipeline stops with an error, such as the tableau passing ``NODE_LIMIT``,
 is recorded as a failure at that size, with the time of the stages up to
 and including the one that failed.
 
-Counters come from a second, untimed run: tableau nodes, monitor steps
-(calls of ``LocalMonitor.step``), messages and rounds.  The output, with
+Counters come from a second, untimed run: tableau nodes, monitor
+groups, the peak of memory the group stage allocates (``tracemalloc``,
+which traces that stage alone), monitor steps (calls of
+``LocalMonitor.step``), messages and rounds.  The output, with
 the ``src/`` line count, the core count and the Python version, goes to
 ``BENCH_curves.json`` at the repository root, or to the path given as
 the only argument.  Standard library only; run from a checkout with
@@ -26,6 +28,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -78,10 +81,8 @@ def pipeline(text: str):
         state["root"] = build_tableau(state["negated"])
 
     def group():
-        sc = state["sc"]
         state["groups"] = grouping.organize_groups(
-            list(sc.graph.processes), state["root"], state["negated"],
-            sc.graph)
+            state["root"], state["negated"], state["sc"].graph)
 
     def assign():
         state["assignment"] = grouping.assign_conjuncts(state["groups"],
@@ -133,15 +134,24 @@ def counters(text: str) -> dict:
         steps[0] += 1
         return original(self, rnd, event)
 
+    out = {}
     runtime.LocalMonitor.step = counting
     try:
-        for _, thunk in stages:
-            thunk()
+        for name, thunk in stages:
+            if name != "group":
+                thunk()
+                continue
+            tracemalloc.start()
+            try:
+                thunk()
+            finally:
+                out["group_peak_mb"] = round(
+                    tracemalloc.get_traced_memory()[1] / 2**20, 3)
+                tracemalloc.stop()
     except Exception:
         pass  # the counters cover the stages that completed
     finally:
         runtime.LocalMonitor.step = original
-    out = {}
     if "root" in state:
         nodes, todo = 0, [state["root"]]
         while todo:
@@ -149,6 +159,8 @@ def counters(text: str) -> dict:
             nodes += 1
             todo.extend(node.children)
         out["tableau_nodes"] = nodes
+    if "groups" in state:
+        out["groups"] = len(state["groups"])
     if "result" in state:
         report = state["result"].report
         out.update(monitor_steps=steps[0], messages=report.message_total,

@@ -26,9 +26,9 @@ from .formulas import (
 from .depgraph import GraphError, load_graph
 from .tableau import (
     apply_dist,
-    branches,
     build_tableau,
     export_dot,
+    leaves,
     terminal_node,
 )
 from .unwinding import (
@@ -46,7 +46,6 @@ from .simulator import (
     example2_scenario,
     latched,
     load_scenario,
-    merge_traces,
     plan_monitors,
     random_scenario,
     run_scenario,
@@ -57,11 +56,11 @@ __all__ = [
     "And", "Atom", "Eventually", "Globally", "Not", "Or", "QDep", "Verdict",
     "atoms", "evaluate_trace", "evaluate_trace_with_position", "make_event",
     "negate", "parse_formula", "progress", "GraphError", "load_graph",
-    "apply_dist", "branches", "build_tableau", "export_dot", "terminal_node",
+    "apply_dist", "build_tableau", "export_dot", "leaves", "terminal_node",
     "InfeasibleConstraintError", "extract_qdep", "local_constraint", "unwind",
     "UnobservableAtomError", "assign_conjuncts", "organize_groups",
     "aggregate_verdict", "run_decentralized", "synthesize_monitors",
     "FaultSpec", "case_monitors", "example2_graph", "example2_scenario",
-    "latched", "load_scenario", "merge_traces", "plan_monitors",
-    "random_scenario", "run_scenario", "build_sorting_line_scenario",
+    "latched", "load_scenario", "plan_monitors", "random_scenario",
+    "run_scenario", "build_sorting_line_scenario",
 ]

@@ -44,7 +44,7 @@ from .simulator import (
     run_simulation,
 )
 from .sortingline import build_sorting_line_scenario
-from .tableau import TableauLimitError, branches, build_tableau, export_dot
+from .tableau import TableauLimitError, build_tableau, export_dot, leaves
 from .unwinding import InfeasibleConstraintError, unwind
 
 EXIT_OK = 0
@@ -276,21 +276,21 @@ def cmd_tableau(args) -> int:
     if fmt == "dot":
         _emit(args, export_dot(root))
         return EXIT_OK
-    brs = branches(root)
+    ends = leaves(root)
     if fmt == "json":
         doc = {
             "formula": render_formula(f),
             "branches": [
-                {"outcome": b.outcome,
-                 "label": [render_formula(x) for x in b.leaf.label]}
-                for b in brs],
+                {"outcome": leaf.status,
+                 "label": [render_formula(x) for x in leaf.label]}
+                for leaf in ends],
         }
         _emit(args, json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
-    lines = ["branches: %d" % len(brs)]
-    for i, b in enumerate(brs):
-        label = ", ".join(render_formula(x) for x in b.leaf.label)
-        lines.append("  %d: %s  [%s]" % (i, label, b.outcome))
+    lines = ["branches: %d" % len(ends)]
+    for i, leaf in enumerate(ends):
+        label = ", ".join(render_formula(x) for x in leaf.label)
+        lines.append("  %d: %s  [%s]" % (i, label, leaf.status))
     _emit(args, "\n".join(lines))
     return EXIT_OK
 

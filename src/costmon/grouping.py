@@ -17,7 +17,7 @@ import heapq
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
-from .depgraph import DependencyGraph, Process
+from .depgraph import DependencyGraph
 from .formulas import (
     Budget,
     Eventually,
@@ -33,7 +33,7 @@ from .formulas import (
     disj,
     render_formula,
 )
-from .tableau import Branch, TableauNode, branches
+from .tableau import TableauNode, leaves
 
 
 class UnobservableAtomError(ValueError):
@@ -47,19 +47,20 @@ class MonitorGroup:
     branch_formulas: Tuple[Formula, ...]
 
 
-def branch_content(b: Branch) -> Optional[Formula]:
-    """The obligation a ticked branch stands for, as one formula.
+def branch_content(leaf: TableauNode) -> Optional[Formula]:
+    """The obligation the branch ending at a ticked leaf stands for, as
+    one formula.
 
-    The terminal label is taken with next-step wrappers unwrapped (the
+    The leaf's label is taken with next-step wrappers unwrapped (the
     recurring content, not the one-step-shifted copy) and absorbed: a bare
     formula subsumed by its own G-version, or an F-version subsumed by the
     bare formula, is dropped.  Branches whose content is empty or trivially
     true carry no obligation and yield None.
     """
-    if b.outcome != "ticked":
+    if leaf.status != "ticked":
         return None
     parts: List[Formula] = []
-    for f in b.leaf.label:
+    for f in leaf.label:
         g = f.sub if isinstance(f, Next) else f
         if g not in parts:
             parts.append(g)
@@ -144,22 +145,21 @@ def grow_groups(member_sets: Sequence[AbstractSet[str]]) -> List[List[int]]:
     return out
 
 
-def organize_groups(procs: Sequence[Process], root: TableauNode,
-                    original: Formula,
+def organize_groups(root: TableauNode, original: Formula,
                     graph: DependencyGraph) -> List[MonitorGroup]:
-    """Partition processes into monitor groups for the tableau's branches."""
+    """Partition the graph's processes into monitor groups for the
+    tableau's ticked leaves."""
+    procs = graph.processes
     if not procs:
         raise ValueError("no processes to organize")
-    all_branches = branches(root)
-    if not all_branches:
-        raise ValueError("tableau has no branches")
-    if len(all_branches) == 1:
-        if all_branches[0].outcome == "crossed":
+    ends = leaves(root)
+    if len(ends) == 1:
+        if ends[0].status == "crossed":
             return []
         pids = tuple(sorted(p.pid for p in procs))
         return [MonitorGroup(pids, original, (original,))]
     contents = list(dict.fromkeys(
-        c for c in map(branch_content, all_branches) if c is not None))
+        c for c in map(branch_content, ends) if c is not None))
     observers: Dict[str, List[str]] = {}
     for p in procs:
         for name in p.alphabet:
@@ -167,7 +167,7 @@ def organize_groups(procs: Sequence[Process], root: TableauNode,
     member_sets: List[set] = []
     for c in contents:
         names = atoms(c)
-        unseen = names - observers.keys()
+        unseen = names.difference(observers)
         if unseen:
             raise UnobservableAtomError(
                 "no process observes %s" % sorted(unseen)[0])

@@ -206,18 +206,6 @@ class MonitorReport:
     def message_total(self) -> int:
         return sum(self.per_round_messages)
 
-    def to_dict(self) -> dict:
-        return {
-            "global_verdict": self.global_verdict.name,
-            "detecting_pid": self.detecting_pid,
-            "detection_round": self.detection_round,
-            "rounds_run": self.rounds_run,
-            "per_round_messages": list(self.per_round_messages),
-            "detections": [
-                {"round": r, "pid": pid, "formula": str(f)}
-                for r, pid, f in self.detections],
-        }
-
 
 def aggregate_verdict(verdicts: Sequence[Verdict], *,
                       eventually_rooted: bool = False) -> Verdict:
@@ -260,10 +248,8 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
     monitors: List[LocalMonitor] = []
     for group in groups:
         order = group.members
-        covered: List[Formula] = []
-        for pid in assignment:
-            if pid in order:
-                covered.extend(disjuncts_of(assignment[pid]))
+        covered = {part for pid in order if pid in assignment
+                   for part in disjuncts_of(assignment[pid])}
         residual_parts = [f for f in group.branch_formulas if f not in covered]
         for pos, pid in enumerate(order):
             successor = order[pos + 1] if pos + 1 < len(order) else None

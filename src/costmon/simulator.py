@@ -139,25 +139,6 @@ def latched(trace: Sequence[Event]) -> Tuple[Event, ...]:
     return tuple(out)
 
 
-def merge_traces(traces: Dict[str, Sequence[Event]]) -> Tuple[Event, ...]:
-    """Global trace: round k carries the union of all local propositions.
-    The round clock is shared, so a merged round costs one unit, not the
-    sum of the per-process unit costs."""
-    if not traces:
-        return ()
-    lengths = {len(t) for t in traces.values()}
-    if len(lengths) > 1:
-        raise ValueError("per-process traces differ in length")
-    n = lengths.pop()
-    out = []
-    for k in range(n):
-        props: Set[str] = set()
-        for t in traces.values():
-            props |= t[k].props
-        out.append(Event(frozenset(props), 1))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class MonitorPlan:
     formula: Formula
@@ -178,7 +159,7 @@ def plan_monitors(f: Formula, graph: DependencyGraph) -> MonitorPlan:
     unwound = unwind(f, graph)
     negated = negate(unwound.formula)
     root = build_tableau(negated)
-    groups = organize_groups(list(graph.processes), root, negated, graph)
+    groups = organize_groups(root, negated, graph)
     assignment = assign_conjuncts(groups, unwound)
     index_table = subformula_index(negated)
     return MonitorPlan(f, graph, unwound, negated, tuple(groups),

@@ -57,16 +57,6 @@ class TableauNode:
     rule: str = ""
 
 
-@dataclass(frozen=True)
-class Branch:
-    nodes: Tuple[TableauNode, ...]
-    outcome: str  # ticked | crossed
-
-    @property
-    def leaf(self) -> TableauNode:
-        return self.nodes[-1]
-
-
 def is_literal(f: Formula) -> bool:
     if isinstance(f, (TrueF, FalseF, Atom)):
         return True
@@ -211,9 +201,9 @@ def build_tableau(f: Formula) -> TableauNode:
     """Build the full tableau for ``f`` (normalized internally): one loop
     over a stack of ``(node, depth)``, which asks ``_rule`` for each
     node's status and children, depth first.  The labels of the current
-    branch sit in one path list, cut back on each pop as in ``branches``,
-    and a map from each of them to its depths on the path, so no node
-    rescans its ancestors."""
+    branch's ancestors sit in one path list, cut back to the popped
+    node's depth, and a map from each of them to its depths on the path,
+    so no node rescans its ancestors."""
     root = TableauNode((nnf(f),))
     count = 1
     path: List[Tuple[Formula, ...]] = []
@@ -240,30 +230,28 @@ def build_tableau(f: Formula) -> TableauNode:
     return root
 
 
-def branches(root: TableauNode) -> List[Branch]:
-    """All root-to-leaf paths, left to right.  Every leaf is ticked or
-    crossed, so its status is the branch's outcome."""
-    out: List[Branch] = []
-    path: List[TableauNode] = []
-    stack = [(root, 0)]
+def leaves(root: TableauNode) -> List[TableauNode]:
+    """The leaves, left to right.  Every leaf is ticked or crossed: its
+    status is the outcome of the branch it ends, its label the branch's
+    content."""
+    out: List[TableauNode] = []
+    stack = [root]
     while stack:
-        node, depth = stack.pop()
-        del path[depth:]
-        path.append(node)
+        node = stack.pop()
         if node.children:
-            stack.extend((child, depth + 1) for child in reversed(node.children))
+            stack.extend(reversed(node.children))
         else:
-            out.append(Branch(tuple(path), node.status))
+            out.append(node)
     return out
 
 
-def terminal_node(b: Branch) -> Tuple[Formula, ...]:
-    """The recurring content of a ticked branch: its leaf's label (a node
-    is ticked only when its label is poised) with next-step obligations
-    stripped."""
-    if b.outcome != "ticked":
+def terminal_node(leaf: TableauNode) -> Tuple[Formula, ...]:
+    """The recurring content of a ticked leaf's branch: the leaf's label
+    (a node is ticked only when its label is poised) with next-step
+    obligations stripped."""
+    if leaf.status != "ticked":
         raise ValueError("terminal content is defined for ticked branches only")
-    return tuple(f for f in b.leaf.label if not isinstance(f, Next))
+    return tuple(f for f in leaf.label if not isinstance(f, Next))
 
 
 def export_dot(root: TableauNode) -> str:

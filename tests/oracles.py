@@ -6,15 +6,17 @@ accrued cost stays within the budget, the activation event itself
 costing nothing) and never call the package's progression code, so an
 implementation bug cannot vouch for itself.  The path-cost helper
 recomputes unwinding constraints by exhaustive enumeration over the
-raw JSON wiring for the same reason, and the grouping reference merges
-member sets pair by pair instead of growing groups from an index.
+raw JSON wiring for the same reason, the grouping reference merges
+member sets pair by pair instead of growing groups from an index, and
+the tableau path walk recurses over ``children`` alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from costmon.formulas import (
     And,
@@ -265,3 +267,30 @@ def merged_groups(member_sets: Sequence[AbstractSet[str]]) -> List[List[int]]:
                 merged = True
                 break
     return [indices for _, indices in raw]
+
+
+# ---------------------------------------------------------------------------
+# tableau root-to-leaf paths
+
+
+class TableauPath(NamedTuple):
+    """One root-to-leaf path of a tableau; its leaf's status is the
+    branch's outcome."""
+    nodes: tuple
+
+    @property
+    def leaf(self):
+        return self.nodes[-1]
+
+    @property
+    def outcome(self) -> str:
+        return self.leaf.status
+
+
+def tableau_paths(node) -> List[TableauPath]:
+    """Every root-to-leaf path below ``node``, left to right, by recursion
+    over ``children`` alone."""
+    if not node.children:
+        return [TableauPath((node,))]
+    return [TableauPath((node,) + path.nodes)
+            for child in node.children for path in tableau_paths(child)]

@@ -18,7 +18,6 @@ from costmon import (
     Globally,
     QDep,
     Verdict,
-    branches,
     build_sorting_line_scenario,
     build_tableau,
     case_monitors,
@@ -27,7 +26,6 @@ from costmon import (
     example2_scenario,
     latched,
     make_event,
-    merge_traces,
     parse_formula,
     plan_monitors,
     progress,
@@ -47,6 +45,7 @@ from oracles import (
     pair_verdict_globally,
     step_bare,
     step_globally,
+    tableau_paths,
     verdict_bare,
     verdict_globally,
 )
@@ -87,7 +86,7 @@ def corpus():
         for seed in range(200):
             sc = random_scenario(seed, CORPUS_LIMITS)
             res = run_scenario(sc)
-            merged = latched(merge_traces(res.per_process_traces))
+            merged = latched(res.global_trace)
             _corpus.append((sc, res, merged))
     return _corpus
 
@@ -134,20 +133,20 @@ def test_grouping_rows(pipeline, phi_pipeline):
 
 def test_tableau_goldens():
     with criterion("[3/8] tableau golden shapes"):
-        bs = branches(build_tableau(parse_formula("p & (q | r)")))
+        bs = tableau_paths(build_tableau(parse_formula("p & (q | r)")))
         assert [b.outcome for b in bs] == ["ticked", "ticked"]
         assert {frozenset(a.name for a in b.nodes[-1].label) for b in bs} \
             == {frozenset({"p", "q"}), frozenset({"p", "r"})}
 
-        [b] = branches(build_tableau(parse_formula("G p")))
+        [b] = tableau_paths(build_tableau(parse_formula("G p")))
         assert b.outcome == "ticked"
         assert b.nodes[-1].rule == "LOOP"
 
-        [b] = branches(build_tableau(parse_formula("G ((a & b) o<=5 c)")))
+        [b] = tableau_paths(build_tableau(parse_formula("G ((a & b) o<=5 c)")))
         assert b.outcome == "ticked"
         assert "DIST" in [n.rule for n in b.nodes]
         a, bb, c = Atom("a"), Atom("b"), Atom("c")
-        assert set(terminal_node(b)) == {QDep(a, c, 5), QDep(bb, c, 5)}
+        assert set(terminal_node(b.leaf)) == {QDep(a, c, 5), QDep(bb, c, 5)}
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,14 @@ def test_group_unobservable_is_exit_4(graph_file):
     assert "unobservable" in (r.stdout + r.stderr)
 
 
+def test_group_without_processes_is_exit_2(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"processes": []}')
+    r = run_cli("group", "--formula", "true", "--graph", str(path))
+    assert r.returncode == 2
+    assert "error: no processes to organize" in r.stderr
+
+
 # ---------------------------------------------------------------- simulate
 
 

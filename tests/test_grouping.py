@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -69,8 +70,7 @@ def test_pipeline_assignment_rows(pipeline, phi_pipeline):
 
 def test_single_branch_keeps_everyone_together(pipeline):
     f = parse_formula("!O0")
-    groups = organize_groups(pipeline.processes, build_tableau(f), f,
-                             graph=pipeline)
+    groups = organize_groups(build_tableau(f), f, graph=pipeline)
     assert len(groups) == 1
     assert groups[0].members == ("p0", "p1", "p2", "p3", "p4", "p5", "p6")
     assert groups[0].formula == f
@@ -79,7 +79,7 @@ def test_single_branch_keeps_everyone_together(pipeline):
 def test_overlapping_branches_merge():
     g = load_graph(TWO_PROC_DOC)
     f = parse_formula("F (!a) | F (!(a & b))")
-    groups = organize_groups(g.processes, build_tableau(f), f, graph=g)
+    groups = organize_groups(build_tableau(f), f, graph=g)
     assert len(groups) == 1
     grp = groups[0]
     assert grp.members == ("p0", "p1")
@@ -104,7 +104,7 @@ def test_group_lists_contents_in_growth_order():
         {"pid": "p2", "inputs": ["a", "b"], "outputs": ["d"], "cost": 1},
     ]}))
     f = parse_formula("!e | (!h | (!e & !h))")
-    [grp] = organize_groups(g.processes, build_tableau(f), f, graph=g)
+    [grp] = organize_groups(build_tableau(f), f, graph=g)
     assert grp.members == ("p0", "p1")
     assert grp.branch_formulas == (parse_formula("!e"),
                                    parse_formula("!e & !h"),
@@ -129,7 +129,30 @@ def test_growth_rule_matches_restart_on_merge():
 def test_unobservable_atom_is_rejected(pipeline):
     f = parse_formula("F (!zz)")
     with pytest.raises(UnobservableAtomError, match="zz"):
-        organize_groups(pipeline.processes, build_tableau(f), f, graph=pipeline)
+        organize_groups(build_tableau(f), f, graph=pipeline)
+
+
+def test_grouping_memory_stays_linear():
+    # chain-1000, costs 1, 2, 3 repeating: 3,000 ticked leaves about 500
+    # nodes deep on average, so a copy of every branch's nodes would
+    # take about 1.5 M references
+    n = 1000
+    costs = [1 + i % 3 for i in range(n)]
+    g = load_graph(json.dumps({"processes": [
+        {"pid": "p%d" % i, "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
+         "outputs": ["Of" if i == n - 1 else "O%d" % i], "cost": c}
+        for i, c in enumerate(costs)], "environment": ["I0"]}))
+    neg = negate(unwind(parse_formula("G (I0 o<=%d Of)" % sum(costs)),
+                        g).formula)
+    root = build_tableau(neg)
+    tracemalloc.start()
+    try:
+        groups = organize_groups(root, neg, graph=g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == n
+    assert peak <= 4 * 2**20
 
 
 def test_conjunct_without_producer_is_rejected(pipeline):
@@ -137,8 +160,7 @@ def test_conjunct_without_producer_is_rejected(pipeline):
     f = parse_formula("G (I0 o<=2 I1)")
     u = unwind(f, pipeline)
     neg = negate(u.formula)
-    groups = organize_groups(pipeline.processes, build_tableau(neg), neg,
-                             graph=pipeline)
+    groups = organize_groups(build_tableau(neg), neg, graph=pipeline)
     with pytest.raises(UnobservableAtomError, match="no producing member"):
         assign_conjuncts(groups, u)
 

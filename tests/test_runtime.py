@@ -1,7 +1,5 @@
 """Decentralized monitor execution against the centralized oracle."""
 
-import json
-
 import pytest
 
 from costmon import (
@@ -13,7 +11,6 @@ from costmon import (
     example2_scenario,
     load_graph,
     make_event,
-    merge_traces,
     plan_monitors,
     parse_formula,
     random_scenario,
@@ -75,8 +72,7 @@ def test_stalled_source_detected_eleven_rounds_after_activation():
 def test_detection_beats_the_centralized_observer():
     sc = example2_scenario(fault=FaultSpec("p0", "drop", 0), stimulus_round=3)
     res = run_scenario(sc)
-    verdict, pos = evaluate_trace_with_position(sc.formula,
-                                                merge_traces(res.per_process_traces))
+    verdict, pos = evaluate_trace_with_position(sc.formula, res.global_trace)
     assert (verdict, pos) == (F, 24)
     assert res.report.detection_round == 14 <= pos
 
@@ -87,8 +83,7 @@ def test_sink_fault_detected_by_the_sink():
     rep = res.report
     assert rep.global_verdict is F
     assert rep.detecting_pid == "p6"
-    _, pos = evaluate_trace_with_position(sc.formula,
-                                          merge_traces(res.per_process_traces))
+    _, pos = evaluate_trace_with_position(sc.formula, res.global_trace)
     assert rep.detection_round == 23 <= pos == 24
 
 
@@ -166,7 +161,7 @@ def test_reports_are_reproducible():
     runs = [run_scenario(example2_scenario(fault=FaultSpec("p3", "drop", 0),
                                            stimulus_round=3)).report
             for _ in range(2)]
-    assert json.dumps(runs[0].to_dict()) == json.dumps(runs[1].to_dict())
+    assert runs[0] == runs[1]
 
 
 def test_random_scenarios_agree_with_the_oracle():
@@ -175,7 +170,7 @@ def test_random_scenarios_agree_with_the_oracle():
         sc = random_scenario(seed, QUICK_LIMITS)
         res = run_scenario(sc)
         rep = res.report
-        merged = merge_traces(res.per_process_traces)
+        merged = res.global_trace
         if rep.global_verdict in (T, F):
             assert evaluate_trace(sc.formula, merged) is rep.global_verdict
         if rep.global_verdict is F:

@@ -14,8 +14,6 @@ from costmon import (
     case_monitors,
     example2_scenario,
     load_scenario,
-    make_event,
-    merge_traces,
     random_scenario,
     run_scenario,
 )
@@ -26,20 +24,29 @@ LIMITS = {"max_processes": 5, "max_fanout": 3, "max_cost": 3, "max_rounds": 15}
 
 
 # ---------------------------------------------------------------------------
-# merging per-process traces
+# the global trace against the per-process traces
 
-def test_merge_requires_equal_lengths():
-    with pytest.raises(ValueError, match="differ in length"):
-        merge_traces({"a": [make_event()], "b": []})
+def _runs():
+    yield run_scenario(example2_scenario(
+        fault=FaultSpec("p0", "delay", 0, 10), stimulus_round=3))
+    for seed in range(30):
+        yield run_scenario(random_scenario(seed, LIMITS))
 
 
-def test_merge_unions_props_at_unit_cost():
-    traces = {"a": [make_event(props=("x",), cost=3), make_event(cost=2)],
-              "b": [make_event(props=("y",), cost=4), make_event(cost=1)]}
-    merged = merge_traces(traces)
-    assert [sorted(e.props) for e in merged] == [["x", "y"], []]
+def test_global_trace_spans_every_local_round():
+    for res in _runs():
+        assert res.global_trace
+        assert {len(t) for t in res.per_process_traces.values()} \
+            == {len(res.global_trace)}
+
+
+def test_global_trace_unions_local_props_at_unit_cost():
     # one global tick per round, whatever the local costs were
-    assert [e.cost for e in merged] == [1, 1]
+    for res in _runs():
+        traces = list(res.per_process_traces.values())
+        for k, event in enumerate(res.global_trace):
+            assert event.props == frozenset().union(*(t[k].props for t in traces))
+            assert event.cost == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tableau construction: expansion goldens, termination, branch status."""
 
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,14 @@ from hypothesis import strategies as st
 
 from costmon import (
     apply_dist,
-    branches,
     build_tableau,
     export_dot,
+    leaves,
     negate,
     terminal_node,
     unwind,
 )
+from costmon import tableau
 from costmon.formulas import (
     And,
     Atom,
@@ -29,7 +32,9 @@ from costmon.formulas import (
     parse_formula,
     render_formula,
 )
+from oracles import tableau_paths
 from test_formula import formulas as formula_strategy
+from test_golden_formulas import GOLDEN, _text
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
 
@@ -37,7 +42,7 @@ a, b, c = Atom("a"), Atom("b"), Atom("c")
 def tick_labels(text):
     t = build_tableau(parse_formula(text))
     return [(br.outcome, [set(map(render_formula, n.label)) for n in br.nodes])
-            for br in branches(t)]
+            for br in tableau_paths(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +57,7 @@ def test_conjunction_with_disjunction_two_branches():
 
 def test_globally_single_branch_loop():
     t = build_tableau(parse_formula("G p"))
-    bs = branches(t)
+    bs = tableau_paths(t)
     assert len(bs) == 1 and bs[0].outcome == "ticked"
     nodes = bs[0].nodes
     # the poised label {p, XGp} recurs once, then the branch closes by LOOP
@@ -64,28 +69,28 @@ def test_globally_single_branch_loop():
 
 def test_dep_formula_single_branch_distributes():
     t = build_tableau(parse_formula("G ((a & b) o<=5 c)"))
-    bs = branches(t)
+    bs = tableau_paths(t)
     assert len(bs) == 1 and bs[0].outcome == "ticked"
     assert "DIST" in [n.rule for n in bs[0].nodes]
-    term = set(terminal_node(bs[0]))
+    term = set(terminal_node(bs[0].leaf))
     assert term == {QDep(a, c, 5), QDep(b, c, 5)}
 
 
 def test_terminal_node_globally():
-    [br] = branches(build_tableau(parse_formula("G p")))
-    assert set(terminal_node(br)) == {Atom("p")}
+    [br] = tableau_paths(build_tableau(parse_formula("G p")))
+    assert set(terminal_node(br.leaf)) == {Atom("p")}
 
 
 def test_terminal_node_atomic():
-    [br] = branches(build_tableau(Atom("a")))
-    assert set(terminal_node(br)) == {a}
+    [br] = tableau_paths(build_tableau(Atom("a")))
+    assert set(terminal_node(br.leaf)) == {a}
 
 
 def test_terminal_node_rejects_crossed():
-    [br] = branches(build_tableau(parse_formula("p & !p")))
+    [br] = tableau_paths(build_tableau(parse_formula("p & !p")))
     assert br.outcome == "crossed"
     with pytest.raises(ValueError):
-        terminal_node(br)
+        terminal_node(br.leaf)
 
 
 def test_contradiction_is_crossed():
@@ -107,12 +112,12 @@ def test_negated_pipeline_formula_branch_structure(pipeline, phi_pipeline):
     # each disjunct into now/later/postpone, so 21 ticked branches that
     # cover exactly 7 distinct dependency witnesses
     u = unwind(phi_pipeline, pipeline)
-    bs = branches(build_tableau(negate(u.formula)))
+    bs = tableau_paths(build_tableau(negate(u.formula)))
     ticked = [br for br in bs if br.outcome == "ticked"]
     assert len(ticked) == len(bs) == 21
     witnesses = set()
     for br in ticked:
-        for g in terminal_node(br):
+        for g in terminal_node(br.leaf):
             if isinstance(g, Not) and isinstance(g.sub, QDep):
                 witnesses.add(g.sub)
     assert len(witnesses) == 7
@@ -198,7 +203,7 @@ def test_builds_finite_tableau_or_trips_guard(f):
     t = _build_or_capacity(f)
     if t is None:
         return
-    for br in branches(t):
+    for br in tableau_paths(t):
         assert br.outcome in ("ticked", "crossed")
         assert len(br.nodes) < 200
 
@@ -209,7 +214,7 @@ def test_ticked_branches_have_no_complementary_pair(f):
     t = _build_or_capacity(f)
     if t is None:
         return
-    for br in branches(t):
+    for br in tableau_paths(t):
         if br.outcome != "ticked":
             continue
         for n in br.nodes:
@@ -219,11 +224,30 @@ def test_ticked_branches_have_no_complementary_pair(f):
             assert not names & negated
 
 
+def test_leaves_match_an_independent_path_walk(monkeypatch):
+    # a lower ceiling keeps the test affordable: a tableau that outgrows
+    # the shipped one takes about half a second to get there
+    monkeypatch.setattr(tableau, "NODE_LIMIT", 1000)
+    with open(GOLDEN) as fh:
+        texts = [entry["text"] for entry in json.load(fh) if entry["text"]]
+    rng = random.Random(20)
+    texts += [_text(rng, rng.randint(1, 5)) for _ in range(100)]
+    built = 0
+    for text in texts:
+        t = _build_or_capacity(parse_formula(text))
+        if t is None:
+            continue
+        built += 1
+        assert [id(n) for n in leaves(t)] \
+            == [id(path.leaf) for path in tableau_paths(t)], text
+    assert built > len(texts) * 3 // 4
+
+
 def test_satisfied_eventualities_leave_labels():
     # without this normalization poised labels keep varying and the loop
     # rule starves; 244 nodes here, unbounded growth before
     root = build_tableau(parse_formula("G (F (F true))"))
-    bs = branches(root)
+    bs = tableau_paths(root)
     assert all(len(b.nodes) < 40 for b in bs)
     assert any(b.outcome == "ticked" for b in bs)
 
@@ -240,7 +264,7 @@ def test_ticked_branch_word_not_falsifying():
     # loop part repeated); the verdict must never be False
     for text in ["G p", "F p", "p & (q | r)", "p U q", "G (p | q)"]:
         f = parse_formula(text)
-        for br in branches(build_tableau(f)):
+        for br in tableau_paths(build_tableau(f)):
             if br.outcome != "ticked":
                 continue
             word = []
@@ -268,8 +292,8 @@ def test_dot_marks_cross():
 
 def test_dot_single_node_for_literal_true():
     t = build_tableau(parse_formula("true"))
-    assert len(branches(t)) == 1
-    assert branches(t)[0].outcome == "ticked"
+    assert len(tableau_paths(t)) == 1
+    assert tableau_paths(t)[0].outcome == "ticked"
     assert "true" in export_dot(t)
 
 
