@@ -6,15 +6,16 @@ rounds past its cost, budget at the lower bound) and times each stage of
 the check pipeline on its own with ``time.perf_counter``: load (scenario
 JSON and graph validation), unwind, negate, tableau, group, assign,
 synth (subformula index and monitor synthesis), run (simulated rounds
-with monitoring) and oracle (centralized progression).  A size whose
-pipeline stops with an error, such as the tableau passing ``NODE_LIMIT``,
-is recorded as a failure at that size, with the time of the stages up to
-and including the one that failed.
+with monitoring) and oracle (centralized progression over the latched
+global trace, restricted to the formula's atoms as ``check`` does).  A
+size whose pipeline stops with an error, such as the tableau passing
+``NODE_LIMIT``, is recorded as a failure at that size, with the time of
+the stages up to and including the one that failed.
 
 Counters come from a second, untimed run: tableau nodes, monitor
-groups, the peak of memory the group stage allocates (``tracemalloc``,
-which traces that stage alone), monitor steps (calls of
-``LocalMonitor.step``), messages and rounds.  The output, with
+groups, the peak of memory the group, run and oracle stages allocate
+(``tracemalloc``, which traces each of those stages alone), monitor steps
+(calls of ``LocalMonitor.step``), messages and rounds.  The output, with
 the ``src/`` line count, the core count and the Python version, goes to
 ``BENCH_curves.json`` at the repository root, or to the path given as
 the only argument.  Standard library only; run from a checkout with
@@ -40,6 +41,7 @@ from costmon.unwinding import unwind  # noqa: E402
 SIZES = (50, 150, 300, 600, 1000, 2000, 5000)
 STAGES = ("load", "unwind", "negate", "tableau", "group", "assign", "synth",
           "run", "oracle")
+PEAK_STAGES = ("group", "run", "oracle")  # counters record their peak
 REPEATS_BELOW = 1000  # sizes under this take the median of three runs
 DELAY = 2
 STIMULUS = 1
@@ -99,9 +101,12 @@ def pipeline(text: str):
             sc, sc.suggested_rounds, state["monitors"], root=sc.formula)
 
     def oracle():
+        formula = state["sc"].formula
+        names = formulas.atoms(formula)
         state["central"] = formulas.evaluate_trace_with_position(
-            state["sc"].formula,
-            simulator.latched(state["result"].global_trace))
+            formula, simulator.latched(
+                formulas.Event(e.props & names, e.cost)
+                for e in state["result"].global_trace))
 
     thunks = (load, do_unwind, negate, tableau, group, assign, synth, run,
               oracle)
@@ -138,14 +143,14 @@ def counters(text: str) -> dict:
     runtime.LocalMonitor.step = counting
     try:
         for name, thunk in stages:
-            if name != "group":
+            if name not in PEAK_STAGES:
                 thunk()
                 continue
             tracemalloc.start()
             try:
                 thunk()
             finally:
-                out["group_peak_mb"] = round(
+                out[name + "_peak_mb"] = round(
                     tracemalloc.get_traced_memory()[1] / 2**20, 3)
                 tracemalloc.stop()
     except Exception:

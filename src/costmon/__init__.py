@@ -38,7 +38,7 @@ from .unwinding import (
     unwind,
 )
 from .grouping import UnobservableAtomError, assign_conjuncts, organize_groups
-from .runtime import aggregate_verdict, run_decentralized, synthesize_monitors
+from .runtime import synthesize_monitors
 from .simulator import (
     FaultSpec,
     case_monitors,
@@ -59,8 +59,7 @@ __all__ = [
     "apply_dist", "build_tableau", "export_dot", "leaves", "terminal_node",
     "InfeasibleConstraintError", "extract_qdep", "local_constraint", "unwind",
     "UnobservableAtomError", "assign_conjuncts", "organize_groups",
-    "aggregate_verdict", "run_decentralized", "synthesize_monitors",
-    "FaultSpec", "case_monitors", "example2_graph", "example2_scenario",
-    "latched", "load_scenario", "plan_monitors", "random_scenario",
-    "run_scenario", "build_sorting_line_scenario",
+    "synthesize_monitors", "FaultSpec", "case_monitors", "example2_graph",
+    "example2_scenario", "latched", "load_scenario", "plan_monitors",
+    "random_scenario", "run_scenario", "build_sorting_line_scenario",
 ]

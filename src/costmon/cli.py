@@ -20,10 +20,12 @@ from typing import Optional, Sequence
 
 from .depgraph import GraphError, load_graph_file
 from .formulas import (
+    Event,
     Formula,
     FormulaSyntaxError,
     QDep,
     Verdict,
+    atoms,
     evaluate_trace_with_position,
     fold,
     parse_formula,
@@ -474,8 +476,11 @@ def cmd_check(args) -> int:
         w.dep = QDep(w.dep.left, w.dep.right, val)
     result = run_simulation(sc, _rounds(args, sc), monitors, root=formula)
     report = result.report
-    central, position = evaluate_trace_with_position(
-        formula, latched(result.global_trace))
+    # progression reads only the formula's atoms, so the latched view
+    # needs to carry no other proposition
+    names = atoms(formula)
+    central, position = evaluate_trace_with_position(formula, latched(
+        Event(e.props & names, e.cost) for e in result.global_trace))
     dec = report.global_verdict
     agree = False
     if dec is central is Verdict.UNKNOWN:

@@ -3,11 +3,9 @@
 Each process runs a local monitor for its assigned falsification conjuncts.
 Rounds are lockstep: every monitor reads its local event, checks its
 budget watchers, and forwards newly observed atoms to the next group
-member, who receives them within the same round (perfect synchrony).
-Groups with one member never send anything.  Any monitor confirming its
-conjunct makes the global property false; satisfaction of a
-globally-rooted property is never claimable from a finite prefix, so
-nominal runs end unknown.
+member, who receives them within the same round (perfect synchrony).  A
+message is the observed atom's index in the shared subformula table.
+Groups with one member never send anything.
 
 A budget watcher turns its activation into a due round (activation plus
 bound minus precharge) and fires at that round unless its right operand
@@ -17,7 +15,10 @@ a round where it observes something, receives a message or has a
 watcher due.  ``MonitorNetwork`` is the one round engine: it keeps the
 monitors' due rounds in a heap and their verdicts as running counts, and
 visits only the monitors with work, so a round costs what happens in it,
-not the number of monitors.
+not the number of monitors.  The network also holds the verdict rule
+(any monitor confirming its conjunct makes the global property false;
+satisfaction of a globally-rooted property is never claimable from a
+finite prefix, so nominal runs end unknown) and builds the run's report.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .depgraph import DependencyGraph
 from .formulas import (
     Atom,
     Event,
-    Eventually,
     FALSE,
     Formula,
     QDep,
@@ -43,11 +43,6 @@ from .formulas import (
     progress,
 )
 from .grouping import MonitorGroup, dep_core
-
-
-@dataclass(frozen=True)
-class MonitorMessage:
-    idx: int  # an observed atom's key in the shared subformula index table
 
 
 class BudgetWatcher:
@@ -136,30 +131,29 @@ class LocalMonitor:
     watcher reads has changed; ``MonitorNetwork`` makes no such step.
     """
 
-    def __init__(self, pid: str, assigned: Formula, watchers: Sequence,
+    def __init__(self, pid: str, watchers: Sequence,
                  index_of_atom: Dict[str, int], atom_of_idx: Dict[int, str],
                  group_atoms: frozenset = frozenset(),
                  successor: Optional[str] = None):
         self.pid = pid
-        self.assigned = assigned
         self.watchers = list(watchers)
         self._index_of_atom = index_of_atom
         self._atom_of_idx = atom_of_idx
         self.group_atoms = group_atoms
         self.successor = successor
         self.latched: set = set()
-        self.inbox: List[MonitorMessage] = []
+        self.inbox: List[int] = []  # indices of forwarded atoms
         self.verdict = Verdict.UNKNOWN
         # earliest round in which a watcher is due without new input; the
         # first round always is, so an anchor that needs no atom activates
         self._next_due: Optional[int] = 0
 
-    def step(self, rnd: int, event: Event) -> List[MonitorMessage]:
+    def step(self, rnd: int, event: Event) -> List[int]:
         newly: List[str] = []
-        for msg in self.inbox:
-            name = self._atom_of_idx.get(msg.idx)
+        for idx in self.inbox:
+            name = self._atom_of_idx.get(idx)
             if name is None:
-                raise ValueError("message references unknown index %d" % msg.idx)
+                raise ValueError("message references unknown index %d" % idx)
             if name not in self.latched:
                 self.latched.add(name)
                 newly.append(name)
@@ -174,8 +168,7 @@ class LocalMonitor:
         self._settle()
         if self.successor is None:
             return []
-        return [MonitorMessage(self._index_of_atom[n]) for n in newly
-                if n in self.group_atoms and n in self._index_of_atom]
+        return [self._index_of_atom[n] for n in newly if n in self.group_atoms]
 
     def _settle(self) -> None:
         """Caches the verdict and when the next input-free step is due."""
@@ -207,26 +200,6 @@ class MonitorReport:
         return sum(self.per_round_messages)
 
 
-def aggregate_verdict(verdicts: Sequence[Verdict], *,
-                      eventually_rooted: bool = False) -> Verdict:
-    """Global verdict for the monitored property from its falsification
-    conjuncts: any confirmed conjunct falsifies it; all conjuncts refuted
-    confirms it only when the property is eventuality-rooted, since a
-    globally-rooted property has no finite witness of satisfaction."""
-    vs = list(verdicts)
-    return _verdict_of_counts(vs.count(Verdict.TRUE), vs.count(Verdict.FALSE),
-                              len(vs), eventually_rooted)
-
-
-def _verdict_of_counts(confirmed: int, refuted: int, total: int,
-                       eventually_rooted: bool) -> Verdict:
-    if confirmed:
-        return Verdict.FALSE
-    if total and refuted == total:
-        return Verdict.TRUE if eventually_rooted else Verdict.UNKNOWN
-    return Verdict.UNKNOWN
-
-
 def _static_precharge(dep: QDep, graph: DependencyGraph) -> int:
     """Cost provably consumed before the anchor can complete: the largest
     lower-bound completion cost among the left operand's variables."""
@@ -254,20 +227,15 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
         for pos, pid in enumerate(order):
             successor = order[pos + 1] if pos + 1 < len(order) else None
             watchers: List = []
-            assigned = assignment.get(pid)
-            if assigned is not None:
-                for part in disjuncts_of(assigned):
+            if pid in assignment:
+                for part in disjuncts_of(assignment[pid]):
                     dep = dep_core(part)
-                    if dep is not None:
-                        watchers.append(BudgetWatcher(
-                            part, dep, _static_precharge(dep, graph)))
-                    else:
-                        watchers.append(ResidualWatcher(part))
+                    watchers.append(BudgetWatcher(
+                        part, dep, _static_precharge(dep, graph)))
             if successor is None and residual_parts:
                 watchers.append(ResidualWatcher(disj(residual_parts)))
             monitors.append(LocalMonitor(
-                pid, assigned if assigned is not None else group.formula,
-                watchers, index_of_atom, atom_of_idx,
+                pid, watchers, index_of_atom, atom_of_idx,
                 group_atoms=atoms(group.formula), successor=successor))
     return monitors
 
@@ -285,8 +253,8 @@ class MonitorNetwork:
     scheduled for its monitor.  A message goes to the last monitor of the
     successor's pid; one to a later monitor joins the same round, one to
     an earlier monitor (or the sender itself) waits for the next.  The
-    global verdict comes from running counts of the monitors' verdicts,
-    by the rule of ``aggregate_verdict``.
+    global verdict (``verdict``) comes from running counts of the
+    monitors' verdicts, and ``report`` reads it at the end of a run.
     """
 
     def __init__(self, monitors: Sequence[LocalMonitor], *,
@@ -315,9 +283,32 @@ class MonitorNetwork:
 
     @property
     def verdict(self) -> Verdict:
-        return _verdict_of_counts(self._tally[Verdict.TRUE],
-                                  self._tally[Verdict.FALSE],
-                                  len(self.monitors), self.eventually_rooted)
+        """The verdict on the monitored property: any confirmed conjunct
+        falsifies it; all conjuncts refuted confirm it only when the
+        property is eventuality-rooted, since a globally-rooted property
+        has no finite witness of satisfaction."""
+        if self._tally[Verdict.TRUE]:
+            return Verdict.FALSE
+        if (self.eventually_rooted and self.monitors
+                and self._tally[Verdict.FALSE] == len(self.monitors)):
+            return Verdict.TRUE
+        return Verdict.UNKNOWN
+
+    def report(self, per_round_messages: Sequence[int]) -> MonitorReport:
+        """The report of the rounds run so far: the global verdict, and
+        all watcher firings in (round, pid) order, the earliest one named
+        as the detection."""
+        detections = sorted(((w.detection_round, m.pid, w.formula)
+                             for m in self.monitors for w in m.watchers
+                             if w.verdict is Verdict.TRUE),
+                            key=lambda d: (d[0], d[1]))
+        first = detections[0] if detections else (None, None, None)
+        return MonitorReport(
+            global_verdict=self.verdict,
+            detecting_pid=first[1],
+            detection_round=first[0],
+            per_round_messages=tuple(per_round_messages),
+            detections=tuple(detections))
 
     def round(self, rnd: int,
               events: Mapping[str, Event]) -> Tuple[int, Verdict]:
@@ -374,49 +365,3 @@ def monitor_round(monitors: Sequence[LocalMonitor],
     network = MonitorNetwork(monitors, eventually_rooted=eventually_rooted)
     network.check_pids(round_events, rnd)
     return network.round(rnd, round_events)
-
-
-def run_decentralized(traces: Dict[str, Sequence[Event]],
-                      monitors: Sequence[LocalMonitor],
-                      root: Optional[Formula] = None) -> MonitorReport:
-    """Folds monitor rounds over equal-length per-process traces, stopping
-    as soon as the global verdict is decided."""
-    lengths = {len(t) for t in traces.values()}
-    if len(lengths) > 1:
-        raise ValueError("per-process traces differ in length: %s"
-                         % sorted(lengths))
-    eventually_rooted = isinstance(root, Eventually)
-    network = MonitorNetwork(monitors, eventually_rooted=eventually_rooted)
-    rounds = lengths.pop() if lengths else 0
-    if rounds:
-        network.check_pids(traces, 0)
-    per_round: List[int] = []
-    for rnd in range(rounds):
-        sent, verdict = network.round(
-            rnd, {pid: t[rnd] for pid, t in traces.items() if t[rnd].props})
-        per_round.append(sent)
-        if verdict is not Verdict.UNKNOWN:
-            break
-    return compile_report(monitors, per_round, eventually_rooted)
-
-
-def compile_report(monitors: Sequence[LocalMonitor],
-                   per_round_messages: Sequence[int],
-                   eventually_rooted: bool) -> MonitorReport:
-    """Assembles the report from finished monitors: the global verdict, and
-    all watcher firings in (round, pid) order, the earliest one named as
-    the detection."""
-    detections: List[Tuple[int, str, Formula]] = []
-    for m in monitors:
-        for w in m.watchers:
-            if w.verdict is Verdict.TRUE and w.detection_round is not None:
-                detections.append((w.detection_round, m.pid, w.formula))
-    detections.sort(key=lambda d: (d[0], d[1]))
-    return MonitorReport(
-        global_verdict=aggregate_verdict(
-            [m.verdict for m in monitors],
-            eventually_rooted=eventually_rooted),
-        detecting_pid=detections[0][1] if detections else None,
-        detection_round=detections[0][0] if detections else None,
-        per_round_messages=tuple(per_round_messages),
-        detections=tuple(detections))

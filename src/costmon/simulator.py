@@ -13,7 +13,9 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from .depgraph import DependencyGraph, Process, load_graph
 from .formulas import (
@@ -35,7 +37,6 @@ from .runtime import (
     LocalMonitor,
     MonitorNetwork,
     MonitorReport,
-    compile_report,
     synthesize_monitors,
 )
 from .tableau import build_tableau
@@ -105,7 +106,6 @@ class Scenario:
     trigger_sets: Dict[str, Tuple[frozenset, ...]] = field(default_factory=dict)
     deadline: Optional[Tuple[str, int]] = None  # (variable, round)
     monitor_specs: Tuple[Tuple[str, str, Formula], ...] = ()
-    baseline_specs: Tuple[Tuple[str, str, Formula], ...] = ()
 
     def __post_init__(self):
         for pid, latency in self.behaviors.items():
@@ -118,7 +118,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    per_process_traces: Dict[str, Tuple[Event, ...]]
+    graph: DependencyGraph
     global_trace: Tuple[Event, ...]
     report: MonitorReport
     recovery_log: Tuple[Tuple[int, FaultSpec, RecoveryAction, Formula], ...]
@@ -126,16 +126,35 @@ class SimulationResult:
     outcome: Optional[str] = None
     effective_deadline: Optional[int] = None
 
+    @cached_property
+    def per_process_traces(self) -> Dict[str, Tuple[Event, ...]]:
+        """What each process observed, per round: the round's pulses
+        within its alphabet.  Derived from the global trace on first
+        read, since the run itself keeps only that."""
+        idle = Event(frozenset(), 1)
+        traces = {}
+        for pid in sorted(self.graph.by_pid):
+            alphabet = self.graph.by_pid[pid].alphabet
+            traces[pid] = tuple(Event(e.props & alphabet, 1)
+                                if not e.props.isdisjoint(alphabet) else idle
+                                for e in self.global_trace)
+        return traces
 
-def latched(trace: Sequence[Event]) -> Tuple[Event, ...]:
+
+def latched(trace: Iterable[Event]) -> Tuple[Event, ...]:
     """View where every proposition stays true once seen.  Dependency
     anchors whose parts arrive in different rounds only close under this
-    view, so the centralized oracle evaluates it."""
+    view, so the centralized oracle evaluates it.  A round that adds no
+    proposition repeats the previous event."""
     out: List[Event] = []
-    seen: Set[str] = set()
+    seen: frozenset = frozenset()
     for e in trace:
-        seen |= e.props
-        out.append(Event(frozenset(seen), e.cost))
+        if not e.props <= seen:
+            seen = seen | e.props
+        elif out and out[-1].cost == e.cost:
+            out.append(out[-1])
+            continue
+        out.append(Event(seen, e.cost))
     return tuple(out)
 
 
@@ -217,7 +236,6 @@ def run_simulation(scenario: Scenario, rounds: int,
         for var in graph.by_pid[pid].alphabet:
             observers.setdefault(var, []).append(pid)
     observable = frozenset(observers)
-    idle = Event(frozenset(), 1)  # every process seeing nothing shares it
 
     arrived: Dict[str, int] = {}
     started: Set[str] = set()
@@ -229,7 +247,6 @@ def run_simulation(scenario: Scenario, rounds: int,
     deadline_var, deadline_round = (scenario.deadline
                                     if scenario.deadline else (None, None))
 
-    observed: Dict[str, List[Tuple[int, Event]]] = {pid: [] for pid in pids}
     global_trace: List[Event] = []
     per_round_msgs: List[int] = []
 
@@ -277,7 +294,6 @@ def run_simulation(scenario: Scenario, rounds: int,
         events = {}  # only the processes that observe something
         for pid in {pid for var in pulses for pid in observers.get(var, ())}:
             events[pid] = Event(frozen_pulses & graph.by_pid[pid].alphabet, 1)
-            observed[pid].append((rnd, events[pid]))
         global_trace.append(Event(frozen_pulses & observable, 1))
         sent, verdict = network.round(rnd, events)
         per_round_msgs.append(sent)
@@ -309,7 +325,6 @@ def run_simulation(scenario: Scenario, rounds: int,
                     factor = action.param("factor", 2)
                     deadline_round = rnd + factor * (deadline_round - rnd)
 
-    report = compile_report(monitors, per_round_msgs, eventually_rooted)
     outcome = None
     if ejected:
         outcome = "ejected_bin3"
@@ -317,16 +332,10 @@ def run_simulation(scenario: Scenario, rounds: int,
         got = arrived.get(deadline_var)
         outcome = "sorted" if got is not None and got <= deadline_round \
             else "missed"
-    traces: Dict[str, Tuple[Event, ...]] = {}
-    for pid in pids:
-        trace = [idle] * rounds
-        for rnd, event in observed[pid]:
-            trace[rnd] = event
-        traces[pid] = tuple(trace)
     return SimulationResult(
-        per_process_traces=traces,
+        graph=graph,
         global_trace=tuple(global_trace) if pids else (),
-        report=report,
+        report=network.report(per_round_msgs),
         recovery_log=tuple(recovery_log),
         arrival_rounds=dict(sorted(arrived.items())),
         outcome=outcome,
@@ -364,23 +373,14 @@ def run_scenario(scenario: Scenario, rounds: Optional[int] = None, *,
     return run_simulation(scenario, rounds, monitors, root=scenario.formula)
 
 
-def case_monitors(scenario: Scenario,
-                  baseline: bool = False) -> List[LocalMonitor]:
+def case_monitors(scenario: Scenario) -> List[LocalMonitor]:
     """Monitors from the scenario's literal watcher table (one budget
     watcher per row, no precharge), bypassing the unwinding pipeline."""
-    specs = scenario.baseline_specs if baseline else scenario.monitor_specs
-    by_pid: Dict[str, List[Tuple[str, Formula]]] = {}
-    for name, pid, f in specs:
-        by_pid.setdefault(pid, []).append((name, f))
-    monitors = []
-    for pid in sorted(by_pid):
-        watchers = []
-        for name, f in by_pid[pid]:
-            watchers.append(BudgetWatcher(f, _spec_dep(f), 0))
-        assigned = conj([f for _, f in by_pid[pid]])
-        # a monitor without successor neither sends nor receives
-        monitors.append(LocalMonitor(pid, assigned, watchers, {}, {}))
-    return monitors
+    by_pid: Dict[str, List[BudgetWatcher]] = {}
+    for _, pid, f in scenario.monitor_specs:
+        by_pid.setdefault(pid, []).append(BudgetWatcher(f, _spec_dep(f), 0))
+    # a monitor without successor neither sends nor receives
+    return [LocalMonitor(pid, by_pid[pid], {}, {}) for pid in sorted(by_pid)]
 
 
 def _spec_dep(f: Formula) -> QDep:
@@ -496,7 +496,11 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
     if deadline is not None:
         if not isinstance(deadline, list) or len(deadline) != 2:
             raise ValueError("'deadline' must be a [variable, round] pair")
-        deadline = (str(deadline[0]), _int(deadline[1], "deadline round"))
+        var = _typed(deadline[0], str, "the deadline variable")
+        if var not in graph.environment | graph.dependent:
+            raise ValueError("the deadline variable %r is not a variable "
+                             "of the graph" % var)
+        deadline = (var, _int(deadline[1], "deadline round"))
     rounds = doc.get("rounds")
     if rounds is not None:
         rounds = _int(rounds, "'rounds'")

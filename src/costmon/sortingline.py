@@ -123,11 +123,7 @@ def build_sorting_line_scenario(token: str = "white",
     specs = _white_specs() if white else _blue_specs()
     by_name = {name: f for name, _, f in specs}
     arrival_var = "A_W" if white else "A_B"
-    overall_name = "w_overall" if white else "b_overall"
     overall_bound = 5 if white else 6
-    baseline = ((overall_name, "EC",
-                 parse_formula("G ((LS1 & SC) o<=%d %s)"
-                               % (overall_bound, arrival_var))),)
     faults: Tuple[FaultSpec, ...] = ()
     recoveries: Dict[str, RecoveryAction] = {}
     if fault is not None:
@@ -148,5 +144,4 @@ def build_sorting_line_scenario(token: str = "white",
         trigger_sets={"EC": (frozenset(["LS1", "SC", "LS2", "E_W"]),
                              frozenset(["LS1", "SC", "LS2", "E_B"]))},
         deadline=(arrival_var, s + 8),
-        monitor_specs=specs,
-        baseline_specs=baseline)
+        monitor_specs=specs)

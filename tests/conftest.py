@@ -3,6 +3,7 @@ import json
 import pytest
 
 from costmon import example2_graph, load_graph, parse_formula
+from costmon.runtime import BudgetWatcher, LocalMonitor
 
 # three-process chain: I0 -> p0 -> O0 -> p1 -> O1 -> p2 -> Of
 CHAIN_DOC = json.dumps({
@@ -25,6 +26,13 @@ PIPELINE_DOC = json.dumps({
         {"pid": "p6", "inputs": ["O1", "O4", "O5"], "outputs": ["Of"], "cost": 4},
     ]
 })
+
+
+def endpoint_monitors(sc):
+    """The sorting line watched only end to end: one budget watcher for
+    the scenario's formula at EC, the producer of its right operand."""
+    return [LocalMonitor("EC", [BudgetWatcher(sc.formula, sc.formula.sub, 0)],
+                         {}, {})]
 
 
 @pytest.fixture(scope="session")

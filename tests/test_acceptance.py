@@ -20,7 +20,6 @@ from costmon import (
     Verdict,
     build_sorting_line_scenario,
     build_tableau,
-    case_monitors,
     evaluate_trace,
     evaluate_trace_with_position,
     example2_scenario,
@@ -37,6 +36,7 @@ from costmon import (
 from costmon.formulas import FalseF, TrueF
 from costmon.sortingline import PUBLISHED_BOUNDS
 
+from conftest import endpoint_monitors
 from oracles import (
     BARE_START,
     GLOBALLY_START,
@@ -233,8 +233,7 @@ def test_conveyor_case_study():
                 assert log_round == rnd
                 assert recovery.kind == kind
                 assert rep.detections[0][2] == trigger
-                base = run_scenario(
-                    sc, monitors=case_monitors(sc, baseline=True)).report
+                base = run_scenario(sc, monitors=endpoint_monitors(sc)).report
                 assert base.detecting_pid == "EC"
                 if fault == "arrival_failure":
                     # watching only the end-to-end formulas is exactly as

@@ -337,6 +337,10 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
     ({"behaviors": {"p0": 2.5}}, [], 2),
     ({"rounds": True}, [], 2),
     ({"deadline": 5}, [], 2),
+    ({"deadline": ["Of", 30]}, [], 0),
+    ({"deadline": [5, 3]}, [], 2),
+    ({"deadline": [None, 3]}, [], 2),
+    ({"deadline": ["Nope", 3]}, [], 2),
     ({"graph": dict(json.loads(PIPELINE_DOC), environment=5)}, [], 2),
     ({"rounds": -1}, [], 2),
     ({}, ["--rounds", "-1"], 64),
@@ -348,6 +352,8 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
         "fault-without-target", "recovery-without-kind",
         "recovery-factor-text", "recovery-factor-fraction",
         "latency-fraction", "rounds-bool", "deadline-number",
+        "deadline-valid", "deadline-variable-number", "deadline-variable-null",
+        "deadline-variable-unknown",
         "environment-number", "negative-rounds", "negative-rounds-flag",
         "stimulus-unknown", "trigger-set-unknown-pid",
         "trigger-set-unknown-variable", "suppressed-output-unknown"])
@@ -359,6 +365,8 @@ def test_malformed_scenario_exits_without_traceback(tmp_path, override,
         r = run_cli(command, "--scenario", str(path), *argv)
         assert r.returncode == code
         assert "Traceback" not in r.stderr
+        if code == 2:
+            assert len(r.stderr.splitlines()) == 1
 
 
 # ---------------------------------------------------------------- check

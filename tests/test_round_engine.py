@@ -3,9 +3,11 @@ round, and the engine's work against the activity of the run.
 
 ``naive_report`` is the reference: every monitor, in list order, takes a
 full step in every round and a message reaches its successor's inbox at
-once.  The engine visits only the monitors with work, so on every input
-it must produce the same report: verdict, detections, messages per round
-and detecting process, known-wrong detections included.
+once; it reads the global verdict off the monitors' verdicts and builds
+the report itself.  The engine visits only the monitors with work, so on
+every input it must produce the same report: verdict, detections,
+messages per round and detecting process, known-wrong detections
+included.
 """
 
 import json
@@ -16,7 +18,6 @@ from costmon import (
     Eventually,
     FaultSpec,
     Verdict,
-    aggregate_verdict,
     build_sorting_line_scenario,
     case_monitors,
     cli,
@@ -25,18 +26,28 @@ from costmon import (
     parse_formula,
     plan_monitors,
     random_scenario,
-    run_decentralized,
     run_scenario,
 )
-from costmon.runtime import (LocalMonitor, ResidualWatcher, compile_report,
-                             monitor_round)
+from costmon.runtime import (LocalMonitor, MonitorNetwork, MonitorReport,
+                             ResidualWatcher, monitor_round)
 from costmon.simulator import load_scenario
 from costmon.sortingline import FAULT_NAMES, TOKENS
 
 import test_golden_run
+from conftest import endpoint_monitors
 
 LIMITS = {"max_processes": 6, "max_fanout": 3, "max_cost": 3,
           "max_rounds": 20}
+
+
+def naive_verdict(monitors, eventually_rooted=False):
+    verdicts = [m.verdict for m in monitors]
+    if Verdict.TRUE in verdicts:
+        return Verdict.FALSE
+    if (eventually_rooted and verdicts
+            and all(v is Verdict.FALSE for v in verdicts)):
+        return Verdict.TRUE
+    return Verdict.UNKNOWN
 
 
 def naive_report(traces, monitors, eventually_rooted=False,
@@ -54,11 +65,36 @@ def naive_report(traces, monitors, eventually_rooted=False,
                     succ.inbox.extend(out)
                 sent += len(out)
         per_round.append(sent)
-        verdict = aggregate_verdict([m.verdict for m in monitors],
-                                    eventually_rooted=eventually_rooted)
-        if stop_early and verdict is not Verdict.UNKNOWN:
+        if (stop_early and naive_verdict(monitors, eventually_rooted)
+                is not Verdict.UNKNOWN):
             break
-    return compile_report(monitors, per_round, eventually_rooted)
+    detections = []
+    for m in monitors:
+        for w in m.watchers:
+            if w.verdict is Verdict.TRUE:
+                detections.append((w.detection_round, m.pid, w.formula))
+    detections.sort(key=lambda d: (d[0], d[1]))
+    return MonitorReport(
+        global_verdict=naive_verdict(monitors, eventually_rooted),
+        detecting_pid=detections[0][1] if detections else None,
+        detection_round=detections[0][0] if detections else None,
+        per_round_messages=tuple(per_round),
+        detections=tuple(detections))
+
+
+def network_report(traces, monitors, eventually_rooted=False):
+    """The engine over the same per-process events, stopping as soon as
+    the global verdict is decided."""
+    network = MonitorNetwork(monitors, eventually_rooted=eventually_rooted)
+    rounds = len(next(iter(traces.values()))) if traces else 0
+    per_round = []
+    for rnd in range(rounds):
+        sent, verdict = network.round(
+            rnd, {pid: t[rnd] for pid, t in traces.items()})
+        per_round.append(sent)
+        if verdict is not Verdict.UNKNOWN:
+            break
+    return network.report(per_round)
 
 
 def _planned(sc):
@@ -72,8 +108,8 @@ def assert_engine_matches_naive(sc, make_monitors):
     res = run_scenario(sc, monitors=make_monitors(sc))
     traces = res.per_process_traces
     assert res.report == naive_report(traces, make_monitors(sc), rooted)
-    # the same events through run_decentralized, which stops at a verdict
-    assert (run_decentralized(traces, make_monitors(sc), root=sc.formula)
+    # the same events through the engine alone, stopping at a verdict
+    assert (network_report(traces, make_monitors(sc), rooted)
             == naive_report(traces, make_monitors(sc), rooted,
                             stop_early=True))
     return res.report
@@ -88,8 +124,7 @@ def test_random_scenarios_match_the_naive_loop(seed):
 @pytest.mark.parametrize("token", TOKENS)
 def test_sorting_line_matches_the_naive_loop(token, fault):
     sc = build_sorting_line_scenario(token=token, fault=fault)
-    for make in (case_monitors, lambda s: case_monitors(s, baseline=True),
-                 _planned):
+    for make in (case_monitors, endpoint_monitors, _planned):
         assert_engine_matches_naive(sc, make)
 
 
@@ -123,9 +158,9 @@ def test_monitor_round_replays_like_the_naive_loop():
         for rnd in range(len(next(iter(traces.values())))):
             sent, verdict = monitor_round(
                 mons, {pid: t[rnd] for pid, t in traces.items()}, rnd)
-            assert verdict is aggregate_verdict([m.verdict for m in mons])
+            assert verdict is naive_verdict(mons)
             per_round.append(sent)
-        assert (compile_report(mons, per_round, False)
+        assert (MonitorNetwork(mons).report(per_round)
                 == naive_report(traces, _planned(sc)))
 
 
@@ -178,8 +213,8 @@ def test_all_refuted_conjuncts_confirm_an_eventuality_rooted_property():
     # the count of refuted monitors must reach the total: every monitor
     # progresses G !a, which a refutes
     def monitors():
-        return [LocalMonitor(pid, parse_formula("G !a"),
-                             [ResidualWatcher(parse_formula("G !a"))], {}, {})
+        return [LocalMonitor(pid, [ResidualWatcher(parse_formula("G !a"))],
+                             {}, {})
                 for pid in ("p0", "p1")]
 
     idle, seen = make_event(cost=1), make_event(("a",), cost=1)
@@ -187,7 +222,7 @@ def test_all_refuted_conjuncts_confirm_an_eventuality_rooted_property():
     for root, verdict in ((parse_formula("F a"), Verdict.TRUE),
                           (parse_formula("G a"), Verdict.UNKNOWN)):
         rooted = isinstance(root, Eventually)
-        report = run_decentralized(traces, monitors(), root=root)
+        report = network_report(traces, monitors(), rooted)
         assert report == naive_report(traces, monitors(), rooted,
                                       stop_early=True)
         assert report.global_verdict is verdict

@@ -1,11 +1,8 @@
 """Decentralized monitor execution against the centralized oracle."""
 
-import pytest
-
 from costmon import (
     FaultSpec,
     Verdict,
-    aggregate_verdict,
     evaluate_trace,
     evaluate_trace_with_position,
     example2_scenario,
@@ -14,10 +11,10 @@ from costmon import (
     plan_monitors,
     parse_formula,
     random_scenario,
-    run_decentralized,
     run_scenario,
     synthesize_monitors,
 )
+from costmon.runtime import LocalMonitor, MonitorNetwork
 
 from conftest import CHAIN_DOC
 
@@ -53,7 +50,7 @@ def test_shared_group_members_carry_the_same_formula():
     chain = load_graph(CHAIN_DOC)
     plan, mons = monitors_for("!O0", chain)
     assert len(plan.groups) == 1
-    assert len({m.assigned for m in mons}) == 1
+    assert len({m.group_atoms for m in mons}) == 1
     assert [m.pid for m in mons] == list(plan.groups[0].members)
 
 
@@ -116,7 +113,7 @@ def test_empty_traces_resolve_immediately(pipeline, phi_pipeline):
     plan = plan_monitors(phi_pipeline, pipeline)
     mons = synthesize_monitors(plan.groups, plan.assignment, plan.index_table,
                                graph=pipeline)
-    rep = run_decentralized({p.pid: [] for p in pipeline.processes}, mons)
+    rep = MonitorNetwork(mons).report([])
     assert rep.global_verdict is U
     assert rep.rounds_run == 0
 
@@ -130,28 +127,33 @@ def test_singleton_groups_never_talk():
 def test_shared_group_announces_resolved_values_downstream():
     chain = load_graph(CHAIN_DOC)
     _, mons = monitors_for("!O0", chain)
-    traces = {"p0": [make_event(props=("O0",), cost=1), make_event(cost=1)],
-              "p1": [make_event(cost=1)] * 2,
-              "p2": [make_event(cost=1)] * 2}
-    rep = run_decentralized(traces, mons)
+    network = MonitorNetwork(mons)
+    sent, verdict = network.round(0, {"p0": make_event(props=("O0",), cost=1),
+                                      "p1": make_event(cost=1),
+                                      "p2": make_event(cost=1)})
+    assert verdict is F
+    rep = network.report([sent])
     assert rep.global_verdict is F
     assert rep.detecting_pid == "p2"  # last in the relay order confirms
     assert rep.per_round_messages == (2,)
 
 
-def test_mismatched_trace_lengths_are_rejected():
-    chain = load_graph(CHAIN_DOC)
-    _, mons = monitors_for("G (I0 o<=5 O0)", chain)
-    traces = {"p0": [make_event(cost=1)], "p1": [], "p2": []}
-    with pytest.raises(ValueError):
-        run_decentralized(traces, mons)
+def _verdict_of(verdicts, eventually_rooted=False):
+    monitors = []
+    for i, v in enumerate(verdicts):
+        m = LocalMonitor("p%d" % i, [], {}, {})
+        m.verdict = v
+        monitors.append(m)
+    network = MonitorNetwork(monitors, eventually_rooted=eventually_rooted)
+    return network.verdict
 
 
 def test_aggregation_table():
-    assert aggregate_verdict([U, T]) is F
-    assert aggregate_verdict([U, U]) is U
-    assert aggregate_verdict([F, F]) is U
-    assert aggregate_verdict([F, F], eventually_rooted=True) is T
+    assert _verdict_of([U, T]) is F
+    assert _verdict_of([U, U]) is U
+    assert _verdict_of([F, F]) is U
+    assert _verdict_of([F, F], eventually_rooted=True) is T
+    assert _verdict_of([], eventually_rooted=True) is U
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -10,15 +12,24 @@ from costmon import (
     FaultSpec,
     GraphError,
     Verdict,
+    atoms,
     build_sorting_line_scenario,
-    case_monitors,
+    cli,
+    evaluate_trace_with_position,
     example2_scenario,
+    latched,
     load_scenario,
+    make_event,
     random_scenario,
     run_scenario,
 )
 from costmon.depgraph import DependencyGraph, Process
+from costmon.formulas import Event
 from costmon.simulator import Scenario, run_simulation
+from costmon.sortingline import FAULT_NAMES, TOKENS
+
+import test_golden_run
+from conftest import endpoint_monitors
 
 LIMITS = {"max_processes": 5, "max_fanout": 3, "max_cost": 3, "max_rounds": 15}
 
@@ -47,6 +58,72 @@ def test_global_trace_unions_local_props_at_unit_cost():
         for k, event in enumerate(res.global_trace):
             assert event.props == frozenset().union(*(t[k].props for t in traces))
             assert event.cost == 1
+
+
+# ---------------------------------------------------------------------------
+# the latched view the centralized oracle reads
+
+def test_latched_view_holds_every_proposition_seen_so_far():
+    rng = random.Random(5)
+    for _ in range(300):
+        trace = [make_event(rng.sample("abcd", rng.randint(0, 2)),
+                            rng.randint(0, 2))
+                 for _ in range(rng.randint(0, 8))]
+        view = latched(trace)
+        assert len(view) == len(trace)
+        for k, event in enumerate(view):
+            assert event.props == frozenset().union(
+                *(e.props for e in trace[:k + 1]))
+            assert event.cost == trace[k].cost
+
+
+def test_oracle_verdict_reads_only_the_formulas_atoms():
+    # check latches the global trace restricted to the formula's atoms;
+    # the verdict and its position must be those of the full view
+    scenarios = [random_scenario(seed, cli.RANDOM_LIMITS)
+                 for seed in range(60)]
+    scenarios += [load_scenario(json.dumps(doc))
+                  for doc in test_golden_run._scenarios().values()]
+    scenarios += [build_sorting_line_scenario(token, fault)
+                  for token in TOKENS for fault in (None,) + FAULT_NAMES]
+    decided = 0
+    for sc in scenarios:
+        trace = run_scenario(sc).global_trace
+        names = atoms(sc.formula)
+        full = evaluate_trace_with_position(sc.formula, latched(trace))
+        restricted = evaluate_trace_with_position(sc.formula, latched(
+            Event(e.props & names, e.cost) for e in trace))
+        assert restricted == full
+        decided += full[0] is not Verdict.UNKNOWN
+    assert decided > 0
+
+
+def test_check_on_a_thousand_process_chain_stays_small(tmp_path, capsys):
+    # the run keeps one trace and the oracle latches only the formula's
+    # atoms, so the peak is far below the P x R events of per-process
+    # traces or a latched view of every variable
+    n = 1000
+    costs = [1 + i % 3 for i in range(n)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "graph": {"processes": [
+            {"pid": "p%d" % i, "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
+             "outputs": ["Of" if i == n - 1 else "O%d" % i], "cost": c}
+            for i, c in enumerate(costs)], "environment": ["I0"]},
+        "stimuli": {"1": ["I0"]},
+        "faults": [{"target": "p%d" % (n // 3), "kind": "delay",
+                    "extra": 2}],
+        "formula": "G (I0 o<=%d Of)" % sum(costs),
+        "rounds": sum(costs) + 6}))
+    tracemalloc.start()
+    try:
+        code = cli.main(["check", "--scenario", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "agree: False" in capsys.readouterr().out
+    assert peak <= 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +294,7 @@ def test_second_sensor_replaces_the_lost_count():
 def test_endpoint_only_monitor_detects_later():
     for token, rnd in (("white", 7), ("blue", 8)):
         sc = build_sorting_line_scenario(token=token, fault="trigger_failure")
-        rep = run_scenario(sc, monitors=case_monitors(sc, baseline=True)).report
+        rep = run_scenario(sc, monitors=endpoint_monitors(sc)).report
         assert (rep.detection_round, rep.detecting_pid) == (rnd, "EC")
         integrated = run_scenario(sc).report
         assert integrated.detection_round < rnd
