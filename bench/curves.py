@@ -88,7 +88,7 @@ def pipeline(text: str):
 
     def assign():
         state["assignment"] = grouping.assign_conjuncts(state["groups"],
-                                                        state["unwound"])
+                                                        state["sc"].graph)
 
     def synth():
         index = formulas.subformula_index(state["negated"])

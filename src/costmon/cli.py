@@ -366,16 +366,6 @@ def _assemble_scenario(args) -> Scenario:
     return sc
 
 
-def _trace_log_lines(result: SimulationResult) -> list:
-    lines = []
-    for pid in sorted(result.per_process_traces):
-        for rnd, event in enumerate(result.per_process_traces[pid]):
-            props = ",".join(sorted(event.props)) or "-"
-            lines.append("  round %-3d %-4s %s  cost %d"
-                         % (rnd, pid, props, event.cost))
-    return lines
-
-
 def _result_document(name: str, rounds: int, result: SimulationResult) -> dict:
     report = result.report
     return {
@@ -401,30 +391,34 @@ def _result_document(name: str, rounds: int, result: SimulationResult) -> dict:
     }
 
 
-def _result_text(name: str, rounds: int, result: SimulationResult) -> str:
-    report = result.report
-    lines = ["scenario: %s" % name, "rounds: %d" % rounds,
-             "verdict: %s" % _verdict(report.global_verdict)]
-    if report.detection_round is not None:
-        lines.append("detection: round %d by %s"
-                     % (report.detection_round, report.detecting_pid))
-    for r, pid, f in report.detections:
-        lines.append("  violated at round %d by %s: %s"
-                     % (r, pid, render_formula(f)))
-    lines.append("recovery log:" if result.recovery_log
+def _verdict_lines(doc: dict) -> list:
+    """The verdict and detection lines of a result document."""
+    lines = ["verdict: %s" % doc["verdict"]]
+    if doc["detection_round"] is not None:
+        lines.append("detection: round %(detection_round)d by "
+                     "%(detecting_pid)s" % doc)
+    return lines
+
+
+def _result_text(doc: dict) -> str:
+    lines = ["scenario: %(scenario)s" % doc, "rounds: %(rounds)d" % doc]
+    lines += _verdict_lines(doc)
+    lines += ["  violated at round %(round)d by %(pid)s: %(formula)s" % d
+              for d in doc["detections"]]
+    lines.append("recovery log:" if doc["recovery_log"]
                  else "recovery log: empty")
-    for r, fault, action, trig in result.recovery_log:
-        lines.append("  round %d  %s  fault %s@%s  via %s"
-                     % (r, action.kind, fault.kind, fault.target,
-                        render_formula(trig)))
-    if result.outcome is not None:
-        lines.append("outcome: %s" % result.outcome)
-    if result.effective_deadline is not None:
-        lines.append("effective deadline: round %d"
-                     % result.effective_deadline)
-    lines.append("messages total: %d" % report.message_total)
+    lines += ["  round %(round)d  %(action)s  fault %(fault)s  via "
+              "%(formula)s" % d for d in doc["recovery_log"]]
+    if doc["outcome"] is not None:
+        lines.append("outcome: %(outcome)s" % doc)
+    if doc["effective_deadline"] is not None:
+        lines.append("effective deadline: round %(effective_deadline)d" % doc)
+    lines.append("messages total: %(messages_total)d" % doc)
     lines.append("trace log:")
-    lines.extend(_trace_log_lines(result))
+    for pid, events in doc["trace_log"].items():
+        lines += ["  round %-3d %-4s %s  cost %d"
+                  % (e["round"], pid, ",".join(e["props"]) or "-", e["cost"])
+                  for e in events]
     return "\n".join(lines)
 
 
@@ -438,22 +432,33 @@ def cmd_simulate(args) -> int:
     sc = _assemble_scenario(args)
     rounds = _rounds(args, sc)
     result = run_scenario(sc, rounds)
+    doc = _result_document(args.scenario, rounds, result)
     if args.format == "json":
-        _emit(args, json.dumps(_result_document(args.scenario, rounds, result),
-                               indent=2, sort_keys=True))
+        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
-    text = _result_text(args.scenario, rounds, result)
+    _emit(args, _result_text(doc))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        report = result.report
-        print("verdict: %s" % _verdict(report.global_verdict))
-        if report.detection_round is not None:
-            print("detection: round %d by %s"
-                  % (report.detection_round, report.detecting_pid))
-    else:
-        print(text)
+        print("\n".join(_verdict_lines(doc)))
     return EXIT_OK
+
+
+def _check_text(doc: dict) -> str:
+    lines = ["formula: %(formula)s" % doc,
+             "decentralized: %(decentralized)s" % doc,
+             "centralized: %(centralized)s" % doc]
+    if doc["detection_round"] is not None:
+        lines[1] += " at round %(detection_round)d by %(detecting_pid)s" % doc
+    if doc["centralized_position"] is not None:
+        lines[2] += " at position %(centralized_position)d" % doc
+    if not doc["agree"]:
+        lines.append("DISAGREE: decentralized %(decentralized)s, "
+                     "centralized %(centralized)s" % doc)
+    elif doc["decentralized"] == "False":
+        lines.append("agree: False; decentralized round %(detection_round)d "
+                     "<= centralized round %(centralized_position)d" % doc)
+    else:
+        lines.append("agree: %(decentralized)s" % doc)
+    return "\n".join(lines)
 
 
 def cmd_check(args) -> int:
@@ -481,48 +486,21 @@ def cmd_check(args) -> int:
     names = atoms(formula)
     central, position = evaluate_trace_with_position(formula, latched(
         Event(e.props & names, e.cost) for e in result.global_trace))
-    dec = report.global_verdict
-    agree = False
-    if dec is central is Verdict.UNKNOWN:
-        agree = True
-    elif dec is central is Verdict.TRUE:
-        agree = True
-    elif dec is central is Verdict.FALSE:
-        agree = (report.detection_round is not None
-                 and position is not None
-                 and report.detection_round <= position)
-    lines = ["formula: %s" % render_formula(formula),
-             "decentralized: %s%s" % (
-                 _verdict(dec),
-                 "" if report.detection_round is None
-                 else " at round %d by %s" % (report.detection_round,
-                                              report.detecting_pid)),
-             "centralized: %s%s" % (
-                 _verdict(central),
-                 "" if position is None else " at position %d" % position)]
-    if agree:
-        if dec is Verdict.FALSE:
-            lines.append("agree: False; decentralized round %d <= "
-                         "centralized round %d"
-                         % (report.detection_round, position))
-        else:
-            lines.append("agree: %s" % _verdict(dec))
-    else:
-        lines.append("DISAGREE: decentralized %s, centralized %s"
-                     % (_verdict(dec), _verdict(central)))
-    if args.format == "json":
-        doc = {
-            "formula": render_formula(formula),
-            "decentralized": _verdict(dec),
-            "detection_round": report.detection_round,
-            "detecting_pid": report.detecting_pid,
-            "centralized": _verdict(central),
-            "centralized_position": position,
-            "agree": agree,
-        }
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        _emit(args, "\n".join(lines))
+    dec, det = report.global_verdict, report.detection_round
+    agree = dec is central and (
+        dec is not Verdict.FALSE
+        or det is not None and position is not None and det <= position)
+    doc = {
+        "formula": render_formula(formula),
+        "decentralized": _verdict(dec),
+        "detection_round": det,
+        "detecting_pid": report.detecting_pid,
+        "centralized": _verdict(central),
+        "centralized_position": position,
+        "agree": agree,
+    }
+    _emit(args, json.dumps(doc, indent=2, sort_keys=True)
+          if args.format == "json" else _check_text(doc))
     return EXIT_OK if agree else EXIT_DISAGREE
 
 

@@ -394,25 +394,11 @@ def progress(f: Formula, event: Event) -> Formula:
     if isinstance(f, Atom):
         return TRUE if f.name in event.props else FALSE
     if isinstance(f, Not):
-        g = f.sub
-        if isinstance(g, Atom):
-            return FALSE if g.name in event.props else TRUE
-        if isinstance(g, QDep):
-            # Holds only if the left operand activates and the right never
-            # lands within budget.
-            if not eval_props(g.left, event.props):
-                return FALSE
-            if eval_props(g.right, event.props):
-                return FALSE
-            return Not(Budget(g.right, g.bound))
-        if isinstance(g, Budget):
-            remaining = g.remaining - event.cost
-            if remaining < 0:
-                return TRUE
-            if eval_props(g.target, event.props):
-                return FALSE
-            return Not(Budget(g.target, remaining))
-        return progress(nnf(f), event)
+        if not isinstance(f.sub, (Atom, QDep, Budget)):
+            return progress(nnf(f), event)
+        # a negated literal steps as the dual of its literal
+        g = progress(f.sub, event)
+        return FALSE if g is TRUE else TRUE if g is FALSE else Not(g)
     if isinstance(f, And):
         return _progress_nest(And, [progress(g, event)
                                     for g in conjuncts_of(f)])

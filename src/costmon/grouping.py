@@ -222,18 +222,16 @@ def dep_core(f: Formula) -> Optional[QDep]:
 
 
 def assign_conjuncts(groups: Sequence[MonitorGroup],
-                     unwound) -> Dict[str, Formula]:
-    """Give each dependency conjunct to the process that produced it during
-    unwinding (the producer of its right operand).  Formulas without an
+                     graph: DependencyGraph) -> Dict[str, Formula]:
+    """Give each dependency conjunct to its sole owner, the producer of its
+    right operand (the rule that also splits groups).  Formulas without an
     attributable dependency stay with the whole group and are not listed."""
-    owner_of = {dep: pid for pid, dep in unwound.entries}
     out: Dict[str, Formula] = {}
     for group in groups:
         for f in group.branch_formulas:
-            dep = dep_core(f)
-            if dep is None:
+            if dep_core(f) is None:
                 continue
-            pid = owner_of.get(dep)
+            pid = _sole_owner(f, graph)
             if pid is None:
                 # right operand has no producer (a dependency between
                 # environment variables cannot be pinned on any process)

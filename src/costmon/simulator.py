@@ -96,7 +96,6 @@ class Scenario:
     stimuli: Dict[int, frozenset]  # round -> environment variables pulsing
     faults: Tuple[FaultSpec, ...] = ()
     recoveries: Dict[str, RecoveryAction] = field(default_factory=dict)
-    seed: int = 0
     formula: Optional[Formula] = None
     suggested_rounds: Optional[int] = None
     # variables a colorway never emits (classifier stays silent on the
@@ -179,7 +178,7 @@ def plan_monitors(f: Formula, graph: DependencyGraph) -> MonitorPlan:
     negated = negate(unwound.formula)
     root = build_tableau(negated)
     groups = organize_groups(root, negated, graph)
-    assignment = assign_conjuncts(groups, unwound)
+    assignment = assign_conjuncts(groups, graph)
     index_table = subformula_index(negated)
     return MonitorPlan(f, graph, unwound, negated, tuple(groups),
                        assignment, index_table)
@@ -430,8 +429,8 @@ def example2_scenario(fault: Optional[FaultSpec] = None,
 
 
 _SCENARIO_KEYS = frozenset([
-    "graph", "behaviors", "stimuli", "faults", "recoveries", "seed",
-    "formula", "rounds", "deadline", "suppressed_outputs", "trigger_sets"])
+    "graph", "behaviors", "stimuli", "faults", "recoveries", "formula",
+    "rounds", "deadline", "suppressed_outputs", "trigger_sets"])
 
 
 def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
@@ -521,7 +520,6 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
         stimuli=stimuli,
         faults=tuple(faults),
         recoveries=recoveries,
-        seed=_int(doc.get("seed", 0), "seed"),
         formula=formula,
         suggested_rounds=rounds,
         suppressed_outputs=_names(doc.get("suppressed_outputs", []),
@@ -637,6 +635,7 @@ def _build_random(rng: random.Random, n: int, max_fan: int, cost_cap: int,
     if rng.random() < 0.6:
         fault = FaultSpec(target="p%d" % rng.randrange(n), kind="drop",
                           at_round=0)
+    rng.randint(0, 2 ** 31)  # unused, but a retry's draws follow it
     left = conj([Atom(v) for v in sorted(env_vars)])
     formula = Globally(QDep(left, Atom(sink_var), q))
     scenario = Scenario(
@@ -644,7 +643,6 @@ def _build_random(rng: random.Random, n: int, max_fan: int, cost_cap: int,
         behaviors={p.pid: p.cost for p in procs},
         stimuli={s: frozenset(env_vars)},
         faults=(fault,) if fault is not None else (),
-        seed=rng.randint(0, 2 ** 31),
         formula=formula,
         suggested_rounds=needed)
     return scenario, needed

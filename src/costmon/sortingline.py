@@ -3,12 +3,12 @@ eject, and arrival confirmation stages, each guarded by a budgeted watcher
 at the process that can observe it.
 
 The published per-watcher budget table is kept verbatim as
-``PUBLISHED_BOUNDS``; the overall arrival watchers run with the bound of
-the end-to-end property itself (one step larger), which is the loosest
-setting under which a nominal token never raises an alarm.  A token run
-deploys only the matching color family; the classifier of the other color
-stays silent, so the confirmation stage starts on whichever ejector
-reports first.
+``PUBLISHED_BOUNDS``, and each deployed watcher row reads its bound from
+it.  Only the arrival watchers run one step wider, with the bound of the
+end-to-end property itself, which is the loosest setting under which a
+nominal token never raises an alarm.  A token run deploys only the
+matching color family; the classifier of the other color stays silent,
+so the confirmation stage starts on whichever ejector reports first.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from .depgraph import DependencyGraph, load_graph
-from .formulas import Formula, parse_formula
+from .formulas import parse_formula
 from .simulator import FaultSpec, RecoveryAction, Scenario
 
 SORTING_LINE_GRAPH_JSON = """{
@@ -56,57 +56,40 @@ def sorting_line_graph() -> DependencyGraph:
     return load_graph(SORTING_LINE_GRAPH_JSON)
 
 
-def _white_specs() -> Tuple[Tuple[str, str, Formula], ...]:
-    return (
-        ("trigger", "TD", parse_formula("G ((LS1 & SC) o<=1 T_CS)")),
-        ("step_count", "TD", parse_formula("G ((LS1 & SC) o<=2 SC_CP)")),
-        ("w_classify", "WBR", parse_formula("G (T_CS o<=2 CV_W)")),
-        ("w_eject", "WBR", parse_formula("G ((CV_W & SC_CP) o<=2 E_W)")),
-        ("w_arrival", "EC", parse_formula("G ((LS1 & SC) o<=5 A_W)")),
-    )
+# one color family's watcher table: (row, watching pid, formula); {c} and
+# {C} stand for the token color's initial, lower and upper case
+_WATCHER_ROWS = (
+    ("trigger", "TD", "G ((LS1 & SC) o<={bound} T_CS)"),
+    ("step_count", "TD", "G ((LS1 & SC) o<={bound} SC_CP)"),
+    ("{c}_classify", "{C}BR", "G (T_CS o<={bound} CV_{C})"),
+    ("{c}_eject", "{C}BR", "G ((CV_{C} & SC_CP) o<={bound} E_{C})"),
+    ("{c}_arrival", "EC", "G ((LS1 & SC) o<={bound} A_{C})"),
+)
+
+# the five known failure modes, mapped onto drop and delay primitives:
+# fault -> (target, kind, recovery, watcher row designated to catch it)
+_FAULT_PLANS = {
+    "trigger_failure": ("T_CS", "trigger_failure", "eject_to_bin3",
+                        "trigger"),
+    "lost_step_count": ("SC_CP", "drop", "reference_second_sensor",
+                        "step_count"),
+    "classify_delay": ("{C}CP", "delay", "reduce_belt_speed",
+                       "{c}_classify"),
+    "eject_delay": ("{C}BR", "delay", "reduce_belt_speed", "{c}_eject"),
+    "arrival_failure": ("A_{C}", "drop", "eject_to_bin3", "{c}_arrival"),
+}
 
 
-def _blue_specs() -> Tuple[Tuple[str, str, Formula], ...]:
-    return (
-        ("trigger", "TD", parse_formula("G ((LS1 & SC) o<=1 T_CS)")),
-        ("step_count", "TD", parse_formula("G ((LS1 & SC) o<=2 SC_CP)")),
-        ("b_classify", "BBR", parse_formula("G (T_CS o<=2 CV_B)")),
-        ("b_eject", "BBR", parse_formula("G ((CV_B & SC_CP) o<=2 E_B)")),
-        ("b_arrival", "EC", parse_formula("G ((LS1 & SC) o<=6 A_B)")),
-    )
-
-
-def _fault_plan(name: str, token: str,
-                specs: Dict[str, Formula]) -> Tuple[FaultSpec, RecoveryAction]:
-    """The five known failure modes, mapped onto drop and delay primitives,
-    each paired with the watcher designated to catch it and the recovery
-    the line takes on that watcher's report."""
-    white = token == "white"
-    if name == "trigger_failure":
-        return (FaultSpec("T_CS", "trigger_failure", 0),
-                RecoveryAction("eject_to_bin3", trigger=specs["trigger"]))
-    if name == "lost_step_count":
-        return (FaultSpec("SC_CP", "drop", 0),
-                RecoveryAction("reference_second_sensor",
-                               trigger=specs["step_count"],
-                               params=(("variable", "SC_CP"),)))
-    if name == "classify_delay":
-        pid = "WCP" if white else "BCP"
-        key = "w_classify" if white else "b_classify"
-        return (FaultSpec(pid, "delay", 0, extra=DELAY_EXTRA),
-                RecoveryAction("reduce_belt_speed", trigger=specs[key]))
-    if name == "eject_delay":
-        pid = "WBR" if white else "BBR"
-        key = "w_eject" if white else "b_eject"
-        return (FaultSpec(pid, "delay", 0, extra=DELAY_EXTRA),
-                RecoveryAction("reduce_belt_speed", trigger=specs[key]))
-    if name == "arrival_failure":
-        var = "A_W" if white else "A_B"
-        key = "w_arrival" if white else "b_arrival"
-        return (FaultSpec(var, "drop", 0),
-                RecoveryAction("eject_to_bin3", trigger=specs[key]))
-    raise ValueError("unknown fault %r; known: %s"
-                     % (name, ", ".join(FAULT_NAMES)))
+def _watcher_rows(color: Dict[str, str]) -> tuple:
+    """One color family's watcher table, each bound read from
+    ``PUBLISHED_BOUNDS`` and the arrival row's one unit wider."""
+    out = []
+    for row, pid, text in _WATCHER_ROWS:
+        row = row.format(**color)
+        bound = PUBLISHED_BOUNDS[row] + row.endswith("_arrival")
+        out.append((row, pid.format(**color),
+                    parse_formula(text.format(bound=bound, **color))))
+    return tuple(out)
 
 
 def build_sorting_line_scenario(token: str = "white",
@@ -119,29 +102,38 @@ def build_sorting_line_scenario(token: str = "white",
         raise ValueError("token must be one of %s" % (TOKENS,))
     g = sorting_line_graph()
     s = stimulus_round
-    white = token == "white"
-    specs = _white_specs() if white else _blue_specs()
+    color = {"c": token[0], "C": token[0].upper()}
+    specs = _watcher_rows(color)
     by_name = {name: f for name, _, f in specs}
-    arrival_var = "A_W" if white else "A_B"
-    overall_bound = 5 if white else 6
     faults: Tuple[FaultSpec, ...] = ()
     recoveries: Dict[str, RecoveryAction] = {}
     if fault is not None:
-        f, action = _fault_plan(fault, token, by_name)
+        if fault not in _FAULT_PLANS:
+            raise ValueError("unknown fault %r; known: %s"
+                             % (fault, ", ".join(FAULT_NAMES)))
+        target, kind, recovery, row = (
+            x.format(**color) for x in _FAULT_PLANS[fault])
+        # the second sensor stands in for the variable that went missing
+        params = ((("variable", target),)
+                  if recovery == "reference_second_sensor" else ())
+        f = FaultSpec(target, kind, 0,
+                      extra=DELAY_EXTRA if kind == "delay" else 0)
         faults = (f,)
-        recoveries = {f.key: action}
-    suppressed = frozenset(("CV_B", "A_B") if white else ("CV_W", "A_W"))
+        recoveries = {f.key: RecoveryAction(recovery, trigger=by_name[row],
+                                            params=params)}
+    suppressed = frozenset(("CV_B", "A_B") if token == "white"
+                           else ("CV_W", "A_W"))
     return Scenario(
         graph=g,
         behaviors={p.pid: p.cost for p in g.processes},
         stimuli={s: frozenset(["LS1", "SC", "LS2"])},
         faults=faults,
         recoveries=recoveries,
-        formula=parse_formula("G ((LS1 & SC) o<=%d %s)"
-                              % (overall_bound, arrival_var)),
+        # the end-to-end property is the arrival watcher's own formula
+        formula=by_name[token[0] + "_arrival"],
         suggested_rounds=rounds,
         suppressed_outputs=suppressed,
         trigger_sets={"EC": (frozenset(["LS1", "SC", "LS2", "E_W"]),
                              frozenset(["LS1", "SC", "LS2", "E_B"]))},
-        deadline=(arrival_var, s + 8),
+        deadline=("A_" + color["C"], s + 8),
         monitor_specs=specs)

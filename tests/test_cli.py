@@ -348,6 +348,7 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
     ({"trigger_sets": {"p9": [["O0"]]}}, [], 2),
     ({"trigger_sets": {"p2": [["O0", "O9"]]}}, [], 2),
     ({"suppressed_outputs": ["O9"]}, [], 2),
+    ({"seed": 3}, [], 2),
 ], ids=["valid", "stimuli-list", "stimulus-not-names", "behaviors-list",
         "fault-without-target", "recovery-without-kind",
         "recovery-factor-text", "recovery-factor-fraction",
@@ -356,7 +357,8 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
         "deadline-variable-unknown",
         "environment-number", "negative-rounds", "negative-rounds-flag",
         "stimulus-unknown", "trigger-set-unknown-pid",
-        "trigger-set-unknown-variable", "suppressed-output-unknown"])
+        "trigger-set-unknown-variable", "suppressed-output-unknown",
+        "seed-key"])
 def test_malformed_scenario_exits_without_traceback(tmp_path, override,
                                                     argv, code):
     path = tmp_path / "scenario.json"

@@ -280,6 +280,39 @@ def test_dep_vacuous_when_anchor_fails():
     assert evaluate_trace(QDep(a, b, 1), [E((), 9)]) == Verdict.TRUE
 
 
+# every literal [8/8] steps: atoms, dependencies with q in 0..4 and
+# budgets with 0..4 remaining
+LITERALS = ([a, b] + [QDep(left, b, q) for left in (a, b, And(a, b))
+                      for q in range(5)]
+            + [Budget(b, r) for r in range(5)])
+
+
+def _dual(f):
+    return FALSE if f == TRUE else TRUE if f == FALSE else Not(f)
+
+
+@pytest.mark.parametrize("lit", LITERALS, ids=render_formula)
+def test_negated_literal_steps_as_the_dual_of_its_literal(lit):
+    for e in EVENTS2:
+        assert progress(Not(lit), e) == _dual(progress(lit, e)), e
+    # and each negated literal keeps its own step rule: a negated
+    # dependency stays open only if it activates without its right operand
+    # at once, a negated budget holds once overrun
+    for e in EVENTS2:
+        r = progress(Not(lit), e)
+        if type(lit) is Atom:
+            assert r == (FALSE if lit.name in e.props else TRUE), e
+        elif type(lit) is QDep:
+            opens = atoms(lit.left) <= e.props and "b" not in e.props
+            assert r == (Not(Budget(b, lit.bound)) if opens else FALSE), e
+        else:
+            left = lit.remaining - e.cost
+            assert r == (TRUE if left < 0 else FALSE if "b" in e.props
+                         else Not(Budget(b, left))), e
+    for tr in all_traces(EVENTS2, 3):
+        assert evaluate_trace(Not(lit), tr) is flip(evaluate_trace(lit, tr))
+
+
 def _residual_sizes(f, events):
     """Node count of each residual of progressing ``f`` over ``events``."""
     r, sizes = nnf(f), []

@@ -14,18 +14,27 @@ from costmon import (
     UnobservableAtomError,
     assign_conjuncts,
     atoms,
+    build_sorting_line_scenario,
     build_tableau,
+    cli,
     evaluate_trace,
+    example2_scenario,
     load_graph,
+    load_scenario,
     make_event,
     negate,
     organize_groups,
     parse_formula,
     plan_monitors,
+    random_scenario,
     unwind,
 )
-from costmon.grouping import grow_groups
+from costmon.formulas import disj
+from costmon.grouping import dep_core, grow_groups
+from costmon.sortingline import FAULT_NAMES, TOKENS
 from oracles import merged_groups
+
+import test_golden_run
 
 TWO_PROC_DOC = json.dumps({"processes": [
     {"pid": "p0", "inputs": ["e"], "outputs": ["a"], "cost": 1},
@@ -59,7 +68,7 @@ def test_pipeline_groups_are_singletons(pipeline, phi_pipeline):
 
 def test_pipeline_assignment_rows(pipeline, phi_pipeline):
     plan = plan_monitors(phi_pipeline, pipeline)
-    assign = assign_conjuncts(plan.groups, plan.unwound)
+    assign = assign_conjuncts(plan.groups, pipeline)
     assert len(assign) == 7
     assert assign["p0"] == fnot("(I0 o<=11 O0)")
     assert assign["p6"] == fnot("((O1 & (O4 & O5)) o<=20 Of)")
@@ -162,7 +171,50 @@ def test_conjunct_without_producer_is_rejected(pipeline):
     neg = negate(u.formula)
     groups = organize_groups(build_tableau(neg), neg, graph=pipeline)
     with pytest.raises(UnobservableAtomError, match="no producing member"):
-        assign_conjuncts(groups, u)
+        assign_conjuncts(groups, pipeline)
+
+
+def _emitting_owners(groups, unwound):
+    """Reference owner rule: each dependency conjunct goes to the process
+    whose unwinding emitted its dependency."""
+    owner_of = {dep: pid for pid, dep in unwound.entries}
+    out = {}
+    for group in groups:
+        for f in group.branch_formulas:
+            dep = dep_core(f)
+            if dep is None:
+                continue
+            pid = owner_of[dep]
+            out[pid] = f if pid not in out else disj([out[pid], f])
+    return out
+
+
+def _assignment_inputs():
+    """(formula, graph) of the golden-run scenario files, 200 random
+    scenarios, example2, and the sorting line: both tokens under every
+    fault, and each of its watcher rows on its own."""
+    scenarios = [load_scenario(json.dumps(doc))
+                 for doc in test_golden_run._scenarios().values()]
+    scenarios += [random_scenario(seed, cli.RANDOM_LIMITS)
+                  for seed in range(200)]
+    scenarios.append(example2_scenario())
+    scenarios += [build_sorting_line_scenario(token, fault)
+                  for token in TOKENS for fault in (None,) + FAULT_NAMES]
+    for sc in scenarios:
+        yield sc.formula, sc.graph
+        for _, _, row in sc.monitor_specs:
+            yield row, sc.graph
+
+
+def test_owner_is_the_emitting_process():
+    # the sole owner (the producer of the right operand) is the process
+    # unwinding emitted the conjunct for
+    for f, graph in _assignment_inputs():
+        u = unwind(f, graph)
+        neg = negate(u.formula)
+        groups = organize_groups(build_tableau(neg), neg, graph)
+        want = _emitting_owners(groups, u)
+        assert want and assign_conjuncts(groups, graph) == want, f
 
 
 # ---------------------------------------------------------------------------

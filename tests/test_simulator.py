@@ -26,7 +26,7 @@ from costmon import (
 from costmon.depgraph import DependencyGraph, Process
 from costmon.formulas import Event
 from costmon.simulator import Scenario, run_simulation
-from costmon.sortingline import FAULT_NAMES, TOKENS
+from costmon.sortingline import FAULT_NAMES, PUBLISHED_BOUNDS, TOKENS
 
 import test_golden_run
 from conftest import endpoint_monitors
@@ -275,6 +275,21 @@ def test_belt_slowdown_stretches_the_deadline():
         assert res.effective_deadline == eff
     nominal = run_scenario(build_sorting_line_scenario(token="white"))
     assert nominal.effective_deadline == 10
+
+
+def test_watcher_rows_take_the_published_bounds():
+    # every deployed row runs with its published bound, save the arrival
+    # row, which is one unit wider: the end-to-end property's own bound
+    for token in TOKENS:
+        sc = build_sorting_line_scenario(token)
+        rows = {row: f.sub.bound for row, _, f in sc.monitor_specs}
+        arrival = token[0] + "_arrival"
+        assert rows == {row: PUBLISHED_BOUNDS[row] + (row == arrival)
+                        for row in rows}
+        assert set(rows) == {"trigger", "step_count", token[0] + "_classify",
+                             token[0] + "_eject", arrival}
+        overall = PUBLISHED_BOUNDS[token[0] + "_overall"]
+        assert sc.formula.sub.bound == overall + 1
 
 
 def test_delayed_classification_still_arrives():
