@@ -10,7 +10,10 @@ with monitoring) and oracle (centralized progression over the latched
 global trace, restricted to the formula's atoms as ``check`` does).  A
 size whose pipeline stops with an error, such as the tableau passing
 ``NODE_LIMIT``, is recorded as a failure at that size, with the time of
-the stages up to and including the one that failed.
+the stages up to and including the one that failed.  Next to the stage
+sum, ``check_s`` times one whole in-process ``cli.main(["check",
+"--scenario", FILE])`` on the same scenario, argument parsing and the
+printed report included, and ``check_exit`` keeps its exit code.
 
 Counters come from a second, untimed run: tableau nodes, monitor
 groups, the peak of memory the group, run and oracle stages allocate
@@ -23,18 +26,21 @@ the only argument.  Standard library only; run from a checkout with
     python bench/curves.py [OUT.json]
 """
 
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from costmon import formulas, grouping, runtime, simulator  # noqa: E402
+from costmon import cli, formulas, grouping, runtime, simulator  # noqa: E402
 from costmon.tableau import build_tableau  # noqa: E402
 from costmon.unwinding import unwind  # noqa: E402
 
@@ -130,6 +136,16 @@ def timed(text: str) -> dict:
     return out
 
 
+def timed_check(path: str) -> tuple:
+    """Seconds and exit code of one whole ``costmon check`` on the scenario
+    file, with its output discarded."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        start = time.perf_counter()
+        code = cli.main(["check", "--scenario", path])
+        return time.perf_counter() - start, code
+
+
 def counters(text: str) -> dict:
     state, stages = pipeline(text)
     steps = [0]
@@ -175,13 +191,23 @@ def counters(text: str) -> dict:
 
 def measure(n: int) -> dict:
     text = chain_text(n)
-    runs = [timed(text) for _ in range(3 if n < REPEATS_BELOW else 1)]
+    repeats = 3 if n < REPEATS_BELOW else 1
+    runs = [timed(text) for _ in range(repeats)]
     point = {"n": n, "failed": runs[0]["error"]}
     point["stages_s"] = {
         name: statistics.median(r["stages"][name] for r in runs)
         for name in STAGES if name in runs[0]["stages"]}
     point["total_s"] = sum(point["stages_s"].values())
     point.update(counters(text))
+    # after the counters: the nodes a whole check leaves in the intern
+    # table would move the tracemalloc peaks
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chain-%d.json" % n)
+        with open(path, "w") as fh:
+            fh.write(text)
+        checks = [timed_check(path) for _ in range(repeats)]
+    point["check_s"] = statistics.median(s for s, _ in checks)
+    point["check_exit"] = checks[0][1]
     return point
 
 
@@ -201,10 +227,10 @@ def main(argv) -> int:
     for n in SIZES:
         point = measure(n)
         points.append(point)
-        print("chain-%-5d %s  run %.4f s  total %.3f s" % (
+        print("chain-%-5d %s  run %.4f s  total %.3f s  check %.3f s" % (
             n, "FAILED " + point["failed"] if point["failed"] else "ok",
-            point["stages_s"].get("run", float("nan")), point["total_s"]),
-            flush=True)
+            point["stages_s"].get("run", float("nan")), point["total_s"],
+            point["check_s"]), flush=True)
     doc = {
         "family": "chain-N, costs 1, 2, 3 repeating, one delayed process",
         "python": platform.python_version(),

@@ -3,8 +3,9 @@
 Subcommands expose each stage (parse, unwind, tableau, group) plus the
 simulator (simulate) and the decentralized-versus-centralized comparison
 harness (check).  Exit codes: 0 success, 1 formula error (including
-parentheses nested deeper than ``formulas.MAX_PAREN_DEPTH``), 2 graph
-or scenario error, 3 infeasible budget, 4 unobservable atom, 5 verdict
+parentheses nested deeper than ``formulas.MAX_PAREN_DEPTH`` and a
+dependency whose right operand unwinding cannot split), 2 graph or
+scenario error, 3 infeasible budget, 4 unobservable atom, 5 verdict
 disagreement, 64 usage error.  All output is deterministic for fixed
 inputs.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -47,7 +49,8 @@ from .simulator import (
 )
 from .sortingline import build_sorting_line_scenario
 from .tableau import TableauLimitError, build_tableau, export_dot, leaves
-from .unwinding import InfeasibleConstraintError, unwind
+from .unwinding import (InfeasibleConstraintError, UnsplittableDependencyError,
+                        unwind)
 
 EXIT_OK = 0
 EXIT_FORMULA = 1
@@ -100,6 +103,7 @@ def _tamper_arg(text: str):
     return int(idx), value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="costmon",
@@ -191,6 +195,12 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _emit_doc(args, doc: dict, text) -> None:
+    """Write a command's result document as JSON, or ``text(doc)``."""
+    _emit(args, json.dumps(doc, indent=2, sort_keys=True)
+          if args.format == "json" else text(doc))
+
+
 # AST op names: the node's class name in lower case, save these three
 _AST_OPS = {"TrueF": "true", "FalseF": "false", "QDep": "dep"}
 
@@ -245,56 +255,52 @@ def cmd_parse(args) -> int:
 def cmd_unwind(args) -> int:
     _require(args, "formula", "graph")
     f = _read_formula(args.formula)
-    g = load_graph_file(args.graph)
-    u = unwind(f, g)
-    if args.format == "json":
-        doc = {
-            "formula": render_formula(f),
-            "unwound": render_formula(u.formula),
-            "constraints": [
-                {"pid": pid, "formula": render_formula(dep),
-                 "bound": dep.bound}
-                for pid, dep in u.entries],
-        }
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-        return EXIT_OK
-    lines = [render_formula(u.formula)]
-    if not u.entries:
+    u = unwind(f, load_graph_file(args.graph))
+    doc = {
+        "formula": render_formula(f),
+        "unwound": render_formula(u.formula),
+        "constraints": [
+            {"pid": pid, "formula": render_formula(dep), "bound": dep.bound}
+            for pid, dep in u.entries],
+    }
+    _emit_doc(args, doc, _unwind_text)
+    return EXIT_OK
+
+
+def _unwind_text(doc: dict) -> str:
+    lines = [doc["unwound"]]
+    if not doc["constraints"]:
         lines.append("nothing to unwind: no dependency operator over "
                      "dependent variables")
     else:
         lines.append("constraints:")
-        for pid, dep in u.entries:
-            lines.append("  %-4s %s" % (pid, render_formula(dep)))
-    _emit(args, "\n".join(lines))
-    return EXIT_OK
+        lines += ["  %(pid)-4s %(formula)s" % c for c in doc["constraints"]]
+    return "\n".join(lines)
 
 
 def cmd_tableau(args) -> int:
     _require(args, "formula")
     f = _read_formula(args.formula)
     root = build_tableau(f)
-    fmt = args.format or "dot"
-    if fmt == "dot":
+    if (args.format or "dot") == "dot":
         _emit(args, export_dot(root))
         return EXIT_OK
-    ends = leaves(root)
-    if fmt == "json":
-        doc = {
-            "formula": render_formula(f),
-            "branches": [
-                {"outcome": leaf.status,
-                 "label": [render_formula(x) for x in leaf.label]}
-                for leaf in ends],
-        }
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-        return EXIT_OK
-    lines = ["branches: %d" % len(ends)]
-    for i, leaf in enumerate(ends):
-        label = ", ".join(render_formula(x) for x in leaf.label)
-        lines.append("  %d: %s  [%s]" % (i, label, leaf.status))
-    _emit(args, "\n".join(lines))
+    doc = {
+        "formula": render_formula(f),
+        "branches": [
+            {"outcome": leaf.status,
+             "label": [render_formula(x) for x in leaf.label]}
+            for leaf in leaves(root)],
+    }
+    _emit_doc(args, doc, _tableau_text)
     return EXIT_OK
+
+
+def _tableau_text(doc: dict) -> str:
+    lines = ["branches: %d" % len(doc["branches"])]
+    lines += ["  %d: %s  [%s]" % (i, ", ".join(b["label"]), b["outcome"])
+              for i, b in enumerate(doc["branches"])]
+    return "\n".join(lines)
 
 
 def cmd_group(args) -> int:
@@ -302,68 +308,54 @@ def cmd_group(args) -> int:
     f = _read_formula(args.formula)
     g = load_graph_file(args.graph)
     plan = plan_monitors(f, g)
-    groups, assignment = plan.groups, plan.assignment
-    all_pids = tuple(sorted(p.pid for p in g.processes))
-    rows = []
-    for group in groups:
-        if group.members == all_pids and len(all_pids) > 1:
-            members = "(all processes)"
-        else:
-            members = ",".join(group.members)
-        shown = group.formula
-        if len(group.members) == 1:
-            shown = assignment.get(group.members[0], group.formula)
-        rows.append((members, shown))
-    if args.format == "json":
-        doc = {
-            "groups": [
-                {"members": list(group.members),
-                 "formula": render_formula(group.formula)}
-                for group in groups],
-            "assignment": {pid: render_formula(af)
-                           for pid, af in sorted(assignment.items())},
-        }
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-        return EXIT_OK
-    lines = ["%-16s %s" % ("process(es)", "formula")]
-    for members, shown in rows:
-        lines.append("%-16s %s" % (members, render_formula(shown)))
-    _emit(args, "\n".join(lines))
+    doc = {
+        "groups": [
+            {"members": list(group.members),
+             "formula": render_formula(group.formula)}
+            for group in plan.groups],
+        "assignment": {pid: render_formula(af)
+                       for pid, af in sorted(plan.assignment.items())},
+    }
+    all_pids = sorted(p.pid for p in g.processes)
+    _emit_doc(args, doc, lambda d: _group_text(d, all_pids))
     return EXIT_OK
+
+
+def _group_text(doc: dict, all_pids: list) -> str:
+    lines = ["%-16s %s" % ("process(es)", "formula")]
+    for group in doc["groups"]:
+        members, shown = group["members"], group["formula"]
+        if len(members) == 1:
+            shown = doc["assignment"].get(members[0], shown)
+        if members == all_pids and len(all_pids) > 1:
+            members = ["(all processes)"]
+        lines.append("%-16s %s" % (",".join(members), shown))
+    return "\n".join(lines)
 
 
 def _assemble_scenario(args) -> Scenario:
     _require(args, "scenario")
     name = args.scenario
-    fault = getattr(args, "fault", None)
+    kind, rnd, target = getattr(args, "fault", None) or (None, None, None)
+    extra = 10 if kind == "delay" else 0  # a delay's extra rounds
+    # on a builtin scenario the fault's round places the stimulus
+    placed = {} if kind is None else {"stimulus_round": rnd}
     if name in ("sorting_line", "sorting_line_blue"):
         token = "blue" if name == "sorting_line_blue" else "white"
-        if fault is not None:
-            kind, rnd, _target = fault
-            return build_sorting_line_scenario(token, fault=kind,
-                                               stimulus_round=rnd)
-        return build_sorting_line_scenario(token)
+        return build_sorting_line_scenario(token, fault=kind, **placed)
     if name == "example2":
-        if fault is not None:
-            kind, rnd, target = fault
-            extra = 10 if kind == "delay" else 0
-            return example2_scenario(
-                fault=FaultSpec(target or "p0", kind, 0, extra),
-                stimulus_round=rnd)
-        return example2_scenario()
-    if name == "random":
-        sc = random_scenario(args.seed, RANDOM_LIMITS)
-    else:
-        sc = load_scenario_file(name)
-    if fault is not None:
-        kind, rnd, target = fault
-        if target is None:
-            raise _UsageError("--fault on this scenario needs an explicit "
-                              "target (KIND@ROUND:TARGET)")
-        extra = 10 if kind == "delay" else 0
-        sc = dataclasses.replace(
-            sc, faults=sc.faults + (FaultSpec(target, kind, rnd, extra),))
-    return sc
+        spec = None if kind is None else FaultSpec(target or "p0", kind, 0,
+                                                   extra)
+        return example2_scenario(fault=spec, **placed)
+    sc = (random_scenario(args.seed, RANDOM_LIMITS) if name == "random"
+          else load_scenario_file(name))
+    if kind is None:
+        return sc
+    if target is None:
+        raise _UsageError("--fault on this scenario needs an explicit "
+                          "target (KIND@ROUND:TARGET)")
+    return dataclasses.replace(
+        sc, faults=sc.faults + (FaultSpec(target, kind, rnd, extra),))
 
 
 def _result_document(name: str, rounds: int, result: SimulationResult) -> dict:
@@ -378,7 +370,7 @@ def _result_document(name: str, rounds: int, result: SimulationResult) -> dict:
             {"round": r, "pid": pid, "formula": render_formula(f)}
             for r, pid, f in report.detections],
         "recovery_log": [
-            {"round": r, "fault": "%s@%s" % (f.kind, f.target),
+            {"round": r, "fault": f.key,
              "action": a.kind, "formula": render_formula(trig)}
             for r, f, a, trig in result.recovery_log],
         "outcome": result.outcome,
@@ -433,11 +425,8 @@ def cmd_simulate(args) -> int:
     rounds = _rounds(args, sc)
     result = run_scenario(sc, rounds)
     doc = _result_document(args.scenario, rounds, result)
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True))
-        return EXIT_OK
-    _emit(args, _result_text(doc))
-    if args.out:
+    _emit_doc(args, doc, _result_text)
+    if args.out and args.format != "json":
         print("\n".join(_verdict_lines(doc)))
     return EXIT_OK
 
@@ -499,8 +488,7 @@ def cmd_check(args) -> int:
         "centralized_position": position,
         "agree": agree,
     }
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True)
-          if args.format == "json" else _check_text(doc))
+    _emit_doc(args, doc, _check_text)
     return EXIT_OK if agree else EXIT_DISAGREE
 
 
@@ -515,7 +503,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
-    except (FormulaSyntaxError, TableauLimitError) as e:
+    except (FormulaSyntaxError, TableauLimitError,
+            UnsplittableDependencyError) as e:
         sys.stderr.write("formula error: %s\n" % e)
         return EXIT_FORMULA
     except InfeasibleConstraintError as e:

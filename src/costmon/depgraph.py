@@ -123,18 +123,6 @@ class DependencyGraph:
             if not self._pred[p.pid] and not self._succ[p.pid]:
                 raise GraphError("process %s is isolated (no edges)" % p.pid)
 
-    def classify(self, pid: str) -> str:
-        if pid not in self.by_pid:
-            raise GraphError("unknown pid %s" % pid)
-        preds, succs = self._pred[pid], self._succ[pid]
-        if not preds and not succs:
-            raise GraphError("process %s is isolated" % pid)
-        if not preds:
-            return "source"
-        if not succs:
-            return "sink"
-        return "intermediate"
-
     def dependency_paths(self, variable: str,
                          from_pid: Optional[str] = None) -> List[List[str]]:
         """Simple pid paths ending at the producer of ``variable``.
@@ -161,9 +149,6 @@ class DependencyGraph:
             out = [p for p in out if p[0] == from_pid]
         out.sort()
         return out
-
-    def path_cost(self, path: Sequence[str]) -> int:
-        return sum(self.by_pid[pid].cost for pid in path)
 
     def _cheapest_to(self, variable: str) -> Dict[str, Tuple[int, Optional[str]]]:
         """For every process with a path to producer(variable): the cost of

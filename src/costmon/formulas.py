@@ -176,14 +176,17 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-def subformulas(f: Formula):
-    """Every node of ``f`` in pre-order: a node, then its kids left to right."""
+def subformulas(f: Formula, stop=()):
+    """Every node of ``f`` in pre-order: a node, then its kids left to right.
+    A node whose type is in ``stop`` is yielded, but its kids are not."""
     stack = [f]
     while stack:
         g = stack.pop()
         yield g
-        for k in reversed(g.kids):
-            stack.append(getattr(g, k))
+        kids = g.kids  # leaves skip the stop test: atoms() stays as cheap
+        if kids and type(g) not in stop:
+            for k in reversed(kids):
+                stack.append(getattr(g, k))
 
 
 def fold(f: Formula, step):

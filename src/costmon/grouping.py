@@ -32,6 +32,7 @@ from .formulas import (
     conj,
     disj,
     render_formula,
+    subformulas,
 )
 from .tableau import TableauNode, leaves
 
@@ -102,17 +103,8 @@ def _sole_owner(f: Formula, graph: DependencyGraph) -> Optional[str]:
 def _qdeps_of(f: Formula) -> List[QDep]:
     """Dependencies of ``f`` outside Until, dependency operands and budget
     residuals."""
-    out: List[QDep] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        t = type(g)
-        if t is QDep:
-            out.append(g)
-        elif t is not Until and t is not Budget:
-            for k in reversed(g.kids):
-                stack.append(getattr(g, k))
-    return out
+    return [g for g in subformulas(f, stop=(QDep, Until, Budget))
+            if type(g) is QDep]
 
 
 def grow_groups(member_sets: Sequence[AbstractSet[str]]) -> List[List[int]]:

@@ -211,12 +211,9 @@ def run_simulation(scenario: Scenario, rounds: int,
     delays: Dict[str, Tuple[int, int]] = {}  # pid -> (at_round, extra)
     for f in scenario.faults:
         if f.kind in ("drop", "trigger_failure"):
-            if f.target in graph.by_pid:
-                for v in graph.by_pid[f.target].outputs:
-                    drop_from[v] = min(drop_from.get(v, f.at_round), f.at_round)
-            else:
-                drop_from[f.target] = min(drop_from.get(f.target, f.at_round),
-                                          f.at_round)
+            proc = graph.by_pid.get(f.target)
+            for v in proc.outputs if proc else (f.target,):
+                drop_from[v] = min(drop_from.get(v, f.at_round), f.at_round)
         elif f.kind == "delay":
             if f.target not in graph.by_pid:
                 raise ValueError("delay fault target %r is not a process"

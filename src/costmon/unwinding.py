@@ -21,16 +21,22 @@ from .formulas import (
     Formula,
     Globally,
     QDep,
-    atoms,
     conj,
     conjuncts_of,
     fold,
     ordered_atoms,
+    render_formula,
+    subformulas,
 )
 
 
 class InfeasibleConstraintError(ValueError):
     """The cheapest downstream path already exceeds the global budget."""
+
+
+class UnsplittableDependencyError(ValueError):
+    """A right operand names a dependent variable but is no conjunction of
+    variables, so its producers' obligations would not all be required."""
 
 
 @dataclass(frozen=True)
@@ -44,16 +50,7 @@ class UnwoundFormula:
 def extract_qdep(f: Formula) -> List[QDep]:
     """All dependency operators in pre-order; duplicates preserved.  The
     target of a budget residual is not searched."""
-    out: List[QDep] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is QDep:
-            out.append(g)
-        if type(g) is not Budget:
-            for k in reversed(g.kids):
-                stack.append(getattr(g, k))
-    return out
+    return [g for g in subformulas(f, stop=(Budget,)) if type(g) is QDep]
 
 
 def local_constraint(g: DependencyGraph, from_pid: str, target: str, q: int) -> int:
@@ -90,8 +87,15 @@ def _unwind_dep(dep: QDep, g: DependencyGraph) -> Dict[Tuple[str, str, int], QDe
     operand.  Returns the emitted conjuncts in discovery order, keyed by
     (pid, output, local budget), which determines the conjunct; empty when
     nothing is dependent."""
+    names = ordered_atoms(dep.right)
+    if (any(v in g.producer for v in names)
+            and any(type(x) is not Atom for x in conjuncts_of(dep.right))):
+        raise UnsplittableDependencyError(
+            "cannot unwind %s: a right operand naming a dependent variable "
+            "must be a variable or a conjunction of variables"
+            % render_formula(dep))
     emitted: Dict[Tuple[str, str, int], QDep] = {}
-    for v_root in ordered_atoms(dep.right):
+    for v_root in names:
         if v_root not in g.producer:
             continue
         worklist = [v_root]
@@ -130,7 +134,7 @@ def unwind(f: Formula, g: DependencyGraph) -> UnwoundFormula:
     """Unwind every dependency operator of ``f`` whose right operand names
     dependent variables.  Returns the transformed formula plus each
     emitted conjunct with its producing process, first emission first."""
-    for name in atoms(f):
+    for name in ordered_atoms(f):
         if name not in g.producer and name not in g.environment:
             raise GraphError("formula variable %s is unknown to the graph" % name)
     result = f

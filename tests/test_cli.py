@@ -1,7 +1,8 @@
 """End-to-end checks of the command line front end.
 
 Every test shells out through ``python -m costmon`` so the argument wiring,
-exit codes, and printed documents are exercised exactly as a user sees them.
+exit codes, and printed documents are exercised exactly as a user sees them;
+only the parser-reuse test calls ``cli.main`` twice in one process.
 """
 
 import json
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 import costmon
+from costmon import cli
 from conftest import PIPELINE_DOC
 from costmon.formulas import render_formula
 from costmon.simulator import example2_scenario
@@ -126,6 +128,43 @@ def test_unwind_infeasible_is_exit_3(graph_file):
     blob = r.stdout + r.stderr
     assert "infeasible constraint" in blob
     assert "budget 5" in blob
+
+
+UNSPLITTABLE = ("formula error: cannot unwind %s: a right operand naming a "
+                "dependent variable must be a variable or a conjunction of "
+                "variables\n")
+
+
+@pytest.mark.parametrize("right", ["(O2 | O3)", "!O2"])
+def test_unwind_refuses_an_unsplittable_right_operand(graph_file, right):
+    r = run_cli("unwind", "--formula", "G ((I0 & I1) o<=10 %s)" % right,
+                "--graph", graph_file)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == UNSPLITTABLE % ("((I0 & I1) o<=10 %s)" % right)
+
+
+def test_unwind_conjunctive_right_operand(graph_file):
+    r = run_cli("unwind", "--formula", "G ((I0 & I1) o<=10 (O2 & O3))",
+                "--graph", graph_file)
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[1:] == [
+        "constraints:", "  p2   (O0 o<=10 O2)", "  p0   (I0 o<=9 O0)",
+        "  p3   (O0 o<=10 O3)", "  p0   (I0 o<=8 O0)"]
+
+
+def test_check_refuses_a_disjunctive_right_operand(tmp_path):
+    # unwound per producer, p2's dropped O2 was reported False at round 13
+    # while O3 arrived in budget and the centralized verdict was Unknown
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "graph": json.loads(PIPELINE_DOC),
+        "formula": "G ((I0 & I1) o<=10 (O2 | O3))",
+        "stimuli": {"3": ["I0", "I1"]},
+        "faults": [{"target": "p2", "kind": "drop"}],
+        "rounds": 30}))
+    r = run_cli("check", "--scenario", str(path))
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == UNSPLITTABLE % "((I0 & I1) o<=10 (O2 | O3))"
 
 
 def test_unwind_chain_of_1000_prints(tmp_path):
@@ -398,6 +437,27 @@ def test_check_out_file_is_reproducible(tmp_path):
     assert "agree: False" in out1.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["unwind", "--formula", "G ((I0 & I1) o<=20 Of)", "--graph", "GRAPH"],
+    ["unwind", "--formula", "G (I0 & I1)", "--graph", "GRAPH"],
+    ["tableau", "--formula", "G ((I0 & I1) o<=20 Of)", "--format", "text"],
+    ["group", "--formula", "G ((I0 & I1) o<=20 Of)", "--graph", "GRAPH"],
+    ["group", "--formula", "(G (I0 o<=9 O2) | G (I1 o<=3 O1))",
+     "--graph", "GRAPH"],
+    ["check", "--scenario", "example2", "--fault", "drop@3:p0"],
+    ["check", "--scenario", "example2", "--format", "json"],
+], ids=["unwind", "unwind-nothing", "tableau-text", "group", "group-split",
+        "check", "check-json"])
+def test_out_file_holds_the_printed_text(tmp_path, graph_file, argv):
+    argv = [graph_file if a == "GRAPH" else a for a in argv]
+    printed = run_cli(*argv)
+    out = tmp_path / "out.txt"
+    written = run_cli(*argv, "--out", str(out))
+    assert printed.returncode == written.returncode == 0
+    assert (printed.stderr, written.stdout, written.stderr) == ("", "", "")
+    assert out.read_text() == printed.stdout
+
+
 # ---------------------------------------------------------------- usage
 
 
@@ -409,3 +469,14 @@ def test_unknown_subcommand_is_exit_64():
 def test_missing_required_argument_is_exit_64():
     r = run_cli("parse")
     assert r.returncode == 64
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    formula = "G (a o<=3 b)"
+    assert cli.main(["parse", "--formula", formula, "--format", "json"]) == 0
+    assert cli.main(["parse", "--formula", formula]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # the first call's options do not carry over into the second
+    assert capsys.readouterr().out.endswith("}\n%s\n" % formula)

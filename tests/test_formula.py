@@ -245,6 +245,25 @@ def test_atoms_are_a_set():
     assert atoms(And(a, Not(a))) == {"a"}
 
 
+def test_subformulas_stop_yields_a_stopped_node_but_not_its_kids():
+    f = parse_formula("((a o<=2 (b & c)) & ((d U e) | X b))")
+    dep, rest = f.left, f.right
+    until, nxt = rest.left, rest.right
+    everything = [f, dep, a, dep.right, b, c, rest, until, until.left,
+                  until.right, nxt, b]
+    assert list(subformulas(f)) == everything
+    assert list(subformulas(f, stop=())) == everything
+    assert list(subformulas(f, stop=(QDep,))) == [
+        f, dep, rest, until, until.left, until.right, nxt, b]
+    assert list(subformulas(f, stop=(QDep, Until))) == [
+        f, dep, rest, until, nxt, b]
+    assert list(subformulas(dep, stop=(QDep,))) == [dep]
+    assert list(subformulas(f, stop=(And,))) == [f]
+    residual = Budget(And(b, c), 3)
+    assert list(subformulas(Or(residual, b), stop=(Budget,))) == [
+        Or(residual, b), residual, b]
+
+
 # ---------------------------------------------------------------------------
 # progression
 

@@ -20,7 +20,9 @@ from costmon import (
     unwind,
 )
 from costmon.depgraph import Process
-from costmon.unwinding import apply_dependency_rule
+from costmon.formulas import render_formula
+from costmon.unwinding import (UnsplittableDependencyError,
+                                apply_dependency_rule)
 
 from oracles import min_downstream
 
@@ -178,6 +180,46 @@ def test_unwinding_budget_must_cover_the_deepest_path(pipeline):
 def test_unknown_variable_is_a_graph_error(pipeline):
     with pytest.raises(GraphError, match="Zz"):
         unwind(parse_formula("G (I0 o<=9 Zz)"), pipeline)
+
+
+def test_unknown_variable_error_names_the_first_occurrence(pipeline):
+    # not whichever comes first in a string set, whose order follows the
+    # hash seed
+    names = ["Zz%d" % i for i in range(12)]
+    with pytest.raises(GraphError) as exc:
+        unwind(parse_formula("G (I0 o<=9 (%s))" % " & ".join(names)),
+               pipeline)
+    assert str(exc.value) == "formula variable Zz0 is unknown to the graph"
+
+
+@pytest.mark.parametrize("right", [
+    "(O2 | O3)", "!O2", "F O2", "X O2", "(O2 U O3)", "(I0 | O2)",
+    "(O3 & (O2 | I1))", "(O3 & !O2)"])
+def test_unsplittable_right_operand_is_refused(pipeline, right):
+    # one obligation per producer would demand every named variable, where
+    # the operand itself may hold without some of them
+    f = parse_formula("G ((I0 & I1) o<=10 %s)" % right)
+    with pytest.raises(UnsplittableDependencyError) as exc:
+        unwind(f, pipeline)
+    assert isinstance(exc.value, ValueError)
+    assert str(exc.value) == (
+        "cannot unwind %s: a right operand naming a dependent variable must "
+        "be a variable or a conjunction of variables" % render_formula(f.sub))
+
+
+def test_conjunctive_right_operand_unwinds_every_producer(pipeline):
+    u = unwind(parse_formula("G ((I0 & I1) o<=10 (O2 & O3))"), pipeline)
+    assert [(pid, render_formula(d)) for pid, d in u.entries] == [
+        ("p2", "(O0 o<=10 O2)"), ("p0", "(I0 o<=9 O0)"),
+        ("p3", "(O0 o<=10 O3)"), ("p0", "(I0 o<=8 O0)")]
+
+
+@pytest.mark.parametrize("right", ["(I0 | I1)", "!I1", "F I1"])
+def test_environment_right_operand_of_any_shape_is_left_alone(pipeline,
+                                                              right):
+    f = parse_formula("G (I0 o<=5 %s)" % right)
+    u = unwind(f, pipeline)
+    assert (u.formula, u.entries) == (f, ())
 
 
 def test_unwinding_only_adds_atoms(pipeline, phi_pipeline):
