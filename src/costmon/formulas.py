@@ -387,19 +387,18 @@ def eval_props(f: Formula, props: frozenset) -> bool:
 def progress(f: Formula, event: Event) -> Formula:
     """One-step residual of ``f`` (in negation normal form) over ``event``.
 
-    Conjunctions and disjunctions are built by ``_progress_nest``, which
-    drops repeated operands and keeps the tightest budget per target, so
-    the residual of ``G (a o<=q b)``, ``G F a`` or ``F G a`` stays the same
-    size over any trace.  Budgets carry their own remaining amounts.
+    A negation steps as the dual of its operand's step; in negation normal
+    form that operand is an atom, a dependency or a budget.  Conjunctions
+    and disjunctions are built by ``_progress_nest``, which drops repeated
+    operands and keeps the tightest budget per target, so the residual of
+    ``G (a o<=q b)``, ``G F a`` or ``F G a`` stays the same size over any
+    trace.  Budgets carry their own remaining amounts.
     """
     if isinstance(f, (TrueF, FalseF)):
         return f
     if isinstance(f, Atom):
         return TRUE if f.name in event.props else FALSE
     if isinstance(f, Not):
-        if not isinstance(f.sub, (Atom, QDep, Budget)):
-            return progress(nnf(f), event)
-        # a negated literal steps as the dual of its literal
         g = progress(f.sub, event)
         return FALSE if g is TRUE else TRUE if g is FALSE else Not(g)
     if isinstance(f, And):

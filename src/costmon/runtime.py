@@ -2,8 +2,10 @@
 
 Each process runs a local monitor for its assigned falsification conjuncts.
 Rounds are lockstep: every monitor reads its local event, checks its
-budget watchers, and forwards newly observed atoms to the next group
-member, who receives them within the same round (perfect synchrony).  A
+budget watchers, and forwards newly observed atoms to the next member of
+its group.  The members of a group sit next to each other in the monitor
+list, in group order, so a message always goes to the next monitor in
+the list, which reads it within the same round (perfect synchrony).  A
 message is the observed atom's index in the shared subformula table.
 Groups with one member never send anything.
 
@@ -58,8 +60,6 @@ class BudgetWatcher:
     """
 
     def __init__(self, formula: Formula, dep: QDep, precharge: int = 0):
-        if precharge < 0:
-            raise ValueError("precharge must be non-negative")
         self.formula = formula
         self.dep = dep
         self.precharge = precharge
@@ -126,9 +126,11 @@ class LocalMonitor:
     """Per-process monitor: latches observations, runs its watchers, and
     forwards new group-relevant atoms to its successor in the group.
 
-    ``verdict`` is recomputed at every step.  A step with no inbox, no
-    observation and no due watcher changes nothing, since nothing a
-    watcher reads has changed; ``MonitorNetwork`` makes no such step.
+    ``verdict`` is recomputed at every step.  A monitor without watchers
+    (a relay) is refuted from the start: its share of the obligation is
+    empty.  A step with no inbox, no observation and no due watcher
+    changes nothing, since nothing a watcher reads has changed;
+    ``MonitorNetwork`` makes no such step.
     """
 
     def __init__(self, pid: str, watchers: Sequence,
@@ -143,7 +145,7 @@ class LocalMonitor:
         self.successor = successor
         self.latched: set = set()
         self.inbox: List[int] = []  # indices of forwarded atoms
-        self.verdict = Verdict.UNKNOWN
+        self._settle()
         # earliest round in which a watcher is due without new input; the
         # first round always is, so an anchor that needs no atom activates
         self._next_due: Optional[int] = 0
@@ -151,9 +153,7 @@ class LocalMonitor:
     def step(self, rnd: int, event: Event) -> List[int]:
         newly: List[str] = []
         for idx in self.inbox:
-            name = self._atom_of_idx.get(idx)
-            if name is None:
-                raise ValueError("message references unknown index %d" % idx)
+            name = self._atom_of_idx[idx]
             if name not in self.latched:
                 self.latched.add(name)
                 newly.append(name)
@@ -175,7 +175,7 @@ class LocalMonitor:
         vs = [w.verdict for w in self.watchers]
         if any(v is Verdict.TRUE for v in vs):
             self.verdict = Verdict.TRUE
-        elif vs and all(v is Verdict.FALSE for v in vs):
+        elif all(v is Verdict.FALSE for v in vs):
             self.verdict = Verdict.FALSE
         else:
             self.verdict = Verdict.UNKNOWN
@@ -247,14 +247,15 @@ class MonitorNetwork:
     """The round engine over a fixed list of monitors, built once per run.
 
     A round steps, in list order, exactly the monitors with work: those
-    that observe something, those with a message waiting and those with
-    a watcher due.  Due rounds come from a heap fed by each monitor's
+    that observe something, those with a watcher due and those that
+    receive a message.  Due rounds come from a heap fed by each monitor's
     ``_next_due``; an entry is live while it matches the round last
-    scheduled for its monitor.  A message goes to the last monitor of the
-    successor's pid; one to a later monitor joins the same round, one to
-    an earlier monitor (or the sender itself) waits for the next.  The
-    global verdict (``verdict``) comes from running counts of the
-    monitors' verdicts, and ``report`` reads it at the end of a run.
+    scheduled for its monitor.  A forwarding monitor must be directly
+    followed by its successor, as ``synthesize_monitors`` lays groups
+    out, so a message from monitor ``i`` goes to monitor ``i + 1`` and
+    joins the same round.  The global verdict (``verdict``) comes from
+    running counts of the monitors' verdicts, and ``report`` reads it at
+    the end of a run.
     """
 
     def __init__(self, monitors: Sequence[LocalMonitor], *,
@@ -264,10 +265,11 @@ class MonitorNetwork:
         self._by_pid: Dict[str, List[int]] = {}
         for i, m in enumerate(self.monitors):
             self._by_pid.setdefault(m.pid, []).append(i)
-        self._successor = [self._by_pid[m.successor][-1]
-                           if m.successor in self._by_pid else None
-                           for m in self.monitors]
-        self._waiting = {i for i, m in enumerate(self.monitors) if m.inbox}
+            if m.successor is not None and (
+                    i + 1 == len(self.monitors)
+                    or self.monitors[i + 1].pid != m.successor):
+                raise ValueError("the monitor of %s forwards to %s, which "
+                                 "does not follow it" % (m.pid, m.successor))
         self._scheduled = [m._next_due for m in self.monitors]
         self._due = [(d, i) for i, d in enumerate(self._scheduled)
                      if d is not None]
@@ -315,8 +317,7 @@ class MonitorNetwork:
         """One synchronous round.  ``events`` needs to hold only the pids
         that observe something; any other monitor reads an empty event.
         Returns the number of messages sent and the global verdict."""
-        todo = self._waiting
-        self._waiting = set()
+        todo = set()
         due, scheduled = self._due, self._scheduled
         while due and due[0][0] <= rnd:
             d, i = heapq.heappop(due)
@@ -344,15 +345,10 @@ class MonitorNetwork:
                     heapq.heappush(due, (d, i))
             if out:
                 sent += len(out)
-                j = self._successor[i]
-                if j is None:
-                    continue
-                monitors[j].inbox.extend(out)
-                if j <= i:
-                    self._waiting.add(j)
-                elif j not in todo:
-                    todo.add(j)
-                    heapq.heappush(work, j)
+                monitors[i + 1].inbox.extend(out)
+                if i + 1 not in todo:
+                    todo.add(i + 1)
+                    heapq.heappush(work, i + 1)
         return sent, self.verdict
 
 

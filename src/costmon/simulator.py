@@ -207,7 +207,9 @@ def run_simulation(scenario: Scenario, rounds: int,
     if rounds > 0:
         network.check_pids(graph.by_pid, 0)
 
-    drop_from: Dict[str, int] = {}  # variable -> first suppressed round
+    # variable -> first suppressed round; a variable the scenario never
+    # emits is suppressed from round 0
+    drop_from = dict.fromkeys(scenario.suppressed_outputs, 0)
     delays: Dict[str, Tuple[int, int]] = {}  # pid -> (at_round, extra)
     for f in scenario.faults:
         if f.kind in ("drop", "trigger_failure"):
@@ -247,8 +249,6 @@ def run_simulation(scenario: Scenario, rounds: int,
     per_round_msgs: List[int] = []
 
     def suppressed(var: str, rnd: int) -> bool:
-        if var in scenario.suppressed_outputs:
-            return True
         return var in drop_from and rnd >= drop_from[var]
 
     def latency(pid: str, start_round: int) -> int:
@@ -374,19 +374,9 @@ def case_monitors(scenario: Scenario) -> List[LocalMonitor]:
     watcher per row, no precharge), bypassing the unwinding pipeline."""
     by_pid: Dict[str, List[BudgetWatcher]] = {}
     for _, pid, f in scenario.monitor_specs:
-        by_pid.setdefault(pid, []).append(BudgetWatcher(f, _spec_dep(f), 0))
+        by_pid.setdefault(pid, []).append(BudgetWatcher(f, f.sub, 0))
     # a monitor without successor neither sends nor receives
     return [LocalMonitor(pid, by_pid[pid], {}, {}) for pid in sorted(by_pid)]
-
-
-def _spec_dep(f: Formula) -> QDep:
-    g = f
-    while isinstance(g, (Globally, Eventually)):
-        g = g.sub
-    if not isinstance(g, QDep):
-        raise ValueError("watcher table rows must be dependency formulas, "
-                         "got %s" % f)
-    return g
 
 
 # --- Pipeline example fixture (also a CLI builtin) ---
@@ -410,10 +400,9 @@ def example2_graph() -> DependencyGraph:
 
 
 def example2_scenario(fault: Optional[FaultSpec] = None,
-                      stimulus_round: int = 3,
-                      rounds: int = 40) -> Scenario:
+                      stimulus_round: int = 3) -> Scenario:
     """Seven-process pipeline scenario: one stimulus, lower-bound
-    latencies, budget 20 end to end."""
+    latencies, budget 20 end to end, 40 rounds."""
     g = example2_graph()
     f = parse_formula("G ((I0 & I1) o<=20 Of)")
     return Scenario(
@@ -422,7 +411,7 @@ def example2_scenario(fault: Optional[FaultSpec] = None,
         stimuli={stimulus_round: frozenset(["I0", "I1"])},
         faults=(fault,) if fault is not None else (),
         formula=f,
-        suggested_rounds=rounds)
+        suggested_rounds=40)
 
 
 _SCENARIO_KEYS = frozenset([
@@ -624,8 +613,6 @@ def _build_random(rng: random.Random, n: int, max_fan: int, cost_cap: int,
     for p in procs:
         pre = max((g.lb_completion(v) for v in p.inputs), default=0)
         down = g.min_downstream_cost(p.pid, sink_var)
-        if down is None:
-            continue
         latest = max(latest, pre + (q - down) + 1)
     needed = s + latest + 2
     fault: Optional[FaultSpec] = None

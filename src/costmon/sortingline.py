@@ -94,10 +94,9 @@ def _watcher_rows(color: Dict[str, str]) -> tuple:
 
 def build_sorting_line_scenario(token: str = "white",
                                 fault: Optional[str] = None,
-                                stimulus_round: int = 2,
-                                rounds: int = 20) -> Scenario:
-    """Scenario for one token run.  fault is one of the five failure mode
-    names or None for the nominal run."""
+                                stimulus_round: int = 2) -> Scenario:
+    """Scenario for one token run of 20 rounds.  fault is one of the five
+    failure mode names or None for the nominal run."""
     if token not in TOKENS:
         raise ValueError("token must be one of %s" % (TOKENS,))
     g = sorting_line_graph()
@@ -131,7 +130,7 @@ def build_sorting_line_scenario(token: str = "white",
         recoveries=recoveries,
         # the end-to-end property is the arrival watcher's own formula
         formula=by_name[token[0] + "_arrival"],
-        suggested_rounds=rounds,
+        suggested_rounds=20,
         suppressed_outputs=suppressed,
         trigger_sets={"EC": (frozenset(["LS1", "SC", "LS2", "E_W"]),
                              frozenset(["LS1", "SC", "LS2", "E_B"]))},

@@ -58,29 +58,24 @@ class TableauNode:
     rule: str = ""
 
 
-def is_literal(f: Formula) -> bool:
-    if isinstance(f, (TrueF, FalseF, Atom)):
+def _ready(f: Formula) -> bool:
+    """Whether ``f`` waits for the X-rule: a literal (a constant, an atom
+    or a negated atom or dependency), a dependency whose left operand is
+    free of And/Or, or a next-step obligation."""
+    t = type(f)
+    if t is Atom or t is Next or t is TrueF or t is FalseF:
         return True
-    if isinstance(f, Not):
-        return isinstance(f.sub, (Atom, QDep))
-    return False
-
-
-def is_atomic_qdep(f: Formula) -> bool:
-    """A dependency formula whose operands carry no further top-level
-    connectives to distribute over (left operand free of And/Or)."""
-    return isinstance(f, QDep) and not isinstance(f.left, (And, Or))
-
-
-def _needs_dist(f: Formula) -> bool:
-    return isinstance(f, QDep) and isinstance(f.left, (And, Or))
+    if t is QDep:
+        t = type(f.left)
+        return t is not And and t is not Or
+    return t is Not and type(f.sub) in (Atom, QDep)
 
 
 def apply_dist(f: Formula) -> Formula:
     """Distribute a dependency over its left operand's And/Or structure;
     the right operand is left untouched.  Non-matching input is returned
     unchanged."""
-    if not _needs_dist(f):
+    if type(f) is not QDep or _ready(f):
         return f
 
     def step(g, kids):
@@ -119,8 +114,7 @@ def _child_labels(label, idx, *repls) -> List[Tuple[Formula, ...]]:
 
 
 def _is_poised(label: Tuple[Formula, ...]) -> bool:
-    return all(is_literal(f) or is_atomic_qdep(f) or isinstance(f, Next)
-               for f in label)
+    return all(_ready(f) for f in label)
 
 
 def _has_contradiction(label: Tuple[Formula, ...]) -> bool:
@@ -175,7 +169,7 @@ def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
         return "interior", "X", [_dedup(nexts)]
     # first non-poised member decides the rule
     for idx, f in enumerate(label):
-        if is_literal(f) or is_atomic_qdep(f) or isinstance(f, Next):
+        if _ready(f):
             continue
         if isinstance(f, And):
             rule, repls = "AND", [(f.left, f.right)]
@@ -187,15 +181,11 @@ def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
             rule, repls = "F", [(f.sub,), (Next(f),)]
         elif isinstance(f, Until):
             rule, repls = "U", [(f.right,), (f.left, Next(f))]
-        elif _needs_dist(f):
+        elif isinstance(f, QDep):
             rule, repls = "DIST", [(apply_dist(f),)]
-        elif isinstance(f, Not):
-            # safety net: push one negation step and continue
-            rule, repls = "NNF", [(nnf(f),)]
         else:
             raise TypeError("no tableau rule for %r" % (f,))
         return "interior", rule, _child_labels(label, idx, *repls)
-    raise AssertionError("non-poised label with no expandable member")
 
 
 def build_tableau(f: Formula) -> TableauNode:

@@ -330,6 +330,60 @@ def test_group_without_processes_is_exit_2(tmp_path):
     assert "error: no processes to organize" in r.stderr
 
 
+PROCESS = {"pid": "p0", "inputs": ["I0"], "outputs": ["O0"], "cost": 1}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"processes": [', "graph document is not valid JSON"),
+    ("[]", "graph document must be a JSON object"),
+    ("{}", "graph document needs a 'processes' list"),
+    (json.dumps({"processes": [5]}), "process entries must be objects"),
+    (json.dumps({"processes": [dict(PROCESS, speed=2)]}),
+     "unknown process key 'speed'"),
+    (json.dumps({"processes": [{"pid": "p0", "inputs": ["I0"],
+                                "outputs": ["O0"]}]}),
+     "process entry missing key 'cost'"),
+    (json.dumps({"processes": [dict(PROCESS, pid="")]}),
+     "pid must be a non-empty string"),
+    (json.dumps({"processes": [dict(PROCESS, inputs="I0")]}),
+     "inputs/outputs of p0 must be lists of names"),
+    (json.dumps({"processes": [dict(PROCESS, cost=1.5)]}),
+     "cost of p0 must be an integer"),
+    (json.dumps({"processes": [PROCESS], "environment": ["I0", "O0"]}),
+     "declared environment variable O0 has a producer"),
+], ids=["invalid-json", "not-an-object", "no-processes", "entry-not-object",
+        "unknown-process-key", "missing-key", "empty-pid", "inputs-not-list",
+        "cost-not-integer", "environment-produced"])
+def test_graph_rejection_is_one_line_exit_2(tmp_path, text, message):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    r = run_cli("unwind", "--formula", "G (I0 o<=3 O0)", "--graph", str(path))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines() == [r.stderr.strip()]
+    assert r.stderr.startswith("graph error: " + message)
+
+
+def test_unwinding_through_a_producer_without_inputs_is_exit_2(tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"processes": [
+        {"pid": "gen", "inputs": [], "outputs": ["v"], "cost": 1},
+        {"pid": "p1", "inputs": ["v"], "outputs": ["w"], "cost": 1}]}))
+    r = run_cli("unwind", "--formula", "G (v o<=5 w)", "--graph", str(path))
+    assert r.returncode == 2
+    assert r.stderr == "graph error: process gen has no inputs to depend on\n"
+
+
+def test_group_content_absorbs_a_bare_formula_under_its_g_version(
+        graph_file):
+    # the ticked leaf holds both O0 and G O0; the group watches G O0 only
+    r = run_cli("group", "--formula", "F !O0 & G !O1", "--graph", graph_file)
+    assert r.returncode == 0
+    assert r.stdout.splitlines() == ["process(es)      formula",
+                                     "p0,p2,p3         G O0",
+                                     "p1,p6            (O1 | F O1)"]
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -410,6 +464,46 @@ def test_malformed_scenario_exits_without_traceback(tmp_path, override,
             assert len(r.stderr.splitlines()) == 1
 
 
+def test_simulate_out_prints_the_verdict_summary(tmp_path):
+    out = tmp_path / "run.txt"
+    r = run_cli("simulate", "--scenario", "example2", "--fault", "drop@3:p0",
+                "--out", str(out))
+    assert r.returncode == 0
+    assert r.stdout == "verdict: False\ndetection: round 14 by p0\n"
+    assert out.read_text().startswith(
+        "scenario: example2\nrounds: 40\nverdict: False\n")
+
+
+@pytest.mark.parametrize("fault, message", [
+    ({"target": "nothing", "kind": "drop"},
+     "fault target 'nothing' is neither a process nor a variable"),
+    ({"target": "O0", "kind": "delay", "extra": 2},
+     "delay fault target 'O0' is not a process"),
+], ids=["target-unknown", "delay-on-variable"])
+def test_fault_on_no_process_is_exit_2(tmp_path, fault, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(SCENARIO, faults=[fault])))
+    for command in ("simulate", "check"):
+        r = run_cli(command, "--scenario", str(path))
+        assert r.returncode == 2
+        assert r.stderr == "error: %s\n" % message
+
+
+def test_fault_flag_on_a_scenario_file(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(SCENARIO))
+    r = run_cli("check", "--scenario", str(path), "--fault", "drop@0")
+    assert r.returncode == 64
+    assert "needs an explicit target" in r.stderr
+    # with a target the fault joins the file's own (none here): the file
+    # holds the example2 run, whose builtin fault drops p0 from round 0
+    r = run_cli("check", "--scenario", str(path), "--fault", "drop@0:p0")
+    builtin = run_cli("check", "--scenario", "example2", "--fault", "drop@3:p0")
+    assert r.returncode == builtin.returncode == 0
+    assert r.stdout == builtin.stdout
+    assert "agree: False; decentralized round 14" in r.stdout
+
+
 # ---------------------------------------------------------------- check
 
 
@@ -418,6 +512,27 @@ def test_check_agreement_under_fault():
     assert r.returncode == 0
     assert ("agree: False; decentralized round 14 <= centralized round 24"
             in r.stdout)
+
+
+@pytest.mark.parametrize("formula, position", [("F Of", 14),
+                                               ("F (O4 & O5)", 10)])
+def test_check_confirms_an_eventuality_through_relay_members(formula,
+                                                             position):
+    # only the group's last member watches; the relays ahead of it have
+    # an empty share of the obligation, which counts as refuted
+    r = run_cli("check", "--scenario", "example2", "--formula", formula)
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[1:] == [
+        "decentralized: True", "centralized: True at position %d" % position,
+        "agree: True"]
+
+
+def test_check_leaves_an_eventuality_open_when_its_watcher_drops():
+    r = run_cli("check", "--scenario", "example2", "--formula", "F Of",
+                "--fault", "drop@3:p6")
+    assert r.returncode == 0
+    assert r.stdout.splitlines()[1:] == [
+        "decentralized: Unknown", "centralized: Unknown", "agree: Unknown"]
 
 
 def test_check_detects_tampered_verdict():
@@ -458,6 +573,34 @@ def test_out_file_holds_the_printed_text(tmp_path, graph_file, argv):
     assert out.read_text() == printed.stdout
 
 
+def test_check_needs_a_formula(tmp_path):
+    path = tmp_path / "scenario.json"
+    doc = dict(SCENARIO)
+    del doc["formula"]
+    path.write_text(json.dumps(doc))
+    r = run_cli("check", "--scenario", str(path))
+    assert r.returncode == 64
+    assert "scenario carries no end-to-end formula" in r.stderr
+    r = run_cli("check", "--scenario", str(path),
+                "--formula", SCENARIO["formula"])
+    assert r.returncode == 0
+
+
+def test_check_tamper_index_out_of_range_is_exit_64():
+    r = run_cli("check", "--scenario", "example2", "--tamper-budget", "7=1")
+    assert r.returncode == 64
+    assert r.stderr == ("error: --tamper-budget index 7 out of range "
+                        "(7 budget watchers)\n")
+
+
+def test_formula_is_read_from_a_file(tmp_path):
+    path = tmp_path / "formula.txt"
+    path.write_text("G(a o<=3 b)\n")
+    r = run_cli("parse", "--formula", str(path))
+    assert r.returncode == 0
+    assert r.stdout == "G (a o<=3 b)\n"
+
+
 # ---------------------------------------------------------------- usage
 
 
@@ -469,6 +612,12 @@ def test_unknown_subcommand_is_exit_64():
 def test_missing_required_argument_is_exit_64():
     r = run_cli("parse")
     assert r.returncode == 64
+
+
+def test_no_command_is_exit_64():
+    r = run_cli()
+    assert r.returncode == 64
+    assert r.stderr.startswith("usage: costmon")
 
 
 def test_parser_is_built_once_per_process(capsys):

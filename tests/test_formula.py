@@ -92,6 +92,20 @@ def test_parse_rejects_negative_bound():
         parse_formula("(a o<=-1 b)")
 
 
+def test_parse_accepts_trailing_whitespace():
+    assert parse_formula("G (a o<=3 b) \t\n") == parse_formula("G (a o<=3 b)")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(a & b", "expected ), found 'end of input' (at position 6)"),
+    ("(a o<= b)", "expected INT, found 'b' (at position 7)"),
+], ids=["missing-paren", "missing-bound"])
+def test_parse_names_what_is_missing(text, message):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
 def test_parse_trailing_garbage():
     with pytest.raises(FormulaSyntaxError):
         parse_formula("G (a & b))")

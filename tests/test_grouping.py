@@ -30,7 +30,7 @@ from costmon import (
     unwind,
 )
 from costmon.formulas import disj
-from costmon.grouping import dep_core, grow_groups
+from costmon.grouping import _sole_owner, dep_core, grow_groups
 from costmon.sortingline import FAULT_NAMES, TOKENS
 from oracles import merged_groups
 
@@ -244,3 +244,9 @@ def test_group_disjunction_matches_negated_formula(pipeline, phi_pipeline):
         for combo in itertools.product(events, repeat=n):
             tr = [make_event(props=c, cost=1) for c in combo]
             assert evaluate_trace(merged, tr) == evaluate_trace(plan.negated, tr)
+
+
+def test_sole_owner_must_observe_every_atom(pipeline):
+    # p2 produces O2 and observes O0 and O2, not I1
+    assert _sole_owner(parse_formula("!(O0 o<=1 O2)"), pipeline) == "p2"
+    assert _sole_owner(parse_formula("!(O0 o<=1 O2) & I1"), pipeline) is None

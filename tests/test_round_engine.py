@@ -227,3 +227,49 @@ def test_all_refuted_conjuncts_confirm_an_eventuality_rooted_property():
                                       stop_early=True)
         assert report.global_verdict is verdict
         assert report.rounds_run == (3 if rooted else 4)
+
+
+# ---------------------------------------------------------------------------
+# the engine's shape: a forwarding monitor is directly followed by its
+# successor, so a message goes to the next monitor in the same round
+
+
+def test_synthesized_monitor_lists_have_their_successors_next():
+    forwarding = 0
+    scenarios = [random_scenario(seed, LIMITS) for seed in range(60)]
+    scenarios += [load_scenario(json.dumps(doc))
+                  for doc in test_golden_run._scenarios().values()]
+    scenarios += [build_sorting_line_scenario(token) for token in TOKENS]
+    for sc in scenarios:
+        mons = _planned(sc)
+        for m, nxt in zip(mons, mons[1:] + [None]):
+            if m.successor is not None:
+                assert nxt is not None and nxt.pid == m.successor, m.pid
+                forwarding += 1
+        MonitorNetwork(mons)  # and the engine accepts the list
+    assert forwarding > 0
+
+
+def _relay(pid, successor=None):
+    return LocalMonitor(pid, [], {"a": 0}, {0: "a"},
+                        group_atoms=frozenset(["a"]), successor=successor)
+
+
+@pytest.mark.parametrize("pids, successors", [
+    (("p0", "p1", "p2"), ("p2", "p2", None)),  # successor two places on
+    (("p1", "p0"), (None, "p1")),  # successor earlier in the list
+    (("p0", "p1"), ("p0", None)),  # its own successor
+    (("p0",), ("p1",)),  # successor missing
+], ids=["skips-one", "earlier", "itself", "missing"])
+def test_network_rejects_a_successor_that_does_not_follow(pids, successors):
+    mons = [_relay(pid, succ) for pid, succ in zip(pids, successors)]
+    with pytest.raises(ValueError, match="forwards to .*does not follow"):
+        MonitorNetwork(mons)
+
+
+def test_a_message_reaches_the_next_monitor_in_the_same_round():
+    mons = [_relay("p0", "p1"), _relay("p1")]
+    network = MonitorNetwork(mons)
+    sent, _ = network.round(0, {"p0": make_event(("a",), cost=1)})
+    assert sent == 1
+    assert mons[1].latched == {"a"} and mons[1].inbox == []

@@ -100,7 +100,7 @@ def test_budget_watcher_steps_only_when_its_input_or_due_round_comes():
 
 
 def test_nominal_run_stays_unknown():
-    rep = run_scenario(example2_scenario(stimulus_round=3, rounds=40)).report
+    rep = run_scenario(example2_scenario(stimulus_round=3)).report
     assert rep.global_verdict is U
     assert rep.detection_round is None
     assert rep.rounds_run == 40
@@ -154,6 +154,17 @@ def test_aggregation_table():
     assert _verdict_of([F, F]) is U
     assert _verdict_of([F, F], eventually_rooted=True) is T
     assert _verdict_of([], eventually_rooted=True) is U
+
+
+def test_a_relay_is_refuted_from_the_start(pipeline):
+    # F Of: p0-p5 only forward, p6 progresses G !Of for the whole group
+    _, mons = monitors_for("F Of", pipeline)
+    assert [bool(m.watchers) for m in mons] == [False] * 6 + [True]
+    assert [m.verdict for m in mons] == [F] * 6 + [U]
+    network = MonitorNetwork(mons, eventually_rooted=True)
+    assert network.verdict is U
+    network.round(0, {"p6": make_event(("Of",), cost=1)})
+    assert network.verdict is T
 
 
 # ---------------------------------------------------------------------------
