@@ -254,8 +254,11 @@ def cmd_parse(args) -> int:
 
 def cmd_unwind(args) -> int:
     _require(args, "formula", "graph")
+    # the graph goes first: a variable no formula can name is the cause
+    # of the formula error it would bring
+    g = load_graph_file(args.graph)
     f = _read_formula(args.formula)
-    u = unwind(f, load_graph_file(args.graph))
+    u = unwind(f, g)
     doc = {
         "formula": render_formula(f),
         "unwound": render_formula(u.formula),
@@ -305,8 +308,8 @@ def _tableau_text(doc: dict) -> str:
 
 def cmd_group(args) -> int:
     _require(args, "formula", "graph")
-    f = _read_formula(args.formula)
     g = load_graph_file(args.graph)
+    f = _read_formula(args.formula)
     plan = plan_monitors(f, g)
     doc = {
         "groups": [

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .formulas import _KEYWORDS
+
 
 class GraphError(ValueError):
     """Raised on schema violations, duplicate producers, or cycles."""
@@ -32,6 +34,11 @@ class Process:
         if overlap:
             raise GraphError("process %s lists %s as both input and output"
                              % (self.pid, sorted(overlap)[0]))
+        # a formula could not name such a variable
+        reserved = _KEYWORDS.intersection(self.inputs + self.outputs)
+        if reserved:
+            raise GraphError("variable %s of process %s is a formula keyword"
+                             % (sorted(reserved)[0], self.pid))
 
     @functools.cached_property
     def alphabet(self) -> frozenset:

@@ -13,7 +13,12 @@ activating event; fulfilment at the activation event itself consumes 0.
 Formula nodes are interned (hash-consed): every node is built by
 ``Formula.__new__``, which keeps one node per distinct tree in a weak
 table.  Equal trees are therefore the same object, equality is identity
-and hashing takes constant time at any depth.
+and hashing takes constant time at any depth.  A node also keeps the
+facts derived from it, each worked out at most once: its atom names
+(``atoms``) and whether it is in negation normal form (``nnf`` and
+``negate`` mark what they return).  A fact is a plain value, never a
+node, so no cache can tie nodes into a reference cycle and keep them
+alive past their last outside reference.
 """
 
 from __future__ import annotations
@@ -52,13 +57,35 @@ def make_event(props=(), cost: int = 0) -> Event:
     return Event(frozenset(props), cost)
 
 
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(dead: _Ref):
+    """Removal callback of every interned node's reference."""
+    # a node made anew under the same key keeps its entry
+    if Formula._interned.get(dead.key) is dead:
+        del Formula._interned[dead.key]
+
+
 class Formula:
     """Base class for formula nodes.  Nodes are interned: ``Formula.__new__``
     looks ``(class, *args)`` up in one weak table and returns the node
     already there, so equal trees are the same object.  Equality is
     identity, a hash takes constant time at any depth, and nodes are
-    immutable.  The table is a plain dict of weak references, each with a
-    callback that drops its entry, so a node no one refers to leaves it.
+    immutable.  The table is a plain dict of weak references (``_Ref``)
+    that carry their key, with one callback (``_drop``) that drops the
+    entry, so a node no one refers to leaves it.
+
+    Two slots keep facts derived from the node, set the first time they
+    are asked for: ``_atoms``, the frozenset of its atom names (None until
+    ``atoms`` works it out), and ``_in_nnf``, unset until ``nnf`` or
+    ``negate`` returns the node and sets it true.  They hold names and a
+    flag only: a node kept in a slot of a node could close a reference
+    cycle, and a node in a cycle outlives its last outside reference
+    until the cycle collector runs.
 
     ``fields`` names a class's constructor arguments in order; ``kids``
     names its subformula fields, left to right.  ``kids`` is the one
@@ -66,9 +93,9 @@ class Formula:
     (``subformulas``, ``fold`` and the stack loops beside them) read it.
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_atoms", "_in_nnf")
     fields = kids = ()
-    _interned: dict = {}  # (class, *args) -> weakref.ref to the node
+    _interned: dict = {}  # (class, *args) -> _Ref to the node
 
     def __new__(cls, *args):
         key = (cls,) + args
@@ -81,13 +108,12 @@ class Formula:
             node = object.__new__(cls)
             for name, value in zip(cls.fields, args):
                 object.__setattr__(node, name, value)
-
-            def gone(dead, key=key, table=Formula._interned):
-                # a node made anew under the same key keeps its entry
-                if table.get(key) is dead:
-                    del table[key]
-
-            Formula._interned[key] = weakref.ref(node, gone)
+            # the atoms walk reads this slot on every node it passes;
+            # _in_nnf, read only at the root of nnf, is left unset
+            object.__setattr__(node, "_atoms", None)
+            ref = _Ref(node, _drop)
+            ref.key = key
+            Formula._interned[key] = ref
         return node
 
     def __setattr__(self, *_):
@@ -183,7 +209,7 @@ def subformulas(f: Formula, stop=()):
     while stack:
         g = stack.pop()
         yield g
-        kids = g.kids  # leaves skip the stop test: atoms() stays as cheap
+        kids = g.kids  # leaves skip the stop test
         if kids and type(g) not in stop:
             for k in reversed(kids):
                 stack.append(getattr(g, k))
@@ -279,7 +305,11 @@ _DUAL = {And: or_, Or: and_, Next: Next, Eventually: Globally,
 
 def _polar(f: Formula, positive: bool) -> Formula:
     """Negation normal form of ``f`` (``positive``) or of its negation, in
-    one post-order pass that carries each node's polarity."""
+    one post-order pass that carries each node's polarity.  The result is
+    marked as being in negation normal form, and the normal form of a
+    marked node is the node."""
+    if positive and getattr(f, "_in_nnf", False):
+        return f
     done, todo = [], [(f, positive, False)]
     while todo:
         g, pos, ready = todo.pop()
@@ -311,6 +341,7 @@ def _polar(f: Formula, positive: bool) -> Formula:
             kid_pos = pos or t is QDep
             for k in reversed(g.kids):
                 todo.append((getattr(g, k), kid_pos, False))
+    object.__setattr__(done[0], "_in_nnf", True)
     return done[0]
 
 
@@ -325,8 +356,24 @@ def negate(f: Formula) -> Formula:
 
 
 def atoms(f: Formula) -> frozenset:
-    """All proposition names occurring in ``f``."""
-    return frozenset(g.name for g in subformulas(f) if type(g) is Atom)
+    """All proposition names occurring in ``f``.  They are kept on ``f``,
+    and the walk takes the names kept on a subformula without entering
+    it."""
+    names = f._atoms
+    if names is None:
+        found, todo = set(), [f]
+        while todo:
+            g = todo.pop()
+            known = g._atoms
+            if known is not None:
+                found.update(known)
+            elif type(g) is Atom:
+                found.add(g.name)
+            else:
+                todo += [getattr(g, k) for k in g.kids]
+        names = frozenset(found)
+        object.__setattr__(f, "_atoms", names)
+    return names
 
 
 def ordered_atoms(f: Formula) -> list:
@@ -394,42 +441,40 @@ def progress(f: Formula, event: Event) -> Formula:
     ``G (a o<=q b)``, ``G F a`` or ``F G a`` stays the same size over any
     trace.  Budgets carry their own remaining amounts.
     """
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Atom):
-        return TRUE if f.name in event.props else FALSE
-    if isinstance(f, Not):
-        g = progress(f.sub, event)
-        return FALSE if g is TRUE else TRUE if g is FALSE else Not(g)
-    if isinstance(f, And):
-        return _progress_nest(And, [progress(g, event)
-                                    for g in conjuncts_of(f)])
-    if isinstance(f, Or):
-        return _progress_nest(Or, [progress(g, event)
-                                   for g in disjuncts_of(f)])
-    if isinstance(f, Next):
-        return f.sub
-    if isinstance(f, Globally):
-        return _progress_nest(And, [progress(f.sub, event), f])
-    if isinstance(f, Eventually):
-        return _progress_nest(Or, [progress(f.sub, event), f])
-    if isinstance(f, Until):
-        keep = _progress_nest(And, [progress(f.left, event), f])
-        return _progress_nest(Or, [progress(f.right, event), keep])
-    if isinstance(f, QDep):
-        if not eval_props(f.left, event.props):
-            return TRUE
-        if eval_props(f.right, event.props):
-            # Fulfilment at the activation event consumes no budget.
-            return TRUE
-        return Budget(f.right, f.bound)
-    if isinstance(f, Budget):
+    t = type(f)  # the kinds a residual holds most come first
+    if t is Budget:
         remaining = f.remaining - event.cost
         if remaining < 0:
             return FALSE
         if eval_props(f.target, event.props):
             return TRUE
         return Budget(f.target, remaining)
+    if t is And or t is Or:
+        return _progress_nest(t, [progress(g, event)
+                                  for g in _operands(f, t)])
+    if t is Globally:
+        return _progress_nest(And, [progress(f.sub, event), f])
+    if t is QDep:
+        if not eval_props(f.left, event.props):
+            return TRUE
+        if eval_props(f.right, event.props):
+            # Fulfilment at the activation event consumes no budget.
+            return TRUE
+        return Budget(f.right, f.bound)
+    if t is Atom:
+        return TRUE if f.name in event.props else FALSE
+    if t is Not:
+        g = progress(f.sub, event)
+        return FALSE if g is TRUE else TRUE if g is FALSE else Not(g)
+    if t is Eventually:
+        return _progress_nest(Or, [progress(f.sub, event), f])
+    if t is Until:
+        keep = _progress_nest(And, [progress(f.left, event), f])
+        return _progress_nest(Or, [progress(f.right, event), keep])
+    if t is Next:
+        return f.sub
+    if t is TrueF or t is FalseF:
+        return f
     raise TypeError("unknown formula node: %r" % (f,))
 
 
@@ -497,7 +542,7 @@ class FormulaSyntaxError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(o<=)|([A-Za-z_][A-Za-z0-9_]*)|(\d+)|([&|!()]))")
-_KEYWORDS = {"U", "X", "F", "G", "true", "false"}
+_KEYWORDS = frozenset({"U", "X", "F", "G", "true", "false"})
 
 
 def _tokenize(text: str):

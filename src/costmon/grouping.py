@@ -60,16 +60,14 @@ def branch_content(leaf: TableauNode) -> Optional[Formula]:
     """
     if leaf.status != "ticked":
         return None
-    parts: List[Formula] = []
-    for f in leaf.label:
-        g = f.sub if isinstance(f, Next) else f
-        if g not in parts:
-            parts.append(g)
+    parts = dict.fromkeys(f.sub if type(f) is Next else f
+                          for f in leaf.label)  # an ordered set
+    always = {g.sub for g in parts if type(g) is Globally}
     kept: List[Formula] = []
     for g in parts:
         if g == TRUE:
             continue
-        if Globally(g) in parts:
+        if g in always:
             continue
         if isinstance(g, Eventually) and g.sub in parts:
             continue
@@ -192,9 +190,10 @@ def _owner_split(formulas: List[Formula],
     out: List[MonitorGroup] = []
     for owner in sorted(owners):
         fs = owners[owner]
+        eventual = {f.sub for f in fs if type(f) is Eventually}
         kept: List[Formula] = []
         for f in fs:
-            if Eventually(f) in fs:
+            if f in eventual:
                 continue
             if f not in kept:
                 kept.append(f)

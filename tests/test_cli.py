@@ -5,6 +5,7 @@ exit codes, and printed documents are exercised exactly as a user sees them;
 only the parser-reuse test calls ``cli.main`` twice in one process.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 import costmon
 from costmon import cli
 from conftest import PIPELINE_DOC
-from costmon.formulas import render_formula
+from costmon.formulas import Formula, render_formula
 from costmon.simulator import example2_scenario
 from costmon.sortingline import (SORTING_LINE_GRAPH_JSON,
                                  build_sorting_line_scenario)
@@ -364,6 +365,19 @@ def test_graph_rejection_is_one_line_exit_2(tmp_path, text, message):
     assert r.stderr.startswith("graph error: " + message)
 
 
+@pytest.mark.parametrize("field, name", [
+    ("outputs", "X"), ("outputs", "U"), ("inputs", "G"), ("inputs", "true"),
+    ("inputs", "false"), ("outputs", "F")])
+def test_a_formula_keyword_as_variable_is_exit_2(tmp_path, field, name):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"processes": [dict(PROCESS, **{field: [name]})]}))
+    r = run_cli("unwind", "--formula", "G (I0 o<=3 %s)" % name,
+                "--graph", str(path))
+    assert r.returncode == 2
+    assert r.stderr == ("graph error: variable %s of process p0 is a formula "
+                        "keyword\n" % name)
+
+
 def test_unwinding_through_a_producer_without_inputs_is_exit_2(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"processes": [
@@ -618,6 +632,21 @@ def test_no_command_is_exit_64():
     r = run_cli()
     assert r.returncode == 64
     assert r.stderr.startswith("usage: costmon")
+
+
+def test_a_check_keeps_no_formula_node_alive(capsys):
+    # with the cycle collector off, a node that some cache ties into a
+    # reference cycle would stay in the table
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(Formula._interned)
+        assert cli.main(["check", "--scenario", "example2"]) == 0
+        after = len(Formula._interned)
+    finally:
+        gc.enable()
+    assert after == before
+    assert "agree" in capsys.readouterr().out
 
 
 def test_parser_is_built_once_per_process(capsys):

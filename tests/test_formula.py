@@ -5,7 +5,6 @@ import itertools
 import pickle
 import random
 import time
-import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -191,7 +190,10 @@ def test_a_dead_reference_drops_only_its_own_entry():
     f = And(Atom("kept"), a)
     key = (And, Atom("kept"), a)
     ref = Formula._interned[key]
-    ref.__callback__(weakref.ref(f))  # an older reference under the key
+    assert ref.key == key
+    stale = type(ref)(f, ref.__callback__)  # an older reference under the key
+    stale.key = key
+    ref.__callback__(stale)
     assert Formula._interned[key] is ref
     assert And(Atom("kept"), a) is f
     ref.__callback__(ref)

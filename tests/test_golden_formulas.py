@@ -10,17 +10,22 @@ for parsed texts the exit code and output of ``costmon parse --format
 json``.  Formulas are written as their rendered text; the bulky values
 (``negate``, the index, the parse output) as a sha256 of that text.
 Residuals, which do not parse, are stored as their ``parse --format json``
-AST.  After an intended change of output, regenerate the file with
+AST.  Over every parsed text, the facts a node keeps (its atoms and
+its negation normal form mark) are checked against fresh walks.  After an
+intended change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_formulas.py
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
 import os
+import pickle
 import random
+import re
 
 import pytest
 
@@ -47,6 +52,7 @@ from costmon.formulas import (
     progress,
     render_formula,
     subformula_index,
+    subformulas,
 )
 from costmon.grouping import _qdeps_of
 from costmon.tableau import apply_dist
@@ -215,6 +221,51 @@ def test_golden_covers_the_grammar(golden):
 def test_formula_walkers_match_golden(golden):
     for r in golden:
         assert record(r["text"], r["ast"]) == r, r["render"]
+
+
+def _texts(golden):
+    return [r["text"] for r in golden if r["text"] is not None]
+
+
+def test_nnf_returns_marked_nodes_as_they_are(golden):
+    for text in _texts(golden):
+        f = parse_formula(text)
+        assert nnf(nnf(f)) is nnf(f), text
+        assert nnf(negate(f)) is negate(f), text
+        # the mark is sound: each part of a normal form, unmarked and
+        # walked afresh, is its own normal form
+        for g in list(subformulas(nnf(f)))[1:]:
+            assert nnf(g) is g, text
+
+
+def _ask_atoms(text, root_first):
+    # atom names no other test uses, so that every node with an atom is new
+    text = re.sub(r"\b(?!(?:true|false|[UXFG])\b|o<=)([A-Za-z_]\w*)",
+                  r"fresh_\1", text)
+    parts = list(subformulas(parse_formula(text)))
+    assert all(g._atoms is None for g in parts
+               if g.kids and any(type(h) is Atom for h in subformulas(g))), text
+    for g in parts if root_first else parts[::-1]:
+        walk = frozenset(h.name for h in subformulas(g) if type(h) is Atom)
+        assert atoms(g) == walk, text
+
+
+def test_kept_atoms_match_a_fresh_walk(golden):
+    # the nodes of one call are gone, with their atoms, before the next
+    for text in _texts(golden):
+        _ask_atoms(text, root_first=True)
+        _ask_atoms(text, root_first=False)
+
+
+def test_copies_of_a_node_with_kept_facts_are_the_interned_node(golden):
+    for text in _texts(golden):
+        f = parse_formula(text)
+        names, normal = atoms(f), nnf(f)
+        for g in (f, normal):
+            assert copy.copy(g) is g
+            assert copy.deepcopy(g) is g
+            assert pickle.loads(pickle.dumps(g)) is g
+        assert f._atoms is names and normal._in_nnf
 
 
 if __name__ == "__main__":
