@@ -1,8 +1,11 @@
 """End-to-end checks of the command line front end.
 
-Every test shells out through ``python -m costmon`` so the argument wiring,
-exit codes, and printed documents are exercised exactly as a user sees them;
-only the parser-reuse test calls ``cli.main`` twice in one process.
+Almost every test shells out through ``python -m costmon`` so the argument
+wiring, exit codes, and printed documents are exercised exactly as a user
+sees them.  Two tests call ``cli.main`` in process: the parser-reuse test,
+which calls it twice, and the test that a check keeps no formula node
+alive, which reads ``Formula._interned`` before and after one check with
+the cycle collector off.
 """
 
 import gc
