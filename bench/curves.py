@@ -7,13 +7,17 @@ the check pipeline on its own with ``time.perf_counter``: load (scenario
 JSON and graph validation), unwind, negate, tableau, group, assign,
 synth (subformula index and monitor synthesis), run (simulated rounds
 with monitoring) and oracle (centralized progression over the latched
-global trace, restricted to the formula's atoms as ``check`` does).  A
-size whose pipeline stops with an error, such as the tableau passing
-``NODE_LIMIT``, is recorded as a failure at that size, with the time of
-the stages up to and including the one that failed.  Next to the stage
-sum, ``check_s`` times one whole in-process ``cli.main(["check",
-"--scenario", FILE])`` on the same scenario, argument parsing and the
-printed report included, and ``check_exit`` keeps its exit code.
+global trace, restricted to the formula's atoms as ``check`` does).
+Every size runs the pipeline ``REPEATS`` times and records each stage's
+median (``stages_s``, which ``total_s`` sums), minimum and maximum
+(``stages_min_s``, ``stages_max_s``).  A size whose pipeline stops
+with an error, such as the tableau passing ``NODE_LIMIT``, is recorded
+as a failure at that size, with the time of the stages up to and
+including the one that failed.  Next to the stage
+sum, ``check_s`` is the median time of ``REPEATS`` whole in-process
+``cli.main(["check", "--scenario", FILE])`` calls on the same scenario,
+argument parsing and the printed report included, and ``check_exit``
+keeps the exit code.
 
 Counters come from a second, untimed run: tableau nodes, monitor
 groups, the peak of memory the group, run and oracle stages allocate
@@ -48,7 +52,7 @@ SIZES = (50, 150, 300, 600, 1000, 2000, 5000)
 STAGES = ("load", "unwind", "negate", "tableau", "group", "assign", "synth",
           "run", "oracle")
 PEAK_STAGES = ("group", "run", "oracle")  # counters record their peak
-REPEATS_BELOW = 1000  # sizes under this take the median of three runs
+REPEATS = 3  # timed runs per size
 DELAY = 2
 STIMULUS = 1
 
@@ -191,12 +195,13 @@ def counters(text: str) -> dict:
 
 def measure(n: int) -> dict:
     text = chain_text(n)
-    repeats = 3 if n < REPEATS_BELOW else 1
-    runs = [timed(text) for _ in range(repeats)]
+    runs = [timed(text) for _ in range(REPEATS)]
     point = {"n": n, "failed": runs[0]["error"]}
-    point["stages_s"] = {
-        name: statistics.median(r["stages"][name] for r in runs)
-        for name in STAGES if name in runs[0]["stages"]}
+    done = [name for name in STAGES if name in runs[0]["stages"]]
+    for key, pick in (("stages_s", statistics.median),
+                      ("stages_min_s", min), ("stages_max_s", max)):
+        point[key] = {name: pick(r["stages"][name] for r in runs)
+                      for name in done}
     point["total_s"] = sum(point["stages_s"].values())
     point.update(counters(text))
     # after the counters: the nodes a whole check leaves in the intern
@@ -205,7 +210,7 @@ def measure(n: int) -> dict:
         path = os.path.join(tmp, "chain-%d.json" % n)
         with open(path, "w") as fh:
             fh.write(text)
-        checks = [timed_check(path) for _ in range(repeats)]
+        checks = [timed_check(path) for _ in range(REPEATS)]
     point["check_s"] = statistics.median(s for s, _ in checks)
     point["check_exit"] = checks[0][1]
     return point

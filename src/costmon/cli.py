@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "temporal properties.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p, formula=False, graph=False, scenario=False):
+    def common(p, formula=False, graph=False, scenario=False,
+               formats=("text", "json")):
         if formula:
             p.add_argument("--formula", metavar="F",
                            help="formula text or path to a formula file")
@@ -131,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "afflicted activation")
             p.add_argument("--seed", type=int, default=0, metavar="N",
                            help="seed for the random builtin scenario")
-        p.add_argument("--format", choices=("text", "json", "dot"),
-                       help="output format (default text; tableau: dot)")
+        p.add_argument("--format", choices=formats,
+                       help="output format (default %s)" % formats[0])
         p.add_argument("--out", metavar="PATH",
                        help="write the full result document to PATH")
 
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_unwind)
 
     p = sub.add_parser("tableau", help="decompose a formula into branches")
-    common(p, formula=True)
+    common(p, formula=True, formats=("dot", "text", "json"))
     p.set_defaults(func=cmd_tableau)
 
     p = sub.add_parser("group",
@@ -285,7 +286,7 @@ def cmd_tableau(args) -> int:
     _require(args, "formula")
     f = _read_formula(args.formula)
     root = build_tableau(f)
-    if (args.format or "dot") == "dot":
+    if args.format in (None, "dot"):
         _emit(args, export_dot(root))
         return EXIT_OK
     doc = {
@@ -418,9 +419,7 @@ def _result_text(doc: dict) -> str:
 
 
 def _rounds(args, sc: Scenario) -> int:
-    if args.rounds is not None:
-        return args.rounds
-    return sc.suggested_rounds if sc.suggested_rounds is not None else 40
+    return sc.suggested_rounds if args.rounds is None else args.rounds
 
 
 def cmd_simulate(args) -> int:

@@ -142,20 +142,12 @@ class DependencyGraph:
         """
         if variable not in self.producer:
             return []
-        end = self.producer[variable]
-        out: List[List[str]] = []
-
-        def backward(pid, acc):
-            path = [pid] + acc
+        out, todo = [], [[self.producer[variable]]]
+        while todo:
+            path = todo.pop()
             out.append(path)
-            for prev in self._pred[pid]:
-                backward(prev, path)
-
-        backward(end, [])
-        if from_pid is not None:
-            out = [p for p in out if p[0] == from_pid]
-        out.sort()
-        return out
+            todo.extend([prev] + path for prev in self._pred[path[0]])
+        return sorted(p for p in out if from_pid is None or p[0] == from_pid)
 
     def _cheapest_to(self, variable: str) -> Dict[str, Tuple[int, Optional[str]]]:
         """For every process with a path to producer(variable): the cost of
@@ -212,6 +204,11 @@ def load_graph(text: str) -> DependencyGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError("graph document is not valid JSON: %s" % exc)
+    return graph_from_doc(doc)
+
+
+def graph_from_doc(doc) -> DependencyGraph:
+    """The graph of an already decoded JSON graph document, validated."""
     if not isinstance(doc, dict):
         raise GraphError("graph document must be a JSON object")
     unknown = set(doc) - _TOP_KEYS

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
-from .depgraph import DependencyGraph, Process, load_graph
+from .depgraph import DependencyGraph, Process, graph_from_doc, load_graph
 from .formulas import (
     Atom,
     Event,
@@ -81,6 +81,9 @@ class RecoveryAction:
                 or not isinstance(self.param("variable", ""), str)):
             raise ValueError("recovery 'factor' must be a number and "
                              "'variable' a name")
+        if (self.kind == "reference_second_sensor"
+                and self.param("variable") is None):
+            raise ValueError("%s needs a 'variable' parameter" % self.kind)
 
     def param(self, name: str, default=None):
         for k, v in self.params:
@@ -91,13 +94,17 @@ class RecoveryAction:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A run of the process model, checked against its graph when built:
+    files, builtins and ``dataclasses.replace`` all pass these checks, so
+    no run meets an invalid scenario.  Raises ValueError."""
     graph: DependencyGraph
-    behaviors: Dict[str, int]  # pid -> latency rounds, >= declared cost
     stimuli: Dict[int, frozenset]  # round -> environment variables pulsing
+    # pid -> latency rounds, >= declared cost (unlisted: declared cost)
+    behaviors: Dict[str, int] = field(default_factory=dict)
     faults: Tuple[FaultSpec, ...] = ()
     recoveries: Dict[str, RecoveryAction] = field(default_factory=dict)
     formula: Optional[Formula] = None
-    suggested_rounds: Optional[int] = None
+    suggested_rounds: int = 40
     # variables a colorway never emits (classifier stays silent on the
     # other color) and alternative start conditions (a process that goes
     # on whichever of several input sets completes first)
@@ -107,12 +114,45 @@ class Scenario:
     monitor_specs: Tuple[Tuple[str, str, Formula], ...] = ()
 
     def __post_init__(self):
+        g = self.graph
+        variables = g.environment | g.dependent
+        for names in self.stimuli.values():
+            _known(names, "stimuli", g.environment, "an environment variable")
         for pid, latency in self.behaviors.items():
-            p = self.graph.by_pid.get(pid)
-            if p is not None and latency < p.cost:
-                raise ValueError(
-                    "latency %d of %s below its lower bound %d"
-                    % (latency, pid, p.cost))
+            p = g.by_pid.get(pid)
+            if p is None:
+                raise ValueError("behavior for unknown process %r" % pid)
+            if latency < p.cost:
+                raise ValueError("latency %d of %s below its lower bound %d"
+                                 % (latency, pid, p.cost))
+        for f in self.faults:
+            if f.target not in variables and f.target not in g.by_pid:
+                raise ValueError("fault target %r is neither a process nor "
+                                 "a variable" % f.target)
+            if f.kind == "delay" and f.target not in g.by_pid:
+                raise ValueError("delay fault target %r is not a process"
+                                 % f.target)
+        if self.deadline is not None and self.deadline[0] not in variables:
+            raise ValueError("the deadline variable %r is not a variable "
+                             "of the graph" % self.deadline[0])
+        if self.suggested_rounds < 0:
+            raise ValueError("'rounds' must be non-negative, got %d"
+                             % self.suggested_rounds)
+        for pid, sets in self.trigger_sets.items():
+            if pid not in g.by_pid:
+                raise ValueError("trigger sets for unknown process %r" % pid)
+            for names in sets:
+                _known(names, "trigger_sets", variables,
+                       "a variable of the graph")
+        _known(self.suppressed_outputs, "suppressed_outputs", g.dependent,
+               "produced by a process")
+
+
+def _known(names, what: str, known, kind: str) -> None:
+    """Raises naming the least of ``names`` not in ``known``, if any."""
+    unknown = sorted(set(names).difference(known))
+    if unknown:
+        raise ValueError("%s: %r is not %s" % (what, unknown[0], kind))
 
 
 @dataclass(frozen=True)
@@ -184,22 +224,14 @@ def plan_monitors(f: Formula, graph: DependencyGraph) -> MonitorPlan:
                        assignment, index_table)
 
 
-def _known_targets(graph: DependencyGraph) -> Set[str]:
-    return set(graph.by_pid) | set(graph.producer) | set(graph.environment)
-
-
 def run_simulation(scenario: Scenario, rounds: int,
                    monitors: Sequence[LocalMonitor],
                    root: Optional[Formula] = None) -> SimulationResult:
     """Drives the process model and the monitors in lockstep.  The run is
     never cut short by a verdict: detection triggers recovery and the
-    physical outcome of the remaining rounds is part of the result."""
+    physical outcome of the remaining rounds is part of the result.  It
+    raises nothing: the scenario was checked when it was built."""
     graph = scenario.graph
-    known = _known_targets(graph)
-    for f in scenario.faults:
-        if f.target not in known:
-            raise ValueError("fault target %r is neither a process nor a "
-                             "variable" % f.target)
     if root is None:
         root = scenario.formula
     eventually_rooted = isinstance(root, Eventually)
@@ -217,9 +249,6 @@ def run_simulation(scenario: Scenario, rounds: int,
             for v in proc.outputs if proc else (f.target,):
                 drop_from[v] = min(drop_from.get(v, f.at_round), f.at_round)
         elif f.kind == "delay":
-            if f.target not in graph.by_pid:
-                raise ValueError("delay fault target %r is not a process"
-                                 % f.target)
             delays[f.target] = (f.at_round, f.extra)
 
     pids = sorted(graph.by_pid)
@@ -311,11 +340,8 @@ def run_simulation(scenario: Scenario, rounds: int,
             if action.kind == "eject_to_bin3":
                 ejected = True
             elif action.kind == "reference_second_sensor":
-                var = action.param("variable")
-                if var is None:
-                    raise ValueError("reference_second_sensor needs a "
-                                     "'variable' parameter")
-                injected.setdefault(rnd + 1, set()).add(var)
+                injected.setdefault(rnd + 1, set()).add(
+                    action.param("variable"))
             elif action.kind == "reduce_belt_speed":
                 if deadline_round is not None and deadline_round > rnd:
                     factor = action.param("factor", 2)
@@ -352,12 +378,10 @@ def _triggering_watcher(monitors: Sequence[LocalMonitor],
 def run_scenario(scenario: Scenario, rounds: Optional[int] = None, *,
                  monitors: Optional[Sequence[LocalMonitor]] = None
                  ) -> SimulationResult:
-    """Convenience wrapper: plans monitors from the scenario's formula when
-    none are given, then simulates."""
+    """Plans monitors from the scenario's formula when none are given, then
+    simulates ``rounds``, by default the scenario's suggested count."""
     if rounds is None:
         rounds = scenario.suggested_rounds
-        if rounds is None:
-            raise ValueError("scenario suggests no round count; pass rounds")
     if monitors is None:
         if scenario.monitor_specs:
             monitors = case_monitors(scenario)
@@ -407,11 +431,9 @@ def example2_scenario(fault: Optional[FaultSpec] = None,
     f = parse_formula("G ((I0 & I1) o<=20 Of)")
     return Scenario(
         graph=g,
-        behaviors={p.pid: p.cost for p in g.processes},
         stimuli={stimulus_round: frozenset(["I0", "I1"])},
         faults=(fault,) if fault is not None else (),
-        formula=f,
-        suggested_rounds=40)
+        formula=f)
 
 
 _SCENARIO_KEYS = frozenset([
@@ -421,7 +443,10 @@ _SCENARIO_KEYS = frozenset([
 
 def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
     """Scenario from its JSON form.  The graph is either inline or a file
-    path resolved against base_dir.  Raises ValueError on malformed input."""
+    path resolved against base_dir.  This checks only the JSON shape;
+    ``FaultSpec``, ``RecoveryAction`` and, once the whole file has its
+    shape, ``Scenario`` check what the values mean.  A file without
+    ``"rounds"`` gets ``Scenario``'s default.  Raises ValueError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -439,7 +464,7 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
         with open(path) as fh:
             graph = load_graph(fh.read())
     elif isinstance(spec, dict):
-        graph = load_graph(json.dumps(spec))
+        graph = graph_from_doc(spec)
     else:
         raise ValueError("'graph' must be an object or a file path")
     stimuli = {}
@@ -448,14 +473,9 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
             rnd = int(key)  # JSON object keys are always strings
         except ValueError:
             raise ValueError("stimulus round %r is not an integer" % key)
-        stimuli[rnd] = _names(names, "stimuli", graph.environment,
-                              "an environment variable")
-    behaviors = {p.pid: p.cost for p in graph.processes}
-    for pid, latency in _typed(doc.get("behaviors", {}), dict,
-                               "'behaviors'").items():
-        if pid not in behaviors:
-            raise ValueError("behavior for unknown process %r" % pid)
-        behaviors[pid] = _int(latency, "latency")
+        stimuli[rnd] = _names(names, "stimuli")
+    behaviors = {pid: _int(latency, "latency") for pid, latency in _typed(
+        doc.get("behaviors", {}), dict, "'behaviors'").items()}
     faults = []
     for d in _typed(doc.get("faults", []), list, "'faults'"):
         _typed(d, dict, "a fault")
@@ -481,25 +501,14 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
     if deadline is not None:
         if not isinstance(deadline, list) or len(deadline) != 2:
             raise ValueError("'deadline' must be a [variable, round] pair")
-        var = _typed(deadline[0], str, "the deadline variable")
-        if var not in graph.environment | graph.dependent:
-            raise ValueError("the deadline variable %r is not a variable "
-                             "of the graph" % var)
-        deadline = (var, _int(deadline[1], "deadline round"))
+        deadline = (_typed(deadline[0], str, "the deadline variable"),
+                    _int(deadline[1], "deadline round"))
     rounds = doc.get("rounds")
-    if rounds is not None:
-        rounds = _int(rounds, "'rounds'")
-        if rounds < 0:
-            raise ValueError("'rounds' must be non-negative, got %d" % rounds)
-    trigger_sets = {}
-    for pid, sets in _typed(doc.get("trigger_sets", {}), dict,
-                            "'trigger_sets'").items():
-        if pid not in graph.by_pid:
-            raise ValueError("trigger sets for unknown process %r" % pid)
-        trigger_sets[pid] = tuple(
-            _names(names, "trigger_sets", graph.environment | graph.dependent,
-                   "a variable of the graph")
-            for names in _typed(sets, list, "'trigger_sets'"))
+    trigger_sets = {
+        pid: tuple(_names(names, "trigger_sets")
+                   for names in _typed(sets, list, "'trigger_sets'"))
+        for pid, sets in _typed(doc.get("trigger_sets", {}), dict,
+                                "'trigger_sets'").items()}
     return Scenario(
         graph=graph,
         behaviors=behaviors,
@@ -507,10 +516,10 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
         faults=tuple(faults),
         recoveries=recoveries,
         formula=formula,
-        suggested_rounds=rounds,
+        suggested_rounds=(Scenario.suggested_rounds if rounds is None
+                          else _int(rounds, "'rounds'")),
         suppressed_outputs=_names(doc.get("suppressed_outputs", []),
-                                  "suppressed_outputs", graph.dependent,
-                                  "produced by a process"),
+                                  "suppressed_outputs"),
         trigger_sets=trigger_sets,
         deadline=deadline)
 
@@ -532,15 +541,11 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _names(value, what: str, known, kind: str) -> frozenset:
-    """``value`` as a set of names, each of them in ``known`` (``kind``
-    says what that means in the error message)."""
+def _names(value, what: str) -> frozenset:
+    """``value`` as a set of names, if it is a JSON list of strings."""
     if not all(isinstance(v, str) for v in _typed(value, list, what)):
         raise ValueError("%s: expected a list of names, got %s"
                          % (what, json.dumps(value)))
-    unknown = sorted(set(value).difference(known))
-    if unknown:
-        raise ValueError("%s: %r is not %s" % (what, unknown[0], kind))
     return frozenset(value)
 
 
@@ -567,9 +572,9 @@ def random_scenario(seed: int, limits: Mapping) -> Scenario:
     for cost_cap, slack_cap, stim_cap in ((min(max_cost, 3), 3, 2),
                                           (min(max_cost, 2), 2, 1),
                                           (1, 1, 0), (1, 0, 0)):
-        scenario, needed = _build_random(rng, n, max_fan, cost_cap,
-                                         slack_cap, stim_cap)
-        if needed <= max_rounds:
+        scenario = _build_random(rng, n, max_fan, cost_cap, slack_cap,
+                                 stim_cap)
+        if scenario.suggested_rounds <= max_rounds:
             return scenario
         n = max(2, n - 1)
     raise ValueError("max_rounds %d too small for any generated system"
@@ -622,11 +627,9 @@ def _build_random(rng: random.Random, n: int, max_fan: int, cost_cap: int,
     rng.randint(0, 2 ** 31)  # unused, but a retry's draws follow it
     left = conj([Atom(v) for v in sorted(env_vars)])
     formula = Globally(QDep(left, Atom(sink_var), q))
-    scenario = Scenario(
+    return Scenario(
         graph=g,
-        behaviors={p.pid: p.cost for p in procs},
         stimuli={s: frozenset(env_vars)},
         faults=(fault,) if fault is not None else (),
         formula=formula,
         suggested_rounds=needed)
-    return scenario, needed

@@ -124,7 +124,6 @@ def build_sorting_line_scenario(token: str = "white",
                            else ("CV_W", "A_W"))
     return Scenario(
         graph=g,
-        behaviors={p.pid: p.cost for p in g.processes},
         stimuli={s: frozenset(["LS1", "SC", "LS2"])},
         faults=faults,
         recoveries=recoveries,

@@ -20,7 +20,8 @@ import costmon
 from costmon import cli
 from conftest import PIPELINE_DOC
 from costmon.formulas import Formula, render_formula
-from costmon.simulator import example2_scenario
+from costmon.simulator import (example2_scenario, load_scenario_file,
+                               run_scenario)
 from costmon.sortingline import (SORTING_LINE_GRAPH_JSON,
                                  build_sorting_line_scenario)
 
@@ -264,6 +265,22 @@ def test_tableau_text_format():
     assert lines[2] == "  1: p, r  [ticked]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "--formula", "a & b"],
+    ["unwind", "--formula", "G (I0 o<=20 Of)"],
+    ["group", "--formula", "G (I0 o<=20 Of)"],
+    ["simulate", "--scenario", "example2"],
+    ["check", "--scenario", "example2"],
+], ids=lambda argv: argv[0])
+def test_dot_is_a_tableau_format_only(argv, graph_file):
+    if argv[0] in ("unwind", "group"):
+        argv = argv + ["--graph", graph_file]
+    r = run_cli(*argv, "--format", "dot")
+    assert r.returncode == 64
+    assert "invalid choice: 'dot'" in r.stderr
+    assert r.stdout == ""
+
+
 def test_tableau_output_is_deterministic():
     a = run_cli("tableau", "--formula", "G (p | q)")
     b = run_cli("tableau", "--formula", "G (p | q)")
@@ -504,6 +521,53 @@ def test_fault_on_no_process_is_exit_2(tmp_path, fault, message):
         r = run_cli(command, "--scenario", str(path))
         assert r.returncode == 2
         assert r.stderr == "error: %s\n" % message
+
+
+CHAIN_SCENARIO = {
+    "graph": {"processes": [
+        {"pid": "p0", "inputs": ["I0"], "outputs": ["O0"], "cost": 2},
+        {"pid": "p1", "inputs": ["O0"], "outputs": ["Of"], "cost": 3}],
+        "environment": ["I0"]},
+    "stimuli": {"1": ["I0"]}}
+
+
+def test_a_recovery_without_its_variable_fails_at_load(tmp_path):
+    # the recovery would fire only after round 3, so a short run used to
+    # pass it by
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(dict(
+        CHAIN_SCENARIO, faults=[{"target": "p0", "kind": "drop"}],
+        recoveries={"drop": {"kind": "reference_second_sensor"}},
+        formula="G (I0 o<=5 Of)", rounds=12)))
+    for argv in ([], ["--rounds", "3"]):
+        r = run_cli("simulate", "--scenario", str(path), *argv)
+        assert r.returncode == 2
+        assert r.stderr == ("error: reference_second_sensor needs a "
+                            "'variable' parameter\n")
+
+
+def test_a_bad_fault_target_is_reported_before_planning(tmp_path):
+    # the budget is infeasible too, but the scenario is checked first
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(
+        CHAIN_SCENARIO, faults=[{"target": "nothing", "kind": "drop"}],
+        formula="G (I0 o<=2 Of)")))
+    for command in ("check", "simulate"):
+        r = run_cli(command, "--scenario", str(path))
+        assert r.returncode == 2
+        assert r.stderr == ("error: fault target 'nothing' is neither a "
+                            "process nor a variable\n")
+
+
+def test_a_scenario_without_rounds_runs_forty_everywhere(tmp_path):
+    path = tmp_path / "norounds.json"
+    path.write_text(json.dumps(dict(CHAIN_SCENARIO,
+                                    formula="G (I0 o<=5 Of)")))
+    r = run_cli("simulate", "--scenario", str(path))
+    assert (r.returncode, r.stderr) == (0, "")
+    assert "rounds: 40\n" in r.stdout
+    result = run_scenario(load_scenario_file(str(path)))
+    assert len(result.global_trace) == 40
 
 
 def test_fault_flag_on_a_scenario_file(tmp_path):

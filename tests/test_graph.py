@@ -133,6 +133,14 @@ def test_paths_are_simple(pipeline):
         assert len(set(p)) == len(p)
 
 
+def test_paths_of_a_long_chain_take_no_recursion():
+    n = 1200
+    g = load_graph(doc([proc("p%d" % i, ["I0" if i == 0 else "O%d" % (i - 1)],
+                             ["O%d" % i]) for i in range(n)]))
+    assert g.dependency_paths("O%d" % (n - 1), "p0") == [
+        ["p%d" % i for i in range(n)]]
+
+
 # ---------------------------------------------------------------------------
 # path costs
 

@@ -25,8 +25,6 @@ ALLOWED = {
         "_Parser.until_expr", "_Parser.or_expr", "_Parser.and_expr",
         "_Parser.unary_expr", "_Parser.primary",
     },
-    # the exhaustive path enumeration kept as a reference for tests
-    "depgraph": {"DependencyGraph.dependency_paths.backward"},
 }
 
 

@@ -25,7 +25,7 @@ from costmon import (
 )
 from costmon.depgraph import DependencyGraph, Process
 from costmon.formulas import Event
-from costmon.simulator import Scenario, run_simulation
+from costmon.simulator import RecoveryAction, Scenario, run_simulation
 from costmon.sortingline import FAULT_NAMES, PUBLISHED_BOUNDS, TOKENS
 
 import test_golden_run
@@ -144,11 +144,17 @@ def test_behavior_cannot_undercut_process_cost():
         dataclasses.replace(sc, behaviors={**sc.behaviors, "p0": 1})
 
 
-def test_round_count_must_come_from_somewhere():
-    sc = dataclasses.replace(example2_scenario(stimulus_round=3),
-                             suggested_rounds=None)
-    with pytest.raises(ValueError, match="pass rounds"):
-        run_scenario(sc)
+def test_replace_checks_the_scenario_again():
+    with pytest.raises(ValueError, match="fault target 'nothing' is "
+                                         "neither a process nor a variable"):
+        dataclasses.replace(example2_scenario(),
+                            faults=(FaultSpec("nothing", "drop"),))
+
+
+def test_a_second_sensor_recovery_names_its_variable():
+    with pytest.raises(ValueError, match="reference_second_sensor needs a "
+                                         "'variable' parameter"):
+        RecoveryAction("reference_second_sensor")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +180,14 @@ def test_scenario_document_round_trip():
     res = run_scenario(sc)
     assert res.report.global_verdict is Verdict.UNKNOWN
     assert res.arrival_rounds == {"I0": 2, "O0": 4, "Of": 7}
+
+
+def test_a_scenario_without_rounds_runs_forty():
+    doc = scenario_doc(CHAIN_SPEC)
+    del doc["rounds"]
+    sc = load_scenario(json.dumps(doc))
+    assert sc.suggested_rounds == 40
+    assert len(run_scenario(sc).global_trace) == 40
 
 
 def test_scenario_graph_may_live_in_a_file(tmp_path):
@@ -214,7 +228,7 @@ def test_random_scenarios_respect_their_limits():
         assert sc.suggested_rounds <= LIMITS["max_rounds"]
         for p in sc.graph.processes:
             assert p.cost <= LIMITS["max_cost"]
-            assert sc.behaviors[p.pid] >= p.cost
+            assert sc.behaviors.get(p.pid, p.cost) >= p.cost
 
 
 def test_random_scenario_needs_room_for_an_edge():
