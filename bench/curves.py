@@ -48,7 +48,7 @@ from costmon import cli, formulas, grouping, runtime, simulator  # noqa: E402
 from costmon.tableau import build_tableau  # noqa: E402
 from costmon.unwinding import unwind  # noqa: E402
 
-SIZES = (50, 150, 300, 600, 1000, 2000, 5000)
+SIZES = (50, 150, 300, 600, 1000, 2000, 5000, 10000)
 STAGES = ("load", "unwind", "negate", "tableau", "group", "assign", "synth",
           "run", "oracle")
 PEAK_STAGES = ("group", "run", "oracle")  # counters record their peak

@@ -6,8 +6,10 @@ harness (check).  Exit codes: 0 success, 1 formula error (including
 parentheses nested deeper than ``formulas.MAX_PAREN_DEPTH`` and a
 dependency whose right operand unwinding cannot split), 2 graph or
 scenario error, 3 infeasible budget, 4 unobservable atom, 5 verdict
-disagreement, 64 usage error.  All output is deterministic for fixed
-inputs.
+disagreement, 64 usage error (a bad argument, or a file it names that
+cannot be opened).  A reader that closes standard output early ends the
+output quietly, and the command keeps its exit code.  All output is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -193,7 +195,18 @@ def _emit(args, text: str) -> None:
         with open(args.out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        _print(text)
+
+
+def _print(text: str) -> None:
+    """Print ``text`` to standard output.  A reader that closes it early
+    ends the output quietly: the rest goes to the null device, so neither
+    this write nor the flush at exit fails, and the command keeps its
+    exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _emit_doc(args, doc: dict, text) -> None:
@@ -429,7 +442,7 @@ def cmd_simulate(args) -> int:
     doc = _result_document(args.scenario, rounds, result)
     _emit_doc(args, doc, _result_text)
     if args.out and args.format != "json":
-        print("\n".join(_verdict_lines(doc)))
+        _print("\n".join(_verdict_lines(doc)))
     return EXIT_OK
 
 
@@ -445,8 +458,11 @@ def _check_text(doc: dict) -> str:
         lines.append("DISAGREE: decentralized %(decentralized)s, "
                      "centralized %(centralized)s" % doc)
     elif doc["decentralized"] == "False":
-        lines.append("agree: False; decentralized round %(detection_round)d "
-                     "<= centralized round %(centralized_position)d" % doc)
+        when = ("<= centralized round %(centralized_position)d"
+                if doc["centralized_position"] is not None
+                else "(centralized before any event)")
+        lines.append(("agree: False; decentralized round %(detection_round)d "
+                      + when) % doc)
     else:
         lines.append("agree: %(decentralized)s" % doc)
     return "\n".join(lines)
@@ -478,9 +494,11 @@ def cmd_check(args) -> int:
     central, position = evaluate_trace_with_position(formula, latched(
         Event(e.props & names, e.cost) for e in result.global_trace))
     dec, det = report.global_verdict, report.detection_round
+    # a centralized False without a position was decided before any
+    # event, so no detection round can be later
     agree = dec is central and (
-        dec is not Verdict.FALSE
-        or det is not None and position is not None and det <= position)
+        dec is not Verdict.FALSE or position is None
+        or det is not None and det <= position)
     doc = {
         "formula": render_formula(formula),
         "decentralized": _verdict(dec),
@@ -522,6 +540,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_GRAPH
     except OSError as e:
+        if e.filename is None:  # not a file the arguments name
+            raise
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
 

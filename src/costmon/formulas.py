@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import re
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 
@@ -38,16 +38,20 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One trace position: the propositions that hold plus a non-negative cost."""
+class Event(namedtuple("Event", ("props", "cost"))):
+    """One trace position: the propositions that hold plus a non-negative
+    cost.  An immutable pair that compares by value, and a tuple, so that
+    a run's many events are cheap to make."""
 
-    props: frozenset
-    cost: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cost < 0:
+    def __new__(cls, props: frozenset, cost: int = 0):
+        if cost < 0:
             raise ValueError("event cost must be non-negative")
+        return tuple.__new__(cls, (props, cost))
+
+    # ``_replace`` makes its copy through ``_make``: check that one too
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 Trace = Sequence[Event]
@@ -434,11 +438,17 @@ def progress(f: Formula, event: Event) -> Formula:
     """One-step residual of ``f`` (in negation normal form) over ``event``.
 
     A negation steps as the dual of its operand's step; in negation normal
-    form that operand is an atom, a dependency or a budget.  Conjunctions
-    and disjunctions are built by ``_progress_nest``, which drops repeated
-    operands and keeps the tightest budget per target, so the residual of
-    ``G (a o<=q b)``, ``G F a`` or ``F G a`` stays the same size over any
-    trace.  Budgets carry their own remaining amounts.
+    form that operand is an atom, a dependency or a budget.  An And nest
+    with the ``G``s in it (``G g`` steps as ``g & G g``), or an Or nest
+    with its ``F``s (``g | F g``), is stepped flat: one loop steps every
+    operand, even once the nest is decided, so an operand that cannot be
+    stepped always raises, and ``_progress_nest`` builds the residual from
+    all the steps at once.  It drops repeated operands and, in an And,
+    keeps only the tightest budget per target; a dependency or a budget
+    there hands on its step as a ``(target, remaining)`` pair, so only a
+    kept budget is made as a node.  The residual of ``G (a o<=q b)``,
+    ``G F a`` or ``F G a`` thus stays the same size over any trace.
+    Budgets carry their own remaining amounts.
     """
     # most frequent kinds first: of the calls on the perfbench workloads,
     # G, a dependency, And/Or and a budget take about a quarter each on
@@ -446,51 +456,79 @@ def progress(f: Formula, event: Event) -> Formula:
     # small systems
     t = type(f)
     if t is Globally:
-        return _progress_nest(And, [progress(f.sub, event), f])
-    if t is QDep:
+        kind = And
+    elif t is QDep:
         if not eval_props(f.left, event.props):
             return TRUE
         if eval_props(f.right, event.props):
             # Fulfilment at the activation event consumes no budget.
             return TRUE
         return Budget(f.right, f.bound)
-    if t is And or t is Or:
-        return _progress_nest(t, [progress(g, event)
-                                  for g in _operands(f, t)])
-    if t is Budget:
+    elif t is And or t is Or:
+        kind = t
+    elif t is Budget:
         remaining = f.remaining - event.cost
         if remaining < 0:
             return FALSE
         if eval_props(f.target, event.props):
             return TRUE
         return Budget(f.target, remaining)
-    if t is Atom:
+    elif t is Atom:
         return TRUE if f.name in event.props else FALSE
-    if t is Not:
+    elif t is Not:
         g = progress(f.sub, event)
         return FALSE if g is TRUE else TRUE if g is FALSE else Not(g)
-    if t is Eventually:
-        return _progress_nest(Or, [progress(f.sub, event), f])
-    if t is Until:
+    elif t is Eventually:
+        kind = Or
+    elif t is Until:
         keep = _progress_nest(And, [progress(f.left, event), f])
         return _progress_nest(Or, [progress(f.right, event), keep])
-    if t is Next:
+    elif t is Next:
         return f.sub
-    if t is TrueF or t is FalseF:
+    elif t is TrueF or t is FalseF:
         return f
-    raise TypeError("unknown formula node: %r" % (f,))
+    else:
+        raise TypeError("unknown formula node: %r" % (f,))
+    unroll = Globally if kind is And else Eventually
+    props = event.props
+    parts: list = []
+    todo = [f]  # operands to step; a 1-tuple holds a node kept as it is
+    while todo:
+        g = todo.pop()
+        t = type(g)
+        if t is kind:
+            todo += (g.right, g.left)
+        elif t is unroll:
+            todo += ((g,), g.sub)
+        elif t is tuple:
+            parts.append(g[0])
+        elif t is QDep and kind is And:
+            if eval_props(g.left, props) and not eval_props(g.right, props):
+                parts.append((g.right, g.bound))
+        elif t is Budget and kind is And:
+            remaining = g.remaining - event.cost
+            if remaining < 0:
+                parts.append(FALSE)
+            elif not eval_props(g.target, props):
+                parts.append((g.target, remaining))
+        else:
+            parts.append(progress(g, event))
+    return _progress_nest(kind, parts)
 
 
-def _progress_nest(kind: type, parts: Sequence[Formula]) -> Formula:
+def _progress_nest(kind: type, parts: Sequence) -> Formula:
     """Right-nested ``kind`` (``And`` or ``Or``) of the operands of
     ``parts``, for progression only.  The absorbing constant (false for
     ``And``, true for ``Or``) absorbs; the neutral one and repeated
-    operands drop.  In a conjunction, of several budgets on one target only
-    the tightest stays, in the place of the first (``Budget(t, r1) &
-    Budget(t, r2)`` holds exactly when ``Budget(t, min(r1, r2))`` does).
-    Otherwise first-occurrence order is kept."""
+    operands drop.  In a conjunction, a part may also be a budget's
+    ``(target, remaining)`` pair, and of several budgets on one target
+    only the tightest stays, in the place of the first (``Budget(t, r1) &
+    Budget(t, r2)`` holds exactly when ``Budget(t, min(r1, r2))`` does);
+    a budget node is made for it only here.  Otherwise first-occurrence
+    order is kept."""
     absorbing, neutral = (FalseF, TrueF) if kind is And else (TrueF, FalseF)
-    out: dict = {}  # operand, or (Budget, target) for a budget -> operand
+    # operand -> operand, and (Budget, target) -> remaining for a budget
+    out: dict = {}
     todo = list(reversed(parts))
     while todo:
         g = todo.pop()
@@ -499,13 +537,15 @@ def _progress_nest(kind: type, parts: Sequence[Formula]) -> Formula:
             todo += (g.right, g.left)
         elif t is absorbing:
             return g
-        elif t is Budget and kind is And:
-            kept = out.setdefault((Budget, g.target), g)
-            if g.remaining < kept.remaining:
-                out[Budget, g.target] = g
+        elif t is tuple or t is Budget and kind is And:
+            target, remaining = g if t is tuple else (g.target, g.remaining)
+            key = (Budget, target)
+            if remaining < out.get(key, remaining + 1):
+                out[key] = remaining
         elif t is not neutral:
             out.setdefault(g, g)
-    kept = list(out.values())
+    kept = [Budget(k[1], v) if type(k) is tuple else v
+            for k, v in out.items()]
     res = kept.pop() if kept else neutral()
     while kept:
         res = kind(kept.pop(), res)

@@ -146,6 +146,14 @@ class Scenario:
                        "a variable of the graph")
         _known(self.suppressed_outputs, "suppressed_outputs", g.dependent,
                "produced by a process")
+        # a recovery answers a fault kind, or KIND@TARGET of one fault
+        _known(self.recoveries, "recoveries",
+               {k for f in self.faults for k in (f.kind, f.key)},
+               "a fault kind or KIND@TARGET of a fault of the scenario")
+        for action in self.recoveries.values():
+            if action.kind == "reference_second_sensor":
+                _known([action.param("variable")], action.kind, variables,
+                       "a variable of the graph")
 
 
 def _known(names, what: str, known, kind: str) -> None:

@@ -9,9 +9,13 @@ with no eventuality progress).
 
 ``_rule`` holds the rules: it maps a label and the labels above it to the
 node's status, rule tag and child labels, and changes nothing.
-``build_tableau`` is one loop over an explicit stack that creates the
-nodes and counts them against ``NODE_LIMIT``, so no recursion depth grows
-with the tableau's depth.
+``build_tableau`` first splits the root's disjunction with the OR rule,
+then grows each disjunct's subtree on its own (``_grow``): one loop over
+an explicit stack that creates the nodes and counts them against
+``NODE_LIMIT``, so no recursion depth grows with the tableau's depth.
+A subtree's LOOP and PRUNE tests need no label of the spine above it:
+each spine label is a disjunction that strictly contains the disjunct,
+so none recurs below it.
 """
 
 from __future__ import annotations
@@ -37,20 +41,23 @@ from .formulas import (
     nnf,
 )
 
-# Hard ceiling on tableau size.  Per-branch LOOP/PRUNE checks make every
-# build finite, but formulas nesting several eventualities under G have
-# worst-case exponential trees; past this many nodes the builder raises
-# instead of grinding on.  Measured: chain-N's check makes 7N - 1 nodes
-# and passes the ceiling at N = 5000 (BENCH_curves.json), as do 55 of
-# the 263 parseable formulas of tests/golden_formulas.json.
+# Hard ceiling on the size of each disjunct's subtree.  Per-branch
+# LOOP/PRUNE checks make every build finite, but formulas nesting several
+# eventualities under G have worst-case exponential trees; past this many
+# nodes in one disjunct's subtree the builder raises instead of grinding
+# on.  The OR spine above the disjuncts is not counted, so chain-N's
+# check, whose N disjuncts take 6 nodes each, stays far below it at any
+# N (BENCH_curves.json runs it to N = 10,000).  Measured: 55 of the 263
+# parseable formulas of tests/golden_formulas.json pass the ceiling, and
+# so do 71 of their negations.
 NODE_LIMIT = 30000
 
 
 class TableauLimitError(RuntimeError):
-    """The tableau grew past NODE_LIMIT nodes."""
+    """A disjunct's subtree grew past NODE_LIMIT nodes."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TableauNode:
     label: Tuple[Formula, ...]
     children: List["TableauNode"] = field(default_factory=list)
@@ -104,24 +111,16 @@ def _dedup(items) -> Tuple[Formula, ...]:
 
 def _child_labels(label, idx, *repls) -> List[Tuple[Formula, ...]]:
     """Labels a rule hands its children, distinct ones only: ``label``
-    with its member ``idx`` replaced by each of ``repls`` in turn."""
+    with its member ``idx`` replaced by each of ``repls`` in turn.  A
+    one-member label is already what ``_dedup`` would make of it."""
     out: List[Tuple[Formula, ...]] = []
     for repl in repls:
-        lab = _dedup(label[:idx] + repl + label[idx + 1:])
+        lab = label[:idx] + repl + label[idx + 1:]
+        if len(lab) > 1:
+            lab = _dedup(lab)
         if lab not in out:
             out.append(lab)
     return out
-
-
-def _is_poised(label: Tuple[Formula, ...]) -> bool:
-    return all(_ready(f) for f in label)
-
-
-def _has_contradiction(label: Tuple[Formula, ...]) -> bool:
-    members = set(label)
-    return FALSE in members or any(
-        isinstance(f, Not) and isinstance(f.sub, Atom) and f.sub in members
-        for f in label)
 
 
 def _eventualities(label: Tuple[Formula, ...]) -> frozenset:
@@ -140,8 +139,12 @@ def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
     """``(status, rule, child labels)`` of a node labelled ``label`` whose
     ancestors, root first, carry the labels ``path``; ``depths`` maps each
     label on ``path`` to its positions there, in order."""
-    if _has_contradiction(label):
-        return "crossed", "contradiction", []
+    # contradiction: false, or an atom beside its negation (labels are
+    # short, and nodes are interned, so a scan beats building a set)
+    for f in label:
+        if (f is FALSE or type(f) is Not and type(f.sub) is Atom
+                and f.sub in label):
+            return "crossed", "contradiction", []
     # PRUNE: the label's third appearance is cut when the stretch since
     # the previous appearance satisfied no eventuality that the stretch
     # before it did not already satisfy
@@ -158,48 +161,71 @@ def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
     if len(occurrences) >= 4:
         # hard backstop: no described rule fired after four repeats
         return "crossed", "PRUNE", []
-    if _is_poised(label):
+    # the first member that is not ready decides the rule; a label with
+    # none is poised
+    for idx, f in enumerate(label):
+        if not _ready(f):
+            break
+    else:
         # an ancestor with a poised label is interior, so it took the
         # X-rule: LOOP ticks a label that took it higher up the branch
         if occurrences:
             return "ticked", "LOOP", []
-        nexts = [f.sub for f in label if isinstance(f, Next)]
+        nexts = [f.sub for f in label if type(f) is Next]
         if not nexts:
             return "ticked", "open", []
         return "interior", "X", [_dedup(nexts)]
-    # first non-poised member decides the rule
-    for idx, f in enumerate(label):
-        if _ready(f):
-            continue
-        if isinstance(f, And):
-            rule, repls = "AND", [(f.left, f.right)]
-        elif isinstance(f, Or):
-            rule, repls = "OR", [(f.left,), (f.right,)]
-        elif isinstance(f, Globally):
-            rule, repls = "G", [(f.sub, Next(f))]
-        elif isinstance(f, Eventually):
-            rule, repls = "F", [(f.sub,), (Next(f),)]
-        elif isinstance(f, Until):
-            rule, repls = "U", [(f.right,), (f.left, Next(f))]
-        elif isinstance(f, QDep):
-            rule, repls = "DIST", [(apply_dist(f),)]
-        else:
-            raise TypeError("no tableau rule for %r" % (f,))
-        return "interior", rule, _child_labels(label, idx, *repls)
+    t = type(f)
+    if t is And:
+        rule, repls = "AND", [(f.left, f.right)]
+    elif t is Or:
+        rule, repls = "OR", [(f.left,), (f.right,)]
+    elif t is Globally:
+        rule, repls = "G", [(f.sub, Next(f))]
+    elif t is Eventually:
+        rule, repls = "F", [(f.sub,), (Next(f),)]
+    elif t is Until:
+        rule, repls = "U", [(f.right,), (f.left, Next(f))]
+    elif t is QDep:
+        rule, repls = "DIST", [(apply_dist(f),)]
+    else:
+        raise TypeError("no tableau rule for %r" % (f,))
+    return "interior", rule, _child_labels(label, idx, *repls)
 
 
 def build_tableau(f: Formula) -> TableauNode:
-    """Build the full tableau for ``f`` (normalized internally): one loop
-    over a stack of ``(node, depth)``, which asks ``_rule`` for each
-    node's status and children, depth first.  The labels of the current
-    branch's ancestors sit in one path list, cut back to the popped
-    node's depth, and a map from each of them to its depths on the path,
-    so no node rescans its ancestors."""
+    """Build the full tableau for ``f`` (normalized internally).  The
+    root's disjunction is split first: every node of its OR spine (a
+    node labelled by one disjunction) takes the OR rule, whose distinct
+    children keep ``(a | a)`` at one child.  Each disjunct below the
+    spine then grows its own subtree (``_grow``), counted on its own
+    against ``NODE_LIMIT``."""
     root = TableauNode((nnf(f),))
+    spine = [root]
+    while spine:
+        node = spine.pop()
+        g = node.label[0]
+        if type(g) is not Or:
+            _grow(node)
+            continue
+        node.rule = "OR"
+        node.children = [TableauNode(lab) for lab in
+                         _child_labels(node.label, 0, (g.left,), (g.right,))]
+        spine.extend(reversed(node.children))
+    return root
+
+
+def _grow(top: TableauNode) -> None:
+    """Expand the subtree under ``top``: one loop over a stack of ``(node,
+    depth)``, which asks ``_rule`` for each node's status and children,
+    depth first.  The labels of the current branch's ancestors sit in one
+    path list, cut back to the popped node's depth, and a map from each
+    of them to its depths on the path, so no node rescans its
+    ancestors."""
     count = 1
     path: List[Tuple[Formula, ...]] = []
     depths: Dict[Tuple[Formula, ...], List[int]] = {}
-    stack = [(root, 0)]
+    stack = [(top, 0)]
     while stack:
         node, depth = stack.pop()
         while len(path) > depth:
@@ -218,7 +244,6 @@ def build_tableau(f: Formula) -> TableauNode:
             path.append(node.label)
             stack.extend((child, depth + 1)
                          for child in reversed(node.children))
-    return root
 
 
 def leaves(root: TableauNode) -> List[TableauNode]:

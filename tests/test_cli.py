@@ -233,6 +233,23 @@ def test_check_chain_of_1000(tmp_path):
     assert "agree: Unknown" in r.stdout
 
 
+def test_check_chain_of_5000_counts_the_tableau_per_disjunct(tmp_path):
+    # 7N - 1 = 34,999 tableau nodes in all, past NODE_LIMIT, which counts
+    # each disjunct's subtree (6 nodes here) on its own
+    n, costs = 5000, (1, 2, 3)
+    procs = [{"pid": "p%d" % i, "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
+              "outputs": ["Of" if i == n - 1 else "O%d" % i],
+              "cost": costs[i % 3]} for i in range(n)]
+    q = sum(p["cost"] for p in procs) + 5
+    path = tmp_path / "chain_scenario.json"
+    path.write_text(json.dumps({
+        "graph": {"processes": procs}, "stimuli": {"0": ["I0"]},
+        "formula": "G (I0 o<=%d Of)" % q}))
+    r = run_cli("check", "--scenario", str(path))
+    assert r.returncode == 0, r.stderr
+    assert "agree: Unknown" in r.stdout
+
+
 def test_unwind_unknown_variable_is_exit_2(graph_file):
     r = run_cli("unwind", "--formula", "G (x o<=2 y)", "--graph", graph_file)
     assert r.returncode == 2
@@ -432,6 +449,19 @@ def test_simulate_fault_detection_and_recovery():
     assert "effective deadline: round 13" in r.stdout
 
 
+def test_simulate_ends_quietly_when_the_reader_closes_its_output():
+    # as in `costmon simulate ... | head -1`: the output (some 1.5 MB)
+    # outgrows the pipe, so the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "costmon", "simulate", "--scenario",
+         "example2", "--rounds", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
+    assert proc.stdout.readline() == b"scenario: example2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (0, b"")
+
+
 def test_simulate_zero_rounds():
     r = run_cli("simulate", "--scenario", "example2", "--rounds", "0")
     assert r.returncode == 0
@@ -459,7 +489,8 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
     ({"recoveries": {"drop": {"params": {}}}}, [], 2),
     ({"recoveries": {"drop": {"kind": "reduce_belt_speed",
                               "params": {"factor": "x"}}}}, [], 2),
-    ({"recoveries": {"drop": {"kind": "reduce_belt_speed",
+    ({"faults": [{"target": "p0", "kind": "drop"}],
+      "recoveries": {"drop": {"kind": "reduce_belt_speed",
                               "params": {"factor": 1.5}}}}, [], 0),
     ({"behaviors": {"p0": 2.5}}, [], 2),
     ({"rounds": True}, [], 2),
@@ -546,6 +577,31 @@ def test_a_recovery_without_its_variable_fails_at_load(tmp_path):
                             "'variable' parameter\n")
 
 
+@pytest.mark.parametrize("recoveries, message", [
+    ({"drop": {"kind": "reference_second_sensor",
+               "params": {"variable": "Nope"}}},
+     "reference_second_sensor: 'Nope' is not a variable of the graph"),
+    ({"drop": {"kind": "eject_to_bin3"}, "delay@p9": {"kind": "eject_to_bin3"}},
+     "recoveries: 'delay@p9' is not a fault kind or KIND@TARGET of a fault "
+     "of the scenario"),
+], ids=["unknown-variable", "unknown-fault"])
+def test_a_recovery_naming_nothing_known_fails_at_load(tmp_path, recoveries,
+                                                       message):
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(dict(
+        CHAIN_SCENARIO, faults=[{"target": "p0", "kind": "drop"}],
+        recoveries=recoveries, formula="G (I0 o<=5 Of)")))
+    for command in ("check", "simulate"):
+        r = run_cli(command, "--scenario", str(path))
+        assert (r.returncode, r.stderr) == (2, "error: %s\n" % message)
+    # the fault's own KIND@TARGET names it too
+    path.write_text(json.dumps(dict(
+        CHAIN_SCENARIO, faults=[{"target": "p0", "kind": "drop"}],
+        recoveries={"drop@p0": {"kind": "eject_to_bin3"}},
+        formula="G (I0 o<=5 Of)")))
+    assert run_cli("simulate", "--scenario", str(path)).returncode == 0
+
+
 def test_a_bad_fault_target_is_reported_before_planning(tmp_path):
     # the budget is infeasible too, but the scenario is checked first
     path = tmp_path / "bad.json"
@@ -614,6 +670,20 @@ def test_check_leaves_an_eventuality_open_when_its_watcher_drops():
     assert r.returncode == 0
     assert r.stdout.splitlines()[1:] == [
         "decentralized: Unknown", "centralized: Unknown", "agree: Unknown"]
+
+
+def test_check_agrees_on_false_decided_before_any_event():
+    # the oracle decides before the first event, so it has no position
+    r = run_cli("check", "--scenario", "example2", "--formula", "false")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines()[1:] == [
+        "decentralized: False at round 0 by p6", "centralized: False",
+        "agree: False; decentralized round 0 (centralized before any event)"]
+    r = run_cli("check", "--scenario", "example2", "--formula", "false",
+                "--format", "json")
+    doc = json.loads(r.stdout)
+    assert (r.returncode, doc["agree"], doc["centralized_position"]) == (
+        0, True, None)
 
 
 def test_check_detects_tampered_verdict():

@@ -16,6 +16,7 @@ from costmon.formulas import (
     And,
     Atom,
     Budget,
+    Event,
     Eventually,
     Formula,
     FormulaSyntaxError,
@@ -394,6 +395,50 @@ def test_progress_merges_budgets_in_first_place():
     r = progress(And(Budget(b, 5), And(Eventually(c), Budget(b, 3))),
                  E((), 1))
     assert r == And(Budget(b, 2), Eventually(c))
+
+
+def test_a_budget_beside_its_dependency_steps_with_two_new_nodes(
+        monkeypatch):
+    # the re-activated dependency's budget is looser than the kept one,
+    # so it is never made; only the stepped budget and the conjunction are
+    dep = QDep(a, b, 99)  # bounds no other test keeps a node of
+    f = And(Budget(b, 55), Globally(dep))
+    made, new = [], Formula.__new__
+
+    def counting(cls, *args):
+        ref = Formula._interned.get((cls,) + args)
+        if ref is None or ref() is None:
+            made.append(cls)
+        return new(cls, *args)
+
+    monkeypatch.setattr(Formula, "__new__", counting)
+    assert progress(f, E(("a",), 1)) == And(Budget(b, 54), Globally(dep))
+    assert made == [Budget, And]
+
+
+def test_progress_steps_every_operand_of_a_decided_nest():
+    # the nest is decided by its first operand, but the dependency after
+    # it is stepped all the same, and its temporal right operand raises
+    bad = QDep(a, Globally(b), 3)
+    for f in (And(c, bad), Globally(And(c, bad)), And(Budget(b, 0), bad),
+              Or(a, bad), Eventually(Or(a, bad))):
+        with pytest.raises(ValueError, match="must be propositional"):
+            progress(f, E(("a",), 1))
+
+
+def test_event_is_an_immutable_value():
+    e = make_event(["a"], 2)
+    assert e == Event(frozenset(["a"]), 2) != Event(frozenset(["a"]), 1)
+    assert hash(e) == hash(make_event(["a"], 2))
+    assert (e.props, e.cost) == (frozenset(["a"]), 2)
+    assert pickle.loads(pickle.dumps(e)) == e
+    for name in ("props", "cost", "other"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        Event(frozenset(), -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        e._replace(cost=-1)
 
 
 def _anchor_trace(rng, left, latch):

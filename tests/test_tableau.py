@@ -29,6 +29,7 @@ from costmon.formulas import (
     atoms,
     evaluate_trace,
     make_event,
+    nnf,
     parse_formula,
     render_formula,
 )
@@ -241,6 +242,61 @@ def test_leaves_match_an_independent_path_walk(monkeypatch):
         assert [id(n) for n in leaves(t)] \
             == [id(path.leaf) for path in tableau_paths(t)], text
     assert built > len(texts) * 3 // 4
+
+
+def _spine_disjuncts(f):
+    """The disjuncts below the OR spine of ``f``, left to right, where an
+    OR with two equal operands has one child."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is not Or:
+            out.append(g)
+        elif g.left is g.right:
+            todo.append(g.left)
+        else:
+            todo += [g.right, g.left]
+    return out
+
+
+def _leaf_view(root):
+    return [(leaf.status, leaf.rule, leaf.label) for leaf in leaves(root)]
+
+
+def test_a_disjunction_has_the_leaves_of_its_disjuncts(monkeypatch):
+    monkeypatch.setattr(tableau, "NODE_LIMIT", 1000)
+    with open(GOLDEN) as fh:
+        texts = [entry["text"] for entry in json.load(fh) if entry["text"]]
+    formulas = [parse_formula("a | a"), parse_formula("(a | b) | (a | b)")]
+    for text in texts:
+        f = parse_formula(text)
+        formulas += [g for g in (f, negate(f)) if type(nnf(g)) is Or]
+    checked = 0
+    for f in formulas:
+        whole = _build_or_capacity(f)
+        parts = [_build_or_capacity(d) for d in _spine_disjuncts(nnf(f))]
+        # the whole passes the ceiling exactly when one disjunct does
+        assert (whole is None) == (None in parts), f
+        if whole is None:
+            continue
+        checked += 1
+        assert _leaf_view(whole) == [
+            view for part in parts for view in _leaf_view(part)], f
+    assert checked > 80
+    assert len(leaves(build_tableau(parse_formula("a | a")))) == 1
+
+
+def test_node_limit_counts_each_disjunct_on_its_own(monkeypatch):
+    monkeypatch.setattr(tableau, "NODE_LIMIT", 50)
+    # 40 disjuncts of 6 nodes each: 240 nodes below the spine
+    many = parse_formula(" | ".join("F !(I%d o<=3 O%d)" % (i, i)
+                                    for i in range(40)))
+    assert len(leaves(build_tableau(many))) == 3 * 40
+    # one disjunct past the ceiling still raises, alone or beside others
+    big = "G (F a | F b)"
+    for text in (big, "c | " + big, big + " | c"):
+        with pytest.raises(tableau.TableauLimitError, match="50 nodes"):
+            build_tableau(parse_formula(text))
 
 
 def test_satisfied_eventualities_leave_labels():
