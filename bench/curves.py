@@ -1,4 +1,5 @@
-"""Stage timings of ``costmon check`` over chain-N, as curves over N.
+"""Stage timings of ``costmon check`` over chain-N, and progression
+costs over trace length and nesting depth, as curves.
 
 For each N in ``SIZES`` the script builds a chain of N processes (costs
 1, 2, 3 repeating, one process a third of the way down delayed by two
@@ -25,7 +26,18 @@ groups, the peak of memory the group, run and oracle stages allocate
 (calls of ``LocalMonitor.step``), messages and rounds.  The output, with
 the ``src/`` line count, the core count and the Python version, goes to
 ``BENCH_curves.json`` at the repository root, or to the path given as
-the only argument.  Standard library only; run from a checkout with
+the only argument.
+
+The progression family times ``evaluate_trace`` alone (median of
+``REPEATS`` runs) and records the verdict and the largest residual
+(distinct nodes, over an untimed run of ``progress``).  Over trace length
+(``TRACE_LENGTHS``) it runs ``G (a o<=5 b)`` on a trace where each ``a``
+is answered two events later, ``G F a`` on one with ``a`` at every tenth
+event and ``F G a`` on one where ``a`` always holds, all at cost 1, so
+no verdict is reached.  Over nesting depth (``DEPTHS``) it runs
+``(G F)^d a`` over one event with ``a``.  An error, such as a
+RecursionError, is recorded as a failure at that size.  Standard library
+only; run from a checkout with
 
     python bench/curves.py [OUT.json]
 """
@@ -53,6 +65,16 @@ STAGES = ("load", "unwind", "negate", "tableau", "group", "assign", "synth",
           "run", "oracle")
 PEAK_STAGES = ("group", "run", "oracle")  # counters record their peak
 REPEATS = 3  # timed runs per size
+TRACE_LENGTHS = (100, 300, 1000, 3000, 10000)
+# formula -> the propositions of event k of its trace, on which it stays
+# undecided
+TRACES = {
+    "G (a o<=5 b)": lambda k: ("a",) if k % 4 == 0 else
+                              ("b",) if k % 4 == 2 else (),
+    "G F a": lambda k: ("a",) if k % 10 == 9 else (),
+    "F G a": lambda k: ("a",),
+}
+DEPTHS = (100, 200, 300, 500, 1000, 2000)
 DELAY = 2
 STIMULUS = 1
 
@@ -216,6 +238,66 @@ def measure(n: int) -> dict:
     return point
 
 
+def distinct_nodes(f) -> int:
+    seen, todo = set(), [f]
+    while todo:
+        g = todo.pop()
+        if g not in seen:
+            seen.add(g)
+            todo += [getattr(g, k) for k in g.kids]
+    return len(seen)
+
+
+def measure_progression(text: str, trace: list) -> dict:
+    f = formulas.parse_formula(text)
+    point = {"failed": None}
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        try:
+            point["verdict"] = formulas.evaluate_trace(f, trace).value
+        except Exception as exc:  # recorded as a failure at this size
+            point["failed"] = "%s (%s)" % (exc, type(exc).__name__)
+        times.append(time.perf_counter() - start)
+        if point["failed"]:
+            break
+    point["evaluate_s"] = statistics.median(times)
+    if not point["failed"]:
+        residual, largest = formulas.nnf(f), 0
+        for event in trace:
+            residual = formulas.progress(residual, event)
+            largest = max(largest, distinct_nodes(residual))
+        point["residual_nodes_max"] = largest
+    return point
+
+
+def progression_curves() -> dict:
+    lengths = []
+    for text, props in TRACES.items():
+        for n in TRACE_LENGTHS:
+            point = {"formula": text, "n": n}
+            point.update(measure_progression(
+                text, [formulas.make_event(props(k), 1) for k in range(n)]))
+            lengths.append(point)
+            _report("%-12s n=%-6d" % (text, n), point)
+    depths = []
+    for d in DEPTHS:
+        point = {"d": d}
+        point.update(measure_progression(
+            "G F " * d + "a", [formulas.make_event(("a",), 1)]))
+        depths.append(point)
+        _report("(G F)^%-6d" % d, point)
+    return {"family": "evaluate_trace over trace length for G (a o<=5 b), "
+                      "G F a and F G a, and over (G F)^d a for one event",
+            "trace_length": lengths, "nesting_depth": depths}
+
+
+def _report(name: str, point: dict) -> None:
+    print("%s %s  evaluate %.4f s" % (
+        name, "FAILED " + point["failed"] if point["failed"] else "ok",
+        point["evaluate_s"]), flush=True)
+
+
 def src_lines() -> int:
     pkg = os.path.join(ROOT, "src", "costmon")
     total = 0
@@ -243,6 +325,7 @@ def main(argv) -> int:
         "nproc": os.cpu_count(),
         "src_lines": src_lines(),
         "points": points,
+        "progression": progression_curves(),
     }
     with open(out_path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -406,12 +406,12 @@ def eval_props(f: Formula, props: frozenset) -> bool:
     stack = []  # (connective, whether its right operand is being evaluated)
     while True:
         t = type(f)
-        if t is Not or t is And or t is Or:
+        if t is Atom:
+            value = f.name in props
+        elif t is Not or t is And or t is Or:
             stack.append((f, False))
             f = f.sub if t is Not else f.left
             continue
-        if t is Atom:
-            value = f.name in props
         elif t is TrueF or t is FalseF:
             value = t is TrueF
         else:
@@ -437,118 +437,117 @@ def eval_props(f: Formula, props: frozenset) -> bool:
 def progress(f: Formula, event: Event) -> Formula:
     """One-step residual of ``f`` (in negation normal form) over ``event``.
 
-    A negation steps as the dual of its operand's step; in negation normal
-    form that operand is an atom, a dependency or a budget.  An And nest
-    with the ``G``s in it (``G g`` steps as ``g & G g``), or an Or nest
-    with its ``F``s (``g | F g``), is stepped flat: one loop steps every
-    operand, even once the nest is decided, so an operand that cannot be
-    stepped always raises, and ``_progress_nest`` builds the residual from
-    all the steps at once.  It drops repeated operands and, in an And,
-    keeps only the tightest budget per target; a dependency or a budget
-    there hands on its step as a ``(target, remaining)`` pair, so only a
-    kept budget is made as a node.  The residual of ``G (a o<=q b)``,
-    ``G F a`` or ``F G a`` thus stays the same size over any trace.
-    Budgets carry their own remaining amounts.
+    One loop over an explicit stack, with one step rule per node kind.  An
+    And or Or node, a ``G`` or an ``F`` opens a nest mark unless the
+    innermost mark is a nest of its kind, and its operands are stepped
+    into that mark: ``G g`` steps ``g`` and keeps itself (``g & G g``),
+    ``F g`` likewise (``g | F g``).  A ``Not`` or ``U`` opens a mark too,
+    and when it closes a negation becomes the dual of its operand's step
+    and ``p U q`` becomes ``q' | (p' & (p U q))``.  Every operand is
+    stepped, even once its nest is decided, so one that cannot be stepped
+    always raises.  An undecided dependency or budget steps to a
+    ``(target, remaining)`` pair, and ``_progress_nest`` makes each nest's
+    residual, so ``G (a o<=q b)``, ``G F a`` and ``F G a`` keep one size.
     """
-    # most frequent kinds first: of the calls on the perfbench workloads,
-    # G, a dependency, And/Or and a budget take about a quarter each on
-    # the chains and the DAGs, and atoms and negations follow in the
-    # small systems
-    t = type(f)
-    if t is Globally:
-        kind = And
-    elif t is QDep:
-        if not eval_props(f.left, event.props):
-            return TRUE
-        if eval_props(f.right, event.props):
-            # Fulfilment at the activation event consumes no budget.
-            return TRUE
-        return Budget(f.right, f.bound)
-    elif t is And or t is Or:
-        kind = t
-    elif t is Budget:
-        remaining = f.remaining - event.cost
-        if remaining < 0:
-            return FALSE
-        if eval_props(f.target, event.props):
-            return TRUE
-        return Budget(f.target, remaining)
-    elif t is Atom:
-        return TRUE if f.name in event.props else FALSE
-    elif t is Not:
-        g = progress(f.sub, event)
-        return FALSE if g is TRUE else TRUE if g is FALSE else Not(g)
-    elif t is Eventually:
-        kind = Or
-    elif t is Until:
-        keep = _progress_nest(And, [progress(f.left, event), f])
-        return _progress_nest(Or, [progress(f.right, event), keep])
-    elif t is Next:
-        return f.sub
-    elif t is TrueF or t is FalseF:
-        return f
-    else:
-        raise TypeError("unknown formula node: %r" % (f,))
-    unroll = Globally if kind is And else Eventually
-    props = event.props
-    parts: list = []
-    todo = [f]  # operands to step; a 1-tuple holds a node kept as it is
+    props, cost = event
+    done = []  # the steps made, in order
+    # nodes, (node,) keeps and [op, start, outer] marks: ``op`` (a nest's
+    # connective, or a Not or U node) closes over the steps from ``start``
+    # on, and ``outer`` was the innermost mark's connective
+    todo, kind = [f], None
     while todo:
         g = todo.pop()
         t = type(g)
-        if t is kind:
-            todo += (g.right, g.left)
-        elif t is unroll:
+        # most frequent first: on the perfbench workloads, a step of a
+        # chain's or a DAG's residual meets a G, a dependency, a keep, a
+        # mark, an And and a budget once each; atoms and negations follow
+        if t is Globally:
+            if kind is not And:
+                todo.append([And, len(done), kind])
+                kind = And
             todo += ((g,), g.sub)
+        elif t is QDep:
+            # fulfilment at the activation event consumes no budget
+            done.append((g.right, g.bound) if eval_props(g.left, props)
+                        and not eval_props(g.right, props) else TRUE)
         elif t is tuple:
-            parts.append(g[0])
-        elif t is QDep and kind is And:
-            if eval_props(g.left, props) and not eval_props(g.right, props):
-                parts.append((g.right, g.bound))
-        elif t is Budget and kind is And:
-            remaining = g.remaining - event.cost
-            if remaining < 0:
-                parts.append(FALSE)
-            elif not eval_props(g.target, props):
-                parts.append((g.target, remaining))
+            done.append(g[0])
+        elif t is list:
+            op, start, kind = g
+            if op is And or op is Or:
+                parts = done[start:]
+                del done[start:]
+                done.append(_progress_nest(op, parts))
+            elif type(op) is Not:
+                s = done.pop()
+                done.append(FALSE if s is TRUE else TRUE if s is FALSE
+                            else Not(Budget(*s) if type(s) is tuple else s))
+            else:
+                q, p = done.pop(), done.pop()
+                keep = _progress_nest(And, [p, op])
+                done.append(_progress_nest(Or, [q, keep]))
+        elif t is And or t is Or:
+            if kind is not t:
+                todo.append([t, len(done), kind])
+                kind = t
+            todo += (g.right, g.left)
+        elif t is Budget:
+            remaining = g.remaining - cost
+            done.append(FALSE if remaining < 0 else TRUE if eval_props(
+                g.target, props) else (g.target, remaining))
+        elif t is Atom:
+            done.append(TRUE if g.name in props else FALSE)
+        elif t is Not:
+            todo += ([g, len(done), kind], g.sub)
+            kind = Not
+        elif t is Eventually:
+            if kind is not Or:
+                todo.append([Or, len(done), kind])
+                kind = Or
+            todo += ((g,), g.sub)
+        elif t is Until:
+            todo += ([g, len(done), kind], g.right, g.left)
+            kind = Until
+        elif t is Next:
+            done.append(g.sub)
+        elif t is TrueF or t is FalseF:
+            done.append(g)
         else:
-            parts.append(progress(g, event))
-    return _progress_nest(kind, parts)
+            raise TypeError("unknown formula node: %r" % (g,))
+    s = done[0]
+    return Budget(*s) if type(s) is tuple else s
 
 
-def _progress_nest(kind: type, parts: Sequence) -> Formula:
+def _progress_nest(kind: type, parts: list) -> Formula:
     """Right-nested ``kind`` (``And`` or ``Or``) of the operands of
-    ``parts``, for progression only.  The absorbing constant (false for
-    ``And``, true for ``Or``) absorbs; the neutral one and repeated
-    operands drop.  In a conjunction, a part may also be a budget's
-    ``(target, remaining)`` pair, and of several budgets on one target
-    only the tightest stays, in the place of the first (``Budget(t, r1) &
-    Budget(t, r2)`` holds exactly when ``Budget(t, min(r1, r2))`` does);
-    a budget node is made for it only here.  Otherwise first-occurrence
-    order is kept."""
-    absorbing, neutral = (FalseF, TrueF) if kind is And else (TrueF, FalseF)
-    # operand -> operand, and (Budget, target) -> remaining for a budget
-    out: dict = {}
-    todo = list(reversed(parts))
-    while todo:
-        g = todo.pop()
+    ``parts``, a list this consumes.  The absorbing constant absorbs; the
+    neutral one and repeated operands drop, and first-occurrence order is
+    kept.  A ``(target, remaining)`` pair stands for ``Budget(target,
+    remaining)``, made a node only here.  In an And, of several budgets on
+    one target only the tightest stays, in the place of the first: the
+    others hold whenever it does."""
+    absorbing, neutral = (FALSE, TRUE) if kind is And else (TRUE, FALSE)
+    out = {}  # operand -> operand, and a budget's key -> its pair
+    parts.reverse()
+    while parts:
+        g = parts.pop()
         t = type(g)
         if t is kind:
-            todo += (g.right, g.left)
-        elif t is absorbing:
+            parts += (g.right, g.left)
+        elif g is absorbing:
             return g
-        elif t is tuple or t is Budget and kind is And:
-            target, remaining = g if t is tuple else (g.target, g.remaining)
-            key = (Budget, target)
-            if remaining < out.get(key, remaining + 1):
-                out[key] = remaining
-        elif t is not neutral:
-            out.setdefault(g, g)
-    kept = [Budget(k[1], v) if type(k) is tuple else v
-            for k, v in out.items()]
-    res = kept.pop() if kept else neutral()
-    while kept:
-        res = kind(kept.pop(), res)
+        elif t is tuple or t is Budget:
+            if t is Budget:
+                g = (g.target, g.remaining)
+            key = (Budget, g[0]) if kind is And else g
+            if key not in out or g[1] < out[key][1]:
+                out[key] = g
+        elif g is not neutral:
+            out[g] = g
+    res = neutral
+    for g in reversed(out.values()):
+        g = Budget(*g) if type(g) is tuple else g
+        res = g if res is neutral else kind(g, res)
     return res
 
 

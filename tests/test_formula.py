@@ -41,6 +41,7 @@ from costmon.formulas import (
     subformula_index,
     subformulas,
 )
+from costmon.runtime import ResidualWatcher
 from costmon.unwinding import extract_qdep
 from oracles import flip, pair_verdict_bare, pair_verdict_globally
 
@@ -424,6 +425,29 @@ def test_progress_steps_every_operand_of_a_decided_nest():
               Or(a, bad), Eventually(Or(a, bad))):
         with pytest.raises(ValueError, match="must be propositional"):
             progress(f, E(("a",), 1))
+
+
+def test_progress_takes_a_deep_prefix_nest():
+    # every G and F of (G F)^1000 a opens its own mark on the work stack;
+    # the residual grows with every step, so one event is enough
+    f = parse_formula("G F " * 1000 + "a")
+    assert evaluate_trace(f, [E(("a",), 1)]) is Verdict.UNKNOWN
+    watcher = ResidualWatcher(nnf(f))
+    watcher.step(0, frozenset({"a"}))
+    assert watcher.verdict is Verdict.UNKNOWN
+
+
+def test_progress_takes_a_deep_until_chain():
+    # x0 U (x1 U (... U x9999)): the Until marks nest 10,000 deep; while
+    # only x0 holds every inner Until fails, and the chain is its own
+    # residual
+    f = Atom("x9999")
+    for i in reversed(range(9999)):
+        f = Until(Atom("x%d" % i), f)
+    assert progress(f, E(("x0",), 1)) is f
+    trace = [E(("x0",), 1)] * 4
+    assert evaluate_trace(f, trace + [E(("x0",), 1)]) is Verdict.UNKNOWN
+    assert evaluate_trace(f, trace + [E(("x9999",), 1)]) is Verdict.TRUE
 
 
 def test_event_is_an_immutable_value():

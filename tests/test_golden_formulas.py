@@ -5,16 +5,22 @@ whole grammar: parsed texts with deep unary and ``U`` nesting, and budget
 residuals reached by progressing parsed formulas.  For each it records the
 rendered text, ``nnf``, ``negate``, ``atoms``, ``ordered_atoms``,
 ``subformula_index`` (in index order), ``extract_qdep``, grouping's
-``_qdeps_of``, ``apply_dist`` of every distinct dependency subformula, and
-for parsed texts the exit code and output of ``costmon parse --format
-json``.  Formulas are written as their rendered text; the bulky values
-(``negate``, the index, the parse output) as a sha256 of that text.
+``_qdeps_of``, ``apply_dist`` of every distinct dependency subformula, the
+residuals of progressing its negation normal form over five seeded events
+(``progression``), and for parsed texts the exit code and output of
+``costmon parse --format json``.  Formulas are written as their rendered
+text; the bulky values (``negate``, the index, the parse output, a long
+residual) as a sha256 of that text.
 Residuals, which do not parse, are stored as their ``parse --format json``
 AST.  Over every parsed text, the facts a node keeps (its atoms and
 its negation normal form mark) are checked against fresh walks.  After an
 intended change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_formulas.py
+
+which records the inputs already in the file afresh.  The residual inputs
+are drawn by progressing, so an earlier ``progress`` drew them; only
+without a file are new inputs drawn.
 """
 
 import contextlib
@@ -175,6 +181,26 @@ def _parse_cli(text):
             "stderr": _sha(err.getvalue())}
 
 
+def _progression(f):
+    """The rendered residual of ``nnf(f)`` after each of five events, with
+    costs 0-2, drawn from a generator seeded by the rendered ``f``; a text
+    longer than 300 characters as its sha256.  A step that raises ends the
+    list with the exception's type and message."""
+    rng = random.Random(render_formula(f))
+    names = sorted(atoms(f))
+    out, r = [], nnf(f)
+    for _ in range(5):
+        props = [n for n in names if rng.random() < 0.4]
+        try:
+            r = progress(r, make_event(props, rng.randint(0, 2)))
+        except (TypeError, ValueError) as exc:
+            out.append("%s: %s" % (type(exc).__name__, exc))
+            break
+        text = render_formula(r)
+        out.append(text if len(text) <= 300 else _sha(text))
+    return out
+
+
 def record(text, ast):
     """The golden record of one input, recomputed."""
     f = parse_formula(text) if text is not None else _build(ast)
@@ -194,6 +220,7 @@ def record(text, ast):
         "qdeps_of": [render_formula(g) for g in _qdeps_of(f)],
         "apply_dist": [render_formula(apply_dist(g)) for g in deps],
         "apply_dist_is_input": [apply_dist(g) is g for g in [f] + deps],
+        "progression": _progression(f),
     }
     if text is not None:
         rec["parse_json"] = _parse_cli(text)
@@ -269,6 +296,11 @@ def test_copies_of_a_node_with_kept_facts_are_the_interned_node(golden):
 
 
 if __name__ == "__main__":
-    records = [record(t, ast) for t, ast in _inputs()]
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as fh:
+            inputs = [(r["text"], r["ast"]) for r in json.load(fh)]
+    else:
+        inputs = _inputs()
+    records = [record(t, ast) for t, ast in inputs]
     with open(GOLDEN, "w") as fh:
         fh.write("[\n%s\n]\n" % ",\n".join(json.dumps(r) for r in records))

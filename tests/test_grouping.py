@@ -9,6 +9,7 @@ import pytest
 
 from costmon import (
     Eventually,
+    Globally,
     Not,
     Or,
     UnobservableAtomError,
@@ -29,9 +30,10 @@ from costmon import (
     random_scenario,
     unwind,
 )
-from costmon.formulas import disj
-from costmon.grouping import _sole_owner, dep_core, grow_groups
+from costmon.formulas import TRUE, Next, disj
+from costmon.grouping import _sole_owner, branch_content, dep_core, grow_groups
 from costmon.sortingline import FAULT_NAMES, TOKENS
+from costmon.tableau import leaves
 from oracles import merged_groups
 
 import test_golden_run
@@ -83,6 +85,31 @@ def test_single_branch_keeps_everyone_together(pipeline):
     assert len(groups) == 1
     assert groups[0].members == ("p0", "p1", "p2", "p3", "p4", "p5", "p6")
     assert groups[0].formula == f
+
+
+def test_branch_content_absorbs_what_the_label_repeats(pipeline):
+    # I0 is implied by G I0 and F I0 by I0, so the three-member leaf
+    # stands for G I0 alone, as does every branch of its disjunct
+    f = parse_formula("(F I0 & G I0) | G Of")
+    root = build_tableau(f)
+    i0 = parse_formula("I0")
+    [leaf] = [n for n in leaves(root) if set(n.label) == {
+        i0, Next(Globally(i0)), Next(Eventually(i0))}]
+    assert leaf.status == "ticked"
+    assert branch_content(leaf) == Globally(i0)
+    rows = [(g.members, g.formula)
+            for g in organize_groups(root, f, graph=pipeline)]
+    assert rows == [(("p0",), parse_formula("G I0")),
+                    (("p6",), parse_formula("G Of"))]
+    # a branch that ends in true carries no obligation
+    [leaf] = [n for n in leaves(build_tableau(parse_formula("X true | I0")))
+              if n.label == (TRUE,)]
+    assert leaf.status == "ticked"
+    assert branch_content(leaf) is None
+    plan = plan_monitors(parse_formula("F I0 & F Of"), pipeline)
+    assert [(g.members, g.formula) for g in plan.groups] == [
+        (("p0",), parse_formula("G (!I0)")),
+        (("p6",), parse_formula("G (!Of)"))]
 
 
 def test_overlapping_branches_merge():

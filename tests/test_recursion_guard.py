@@ -1,4 +1,4 @@
-"""No function in the package recurses, except the recursion listed here.
+"""No function in the package recurses, except the formula parser.
 
 Walks ``src/costmon`` with ``ast`` and builds each module's call graph:
 a call by plain name goes to the nearest enclosing nested function of
@@ -6,8 +6,10 @@ that name, else to the module-level function; ``self.name(...)`` goes to
 the method of the enclosing class.  Any function on a cycle of that graph
 (it calls itself, directly or through others) must be on ``ALLOWED``, and
 every entry of ``ALLOWED`` must still recurse, so the list shrinks as
-recursion is removed.  Walks over formula trees and graphs use explicit
-stacks, so that no recursion depth grows with the size of the input.
+recursion is removed.  Only the recursive-descent parser is left, and
+``MAX_PAREN_DEPTH`` bounds its depth.  Walks over formula trees and
+graphs, progression among them, use explicit stacks, so that no
+recursion depth grows with the size of the input.
 """
 
 import ast
@@ -20,7 +22,6 @@ PACKAGE = os.path.dirname(os.path.abspath(costmon.__file__))
 # module -> qualified names of the functions allowed to recurse
 ALLOWED = {
     "formulas": {
-        "progress",
         # recursive descent; MAX_PAREN_DEPTH bounds its depth
         "_Parser.until_expr", "_Parser.or_expr", "_Parser.and_expr",
         "_Parser.unary_expr", "_Parser.primary",
