@@ -1,14 +1,16 @@
 """Organizing processes into disjoint monitor groups from a tableau.
 
-Each ticked branch contributes the conjunction of its terminal content;
-processes whose local alphabet meets the branch's atoms are its members.
+Each ticked branch contributes the conjunction of its terminal content,
+worked out once per distinct leaf label; processes whose local alphabet
+meets the branch's atoms are its members.
 Contents that share a member end up in one group, its formula their
 disjunction.  A group grows from the earliest content not yet grouped:
 each step adds the earliest content that shares a process with the
 group so far (``grow_groups``).  When every branch formula of a group is
 owned outright by a single process, the group is split back into
 per-process singleton monitors, which is what makes communication-free
-monitoring possible for disjunctions of per-process obligations.
+monitoring possible for disjunctions of per-process obligations.  A
+split group records that owner, so assignment need not find it again.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class MonitorGroup:
     members: Tuple[str, ...]  # pids ascending; also the communication order
     formula: Formula
     branch_formulas: Tuple[Formula, ...]
+    owner: Optional[str] = None  # of every branch formula, if split
 
 
 def branch_content(leaf: TableauNode) -> Optional[Formula]:
@@ -63,37 +66,22 @@ def branch_content(leaf: TableauNode) -> Optional[Formula]:
     parts = dict.fromkeys(f.sub if type(f) is Next else f
                           for f in leaf.label)  # an ordered set
     always = {g.sub for g in parts if type(g) is Globally}
-    kept: List[Formula] = []
-    for g in parts:
-        if g == TRUE:
-            continue
-        if g in always:
-            continue
-        if isinstance(g, Eventually) and g.sub in parts:
-            continue
-        kept.append(g)
-    if not kept:
-        return None
-    return conj(kept)
+    kept = [g for g in parts if g is not TRUE and g not in always
+            and not (type(g) is Eventually and g.sub in parts)]
+    return conj(kept) if kept else None
 
 
 def _sole_owner(f: Formula, graph: DependencyGraph) -> Optional[str]:
     """The unique process that can watch ``f`` alone: it produces the right
     operand of every dependency in ``f`` and observes all of its atoms."""
-    deps = _qdeps_of(f)
-    if not deps:
-        return None
-    owners = set()
-    for d in deps:
-        for name in sorted(atoms(d.right)):
+    owner = None
+    for d in _qdeps_of(f):
+        for name in atoms(d.right):
             producer = graph.producer.get(name)
-            if producer is None:
+            if producer is None or owner not in (None, producer):
                 return None
-            owners.add(producer)
-    if len(owners) != 1:
-        return None
-    owner = owners.pop()
-    if not atoms(f) <= graph.by_pid[owner].alphabet:
+            owner = producer
+    if owner is None or not atoms(f) <= graph.by_pid[owner].alphabet:
         return None
     return owner
 
@@ -148,8 +136,9 @@ def organize_groups(root: TableauNode, original: Formula,
             return []
         pids = tuple(sorted(p.pid for p in procs))
         return [MonitorGroup(pids, original, (original,))]
+    ticked = {leaf.label: leaf for leaf in ends if leaf.status == "ticked"}
     contents = list(dict.fromkeys(
-        c for c in map(branch_content, ends) if c is not None))
+        c for c in map(branch_content, ticked.values()) if c is not None))
     observers: Dict[str, List[str]] = {}
     for p in procs:
         for name in p.alphabet:
@@ -191,13 +180,8 @@ def _owner_split(formulas: List[Formula],
     for owner in sorted(owners):
         fs = owners[owner]
         eventual = {f.sub for f in fs if type(f) is Eventually}
-        kept: List[Formula] = []
-        for f in fs:
-            if f in eventual:
-                continue
-            if f not in kept:
-                kept.append(f)
-        out.append(MonitorGroup((owner,), disj(kept), tuple(kept)))
+        kept = [f for f in fs if f not in eventual]
+        out.append(MonitorGroup((owner,), disj(kept), tuple(kept), owner))
     return out
 
 
@@ -222,7 +206,7 @@ def assign_conjuncts(groups: Sequence[MonitorGroup],
         for f in group.branch_formulas:
             if dep_core(f) is None:
                 continue
-            pid = _sole_owner(f, graph)
+            pid = group.owner or _sole_owner(f, graph)
             if pid is None:
                 # right operand has no producer (a dependency between
                 # environment variables cannot be pinned on any process)

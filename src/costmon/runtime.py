@@ -17,10 +17,12 @@ a round where it observes something, receives a message or has a
 watcher due.  ``MonitorNetwork`` is the one round engine: it keeps the
 monitors' due rounds in a heap and their verdicts as running counts, and
 visits only the monitors with work, so a round costs what happens in it,
-not the number of monitors.  The network also holds the verdict rule
-(any monitor confirming its conjunct makes the global property false;
-satisfaction of a globally-rooted property is never claimable from a
-finite prefix, so nominal runs end unknown) and builds the run's report.
+not the number of monitors.  A round in which no monitor observes
+anything and none is due (``next_due``) changes nothing, so a run need
+not visit it.  The network also holds the verdict rule (any monitor
+confirming its conjunct makes the global property false; satisfaction of
+a globally-rooted property is never claimable from a finite prefix, so
+nominal runs end unknown) and builds the run's report.
 """
 
 from __future__ import annotations
@@ -146,19 +148,14 @@ class LocalMonitor:
         self.latched: set = set()
         self.inbox: List[int] = []  # indices of forwarded atoms
         self._settle()
-        # earliest round in which a watcher is due without new input; the
-        # first round always is, so an anchor that needs no atom activates
+        # due in the first round, so an anchor that needs no atom activates
         self._next_due: Optional[int] = 0
 
     def step(self, rnd: int, event: Event) -> List[int]:
         newly: List[str] = []
-        for idx in self.inbox:
-            name = self._atom_of_idx[idx]
-            if name not in self.latched:
-                self.latched.add(name)
-                newly.append(name)
+        heard = [self._atom_of_idx[idx] for idx in self.inbox]
         self.inbox = []
-        for name in sorted(event.props):
+        for name in heard + sorted(event.props):
             if name not in self.latched:
                 self.latched.add(name)
                 newly.append(name)
@@ -171,16 +168,15 @@ class LocalMonitor:
         return [self._index_of_atom[n] for n in newly if n in self.group_atoms]
 
     def _settle(self) -> None:
-        """Caches the verdict and when the next input-free step is due."""
-        vs = [w.verdict for w in self.watchers]
-        if any(v is Verdict.TRUE for v in vs):
-            self.verdict = Verdict.TRUE
-        elif all(v is Verdict.FALSE for v in vs):
-            self.verdict = Verdict.FALSE
-        else:
-            self.verdict = Verdict.UNKNOWN
-        self._next_due = min((w.due for w in self.watchers
-                              if w.due is not None), default=None)
+        """Caches when the next input-free step is due, and the verdict:
+        True if any watcher is, else Unknown if any is, else False."""
+        verdict, due = Verdict.FALSE, None
+        for w in self.watchers:
+            if w.verdict is not Verdict.FALSE and verdict is not Verdict.TRUE:
+                verdict = w.verdict
+            if w.due is not None and (due is None or w.due < due):
+                due = w.due
+        self.verdict, self._next_due = verdict, due
 
 
 @dataclass(frozen=True)
@@ -200,11 +196,13 @@ class MonitorReport:
         return sum(self.per_round_messages)
 
 
-def _static_precharge(dep: QDep, graph: DependencyGraph) -> int:
-    """Cost provably consumed before the anchor can complete: the largest
+def _budget_watcher(part: Formula, graph: DependencyGraph) -> BudgetWatcher:
+    """The watcher of an assigned conjunct, precharged with the cost
+    provably consumed before its anchor can complete: the largest
     lower-bound completion cost among the left operand's variables."""
-    return max((graph.lb_completion(a) for a in sorted(atoms(dep.left))),
-               default=0)
+    dep = dep_core(part)
+    return BudgetWatcher(part, dep, max(
+        (graph.lb_completion(a) for a in sorted(atoms(dep.left))), default=0))
 
 
 def synthesize_monitors(groups: Sequence[MonitorGroup],
@@ -221,26 +219,24 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
     monitors: List[LocalMonitor] = []
     for group in groups:
         order = group.members
-        covered = {part for pid in order if pid in assignment
-                   for part in disjuncts_of(assignment[pid])}
+        parts = {pid: disjuncts_of(assignment[pid])
+                 for pid in order if pid in assignment}
+        covered = {part for ps in parts.values() for part in ps}
         residual_parts = [f for f in group.branch_formulas if f not in covered]
+        group_atoms = atoms(group.formula)
         for pos, pid in enumerate(order):
             successor = order[pos + 1] if pos + 1 < len(order) else None
-            watchers: List = []
-            if pid in assignment:
-                for part in disjuncts_of(assignment[pid]):
-                    dep = dep_core(part)
-                    watchers.append(BudgetWatcher(
-                        part, dep, _static_precharge(dep, graph)))
+            watchers: List = [_budget_watcher(part, graph)
+                              for part in parts.get(pid, ())]
             if successor is None and residual_parts:
                 watchers.append(ResidualWatcher(disj(residual_parts)))
             monitors.append(LocalMonitor(
                 pid, watchers, index_of_atom, atom_of_idx,
-                group_atoms=atoms(group.formula), successor=successor))
+                group_atoms=group_atoms, successor=successor))
     return monitors
 
 
-_IDLE = Event(frozenset(), 1)
+IDLE = Event(frozenset(), 1)
 
 
 class MonitorNetwork:
@@ -334,7 +330,7 @@ class MonitorNetwork:
             i = heapq.heappop(work)
             m = monitors[i]
             before = m.verdict
-            out = m.step(rnd, events.get(m.pid, _IDLE))
+            out = m.step(rnd, events.get(m.pid, IDLE))
             if m.verdict is not before:
                 tally[before] -= 1
                 tally[m.verdict] += 1
@@ -350,6 +346,14 @@ class MonitorNetwork:
                     todo.add(i + 1)
                     heapq.heappush(work, i + 1)
         return sent, self.verdict
+
+    def next_due(self) -> Optional[int]:
+        """The least round in which some monitor is due, or None.  Stale
+        heap entries go: a changed schedule always pushes a new one."""
+        due, scheduled = self._due, self._scheduled
+        while due and scheduled[due[0][1]] != due[0][0]:
+            heapq.heappop(due)
+        return due[0][0] if due else None
 
 
 def monitor_round(monitors: Sequence[LocalMonitor],

@@ -5,13 +5,21 @@ outputs a fixed number of rounds later (its latency, never below its
 declared lower-bound cost).  One round accrues one cost unit on a shared
 clock.  Faults drop or postpone emissions; recovery actions fire when the
 designated watcher reports a violation and mutate the remaining run.
+
+A run visits round 0 and each round in which a stimulus, an emission or
+an injected variable lands or a monitor is due.  Skipping the others is
+exact: nothing arrives in them, so no process starts and no monitor
+steps; each records the idle event and no message, and the verdict that
+recovery reads stays as it was.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
@@ -33,6 +41,7 @@ from .formulas import (
 )
 from .grouping import assign_conjuncts, organize_groups
 from .runtime import (
+    IDLE,
     BudgetWatcher,
     LocalMonitor,
     MonitorNetwork,
@@ -178,12 +187,11 @@ class SimulationResult:
         """What each process observed, per round: the round's pulses
         within its alphabet.  Derived from the global trace on first
         read, since the run itself keeps only that."""
-        idle = Event(frozenset(), 1)
         traces = {}
         for pid in sorted(self.graph.by_pid):
             alphabet = self.graph.by_pid[pid].alphabet
             traces[pid] = tuple(Event(e.props & alphabet, 1)
-                                if not e.props.isdisjoint(alphabet) else idle
+                                if not e.props.isdisjoint(alphabet) else IDLE
                                 for e in self.global_trace)
         return traces
 
@@ -274,8 +282,11 @@ def run_simulation(scenario: Scenario, rounds: int,
 
     arrived: Dict[str, int] = {}
     started: Set[str] = set()
-    pending: Dict[int, List[str]] = {}  # emit round -> variables
-    injected: Dict[int, Set[str]] = {}
+    # round -> variables that pulse in it (no suppressed emission), and a
+    # heap of those rounds
+    landing = defaultdict(set, {r: set(names)
+                                for r, names in scenario.stimuli.items()})
+    upcoming = sorted(landing)
     recovered: Set[int] = set()
     recovery_log: List[Tuple[int, FaultSpec, RecoveryAction, Formula]] = []
     ejected = False
@@ -285,21 +296,9 @@ def run_simulation(scenario: Scenario, rounds: int,
     global_trace: List[Event] = []
     per_round_msgs: List[int] = []
 
-    def suppressed(var: str, rnd: int) -> bool:
-        return var in drop_from and rnd >= drop_from[var]
-
-    def latency(pid: str, start_round: int) -> int:
-        lat = scenario.behaviors.get(pid, graph.by_pid[pid].cost)
-        if pid in delays and start_round >= delays[pid][0]:
-            lat += delays[pid][1]
-        return lat
-
-    for rnd in range(rounds):
-        pulses: Set[str] = set(scenario.stimuli.get(rnd, ()))
-        pulses |= injected.pop(rnd, set())
-        for var in pending.pop(rnd, ()):
-            if not suppressed(var, rnd):
-                pulses.add(var)
+    rnd = 0
+    while rnd < rounds:
+        pulses: Set[str] = landing.pop(rnd, set())
         # after the first round, which tries every process, only a newly
         # arrived variable can start one; starts cascade within the round
         # so zero-latency chains resolve
@@ -314,19 +313,24 @@ def run_simulation(scenario: Scenario, rounds: int,
                 if not any(s <= arrived.keys() for s in triggers[pid]):
                     continue
                 started.add(pid)
-                lat = latency(pid, rnd)
+                lat = scenario.behaviors.get(pid, graph.by_pid[pid].cost)
+                if pid in delays and rnd >= delays[pid][0]:
+                    lat += delays[pid][1]
                 for var in graph.by_pid[pid].outputs:
+                    if drop_from.get(var, rounds) <= rnd + lat:
+                        continue
                     if lat > 0:
-                        pending.setdefault(rnd + lat, []).append(var)
-                    elif not suppressed(var, rnd):
+                        landing[rnd + lat].add(var)
+                        heapq.heappush(upcoming, rnd + lat)
+                    else:
                         pulses.add(var)
                         if var not in arrived:
                             fresh.append(var)
             candidates = set()
         frozen_pulses = frozenset(pulses)
-        events = {}  # only the processes that observe something
-        for pid in {pid for var in pulses for pid in observers.get(var, ())}:
-            events[pid] = Event(frozen_pulses & graph.by_pid[pid].alphabet, 1)
+        observing = {pid for var in pulses for pid in observers.get(var, ())}
+        events = {pid: Event(frozen_pulses & graph.by_pid[pid].alphabet, 1)
+                  for pid in observing}
         global_trace.append(Event(frozen_pulses & observable, 1))
         sent, verdict = network.round(rnd, events)
         per_round_msgs.append(sent)
@@ -348,12 +352,21 @@ def run_simulation(scenario: Scenario, rounds: int,
             if action.kind == "eject_to_bin3":
                 ejected = True
             elif action.kind == "reference_second_sensor":
-                injected.setdefault(rnd + 1, set()).add(
-                    action.param("variable"))
+                landing[rnd + 1].add(action.param("variable"))
+                heapq.heappush(upcoming, rnd + 1)
             elif action.kind == "reduce_belt_speed":
                 if deadline_round is not None and deadline_round > rnd:
                     factor = action.param("factor", 2)
                     deadline_round = rnd + factor * (deadline_round - rnd)
+        # the rounds before the next landing or due monitor are idle
+        while upcoming and upcoming[0] <= rnd:
+            heapq.heappop(upcoming)
+        due = network.next_due()
+        nxt = min(upcoming[0] if upcoming else rounds, rounds,
+                  rounds if due is None else max(due, rnd + 1))
+        global_trace.extend([IDLE] * (nxt - rnd - 1))
+        per_round_msgs.extend([0] * (nxt - rnd - 1))
+        rnd = nxt
 
     outcome = None
     if ejected:

@@ -15,7 +15,6 @@ from typing import Dict, List, Tuple
 
 from .depgraph import DependencyGraph, GraphError, Process
 from .formulas import (
-    And,
     Atom,
     Budget,
     Formula,
@@ -98,36 +97,35 @@ def _unwind_dep(dep: QDep, g: DependencyGraph) -> Dict[Tuple[str, str, int], QDe
     for v_root in names:
         if v_root not in g.producer:
             continue
-        worklist = [v_root]
+        worklist = [v_root]  # breadth first: the loop reads what it appends
         seen = {v_root}
-        while worklist:
-            v = worklist.pop(0)
+        for v in worklist:
             p = g.by_pid[g.producer[v]]
             c = local_constraint(g, p.pid, v_root, dep.bound)
-            conjunct = emitted.setdefault(
-                (p.pid, v, c), apply_dependency_rule(p, v, c))
-            for name in ordered_atoms(conjunct.left):
+            if (p.pid, v, c) not in emitted:
+                emitted[p.pid, v, c] = apply_dependency_rule(p, v, c)
+            for name in p.inputs:  # the conjunct's left operand
                 if name != v and name in g.producer and name not in seen:
                     seen.add(name)
                     worklist.append(name)
     return emitted
 
 
-def _replace_qdep(f: Formula, target: QDep, replacement: Formula) -> Formula:
-    """Replace occurrences of ``target`` in ``f``.  Directly under G the
-    replacement conjunction is split so G distributes over it.  Other
-    dependencies and budget residuals are kept as they are."""
+def _replace_qdep(f: Formula, target: QDep, parts: List[QDep]) -> Formula:
+    """Replace occurrences of ``target`` in ``f`` by the conjunction of
+    ``parts``.  Directly under G the conjunction is not built: G
+    distributes over the parts.  Other dependencies and budget residuals
+    are kept as they are."""
     def step(g, kids):
-        if g == target:
-            return replacement
         t = type(g)
-        if t is Globally and type(replacement) is And and g.sub == target:
-            return conj([Globally(p) for p in conjuncts_of(replacement)])
+        if t is Globally and g.sub is target:
+            return conj([Globally(p) for p in parts])
         if t is QDep or t is Budget or not kids:
             return g
-        return t(*kids)
+        return t(*(conj(parts) if k is target else k for k in kids))
 
-    return fold(f, step)
+    out = fold(f, step)
+    return conj(parts) if out is target else out
 
 
 def unwind(f: Formula, g: DependencyGraph) -> UnwoundFormula:
@@ -143,7 +141,7 @@ def unwind(f: Formula, g: DependencyGraph) -> UnwoundFormula:
         emitted = _unwind_dep(dep, g)
         if not emitted:
             continue
-        result = _replace_qdep(result, dep, conj(list(emitted.values())))
+        result = _replace_qdep(result, dep, list(emitted.values()))
         for key, conjunct in emitted.items():
             entries.setdefault(key, conjunct)
     return UnwoundFormula(

@@ -242,6 +242,10 @@ def test_owner_is_the_emitting_process():
         groups = organize_groups(build_tableau(neg), neg, graph)
         want = _emitting_owners(groups, u)
         assert want and assign_conjuncts(groups, graph) == want, f
+        # a split group keeps the owner its split found
+        for group in groups:
+            assert group.owner in (None, _sole_owner(group.formula, graph))
+            assert group.owner is None or group.members == (group.owner,)
 
 
 # ---------------------------------------------------------------------------

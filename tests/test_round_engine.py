@@ -185,7 +185,10 @@ def test_round_work_is_proportional_to_activity(tmp_path, monkeypatch,
                                                  capsys):
     # every process of the chain observes its input and its output once,
     # and its watcher is due once: a handful of steps per monitor, not
-    # one per monitor per round
+    # one per monitor per round.  The run visits round 0 and the rounds
+    # in which a pulse lands or a watcher is due; at the lower-bound
+    # budget a watcher is due exactly when its output lands, so those are
+    # the stimulus round and each output's round, not all q + 5 rounds
     n, costs = 300, (1, 2, 3)
     procs = [{"pid": "p%d" % i,
               "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
@@ -196,17 +199,24 @@ def test_round_work_is_proportional_to_activity(tmp_path, monkeypatch,
     path.write_text(json.dumps({
         "graph": {"processes": procs}, "stimuli": {"1": ["I0"]},
         "formula": "G (I0 o<=%d Of)" % q, "rounds": q + 5}))
-    calls = [0]
-    step = LocalMonitor.step
+    calls, visited = [0], []
+    step, round_ = LocalMonitor.step, MonitorNetwork.round
 
     def counted(self, rnd, event):
         calls[0] += 1
         return step(self, rnd, event)
 
+    def recorded(self, rnd, events):
+        visited.append(rnd)
+        return round_(self, rnd, events)
+
     monkeypatch.setattr(LocalMonitor, "step", counted)
+    monkeypatch.setattr(MonitorNetwork, "round", recorded)
     assert cli.main(["check", "--scenario", str(path)]) == 0
     assert "agree: Unknown" in capsys.readouterr().out
     assert n <= calls[0] <= 5 * n
+    lands = [1 + sum(p["cost"] for p in procs[:i + 1]) for i in range(n)]
+    assert visited == [0, 1] + lands
 
 
 def test_all_refuted_conjuncts_confirm_an_eventuality_rooted_property():

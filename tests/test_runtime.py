@@ -1,5 +1,7 @@
 """Decentralized monitor execution against the centralized oracle."""
 
+import pytest
+
 from costmon import (
     FaultSpec,
     Verdict,
@@ -154,6 +156,37 @@ def test_aggregation_table():
     assert _verdict_of([F, F]) is U
     assert _verdict_of([F, F], eventually_rooted=True) is T
     assert _verdict_of([], eventually_rooted=True) is U
+
+
+class _Watcher:
+    """A watcher with a fixed verdict and due round."""
+
+    def __init__(self, verdict, due=None):
+        self.verdict, self.due = verdict, due
+
+    def step(self, rnd, latched):
+        pass
+
+
+@pytest.mark.parametrize("verdicts, verdict", [
+    ((T,), T), ((F, T), T), ((U, T, F), T),  # any True watcher
+    ((F,), F), ((F, F), F), ((), F),  # all False, or a relay
+    ((U,), U), ((F, U), U), ((U, F, F), U)])  # any other mix
+def test_a_monitor_combines_its_watchers_verdicts(verdicts, verdict):
+    m = LocalMonitor("p0", [_Watcher(v) for v in verdicts], {}, {})
+    assert m.verdict is verdict
+    m.step(0, make_event(cost=1))
+    assert m.verdict is verdict
+
+
+@pytest.mark.parametrize("dues, next_due", [
+    ((7, None, 3, 5), 3), ((None, 4), 4), ((None, None), None), ((), None)])
+def test_a_monitor_is_next_due_when_its_earliest_pending_watcher_is(
+        dues, next_due):
+    m = LocalMonitor("p0", [_Watcher(U, d) for d in dues], {}, {})
+    assert m._next_due == 0  # every monitor is due in the first round
+    m.step(0, make_event(cost=1))
+    assert m._next_due == next_due
 
 
 def test_a_relay_is_refuted_from_the_start(pipeline):

@@ -8,6 +8,7 @@ from conftest import CHAIN_DOC, PIPELINE_DOC
 from costmon import (
     And,
     Atom,
+    Eventually,
     Globally,
     GraphError,
     InfeasibleConstraintError,
@@ -19,8 +20,9 @@ from costmon import (
     parse_formula,
     unwind,
 )
+from costmon import unwinding
 from costmon.depgraph import Process
-from costmon.formulas import render_formula
+from costmon.formulas import conj, render_formula
 from costmon.unwinding import (UnsplittableDependencyError,
                                 apply_dependency_rule)
 
@@ -212,6 +214,38 @@ def test_conjunctive_right_operand_unwinds_every_producer(pipeline):
     assert [(pid, render_formula(d)) for pid, d in u.entries] == [
         ("p2", "(O0 o<=10 O2)"), ("p0", "(I0 o<=9 O0)"),
         ("p3", "(O0 o<=10 O3)"), ("p0", "(I0 o<=8 O0)")]
+
+
+def test_a_conjunct_two_traversals_reach_is_built_once(pipeline,
+                                                       monkeypatch):
+    # p0 is 5 cost units upstream of both O4 and O5, so the walks back
+    # from either emit (I0 o<=15 O0)
+    built = []
+
+    def counted(p, v, c):
+        built.append((p.pid, v, c))
+        return apply_dependency_rule(p, v, c)
+
+    monkeypatch.setattr(unwinding, "apply_dependency_rule", counted)
+    u = unwind(parse_formula("G ((I0 & I1) o<=20 (O4 & O5))"), pipeline)
+    assert ("p0", "O0", 15) in built
+    assert len(built) == len(set(built)) == len(u.entries) == 5
+
+
+def test_a_dependency_under_g_builds_no_conjunction_of_its_conjuncts(
+        pipeline, phi_pipeline, monkeypatch):
+    built = []
+
+    def spy(parts):
+        built.append(list(parts))
+        return conj(parts)
+
+    monkeypatch.setattr(unwinding, "conj", spy)
+    u = unwind(phi_pipeline, pipeline)
+    assert not [p for parts in built for p in parts if type(p) is QDep]
+    # anywhere else the dependency becomes that conjunction
+    f = unwind(parse_formula("F ((I0 & I1) o<=20 Of)"), pipeline).formula
+    assert f == Eventually(conj([d for _, d in u.entries]))
 
 
 @pytest.mark.parametrize("right", ["(I0 | I1)", "!I1", "F I1"])
