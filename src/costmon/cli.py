@@ -3,8 +3,9 @@
 Subcommands expose each stage (parse, unwind, tableau, group) plus the
 simulator (simulate) and the decentralized-versus-centralized comparison
 harness (check).  Exit codes: 0 success, 1 formula error (including
-parentheses nested deeper than ``formulas.MAX_PAREN_DEPTH`` and a
-dependency whose right operand unwinding cannot split), 2 graph or
+parentheses nested deeper than ``formulas.MAX_PAREN_DEPTH``, a
+dependency whose right operand unwinding cannot split and one with an
+operand that is not propositional), 2 graph or
 scenario error, 3 infeasible budget, 4 unobservable atom, 5 verdict
 disagreement, 64 usage error (a bad argument, or a file it names that
 cannot be opened).  A reader that closes standard output early ends the
@@ -51,8 +52,8 @@ from .simulator import (
 )
 from .sortingline import build_sorting_line_scenario
 from .tableau import TableauLimitError, build_tableau, export_dot, leaves
-from .unwinding import (InfeasibleConstraintError, UnsplittableDependencyError,
-                        unwind)
+from .unwinding import (InfeasibleConstraintError, TemporalOperandError,
+                        UnsplittableDependencyError, unwind)
 
 EXIT_OK = 0
 EXIT_FORMULA = 1
@@ -523,7 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
-    except (FormulaSyntaxError, TableauLimitError,
+    except (FormulaSyntaxError, TableauLimitError, TemporalOperandError,
             UnsplittableDependencyError) as e:
         sys.stderr.write("formula error: %s\n" % e)
         return EXIT_FORMULA

@@ -10,15 +10,17 @@ Syntax (ASCII):
 cost units accrue.  Cost accrues from event costs strictly after the
 activating event; fulfilment at the activation event itself consumes 0.
 
-Formula nodes are interned (hash-consed): every node is built by
-``Formula.__new__``, which keeps one node per distinct tree in a weak
-table.  Equal trees are therefore the same object, equality is identity
-and hashing takes constant time at any depth.  A node also keeps the
-facts derived from it, each worked out at most once: its atom names
-(``atoms``) and whether it is in negation normal form (``nnf`` and
-``negate`` mark what they return).  A fact is a plain value, never a
-node, so no cache can tie nodes into a reference cycle and keep them
-alive past their last outside reference.
+Formula nodes are interned (hash-consed): every node is built by one of
+four constructors, one per number of fields, which keep one node per
+distinct tree in a weak table.  ``Formula.__init_subclass__`` installs
+the right one as ``__new__`` on each node class.  Equal trees are
+therefore the same object, equality is identity and hashing takes
+constant time at any depth.  A node also keeps the facts derived from
+it, each worked out at most once: its atom names (``atoms``) and whether
+it is in negation normal form (``nnf`` and ``negate`` mark what they
+return).  A fact is a plain value, never a node, so no cache can tie
+nodes into a reference cycle and keep them alive past their last outside
+reference.
 """
 
 from __future__ import annotations
@@ -70,18 +72,90 @@ class _Ref(weakref.ref):
 def _drop(dead: _Ref):
     """Removal callback of every interned node's reference."""
     # a node made anew under the same key keeps its entry
-    if Formula._interned.get(dead.key) is dead:
-        del Formula._interned[dead.key]
+    if _interned.get(dead.key) is dead:
+        del _interned[dead.key]
+
+
+def _keep(node, key):
+    """Enter a node just made in the table under ``key``, and return it."""
+    # the atoms walk reads this slot on every node it passes; _in_nnf,
+    # read only at the root of nnf, is left unset
+    _set_atoms(node, None)
+    ref = _Ref(node, _drop)
+    ref.key = key
+    _interned[key] = ref
+    return node
+
+
+# One interning constructor per arity: the key is built without packing
+# the arguments, a live node under it is returned at once, and a new node
+# gets its fields through the setters its class keeps in ``_setters``.
+_new_object = object.__new__
+
+
+def _new0(cls):
+    key = (cls,)
+    ref = _interned.get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    return _keep(_new_object(cls), key)
+
+
+def _new1(cls, a):
+    key = (cls, a)
+    ref = _interned.get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    node = _new_object(cls)
+    (set_a,) = cls._setters
+    set_a(node, a)
+    return _keep(node, key)
+
+
+def _new2(cls, a, b):
+    key = (cls, a, b)
+    ref = _interned.get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    node = _new_object(cls)
+    set_a, set_b = cls._setters
+    set_a(node, a)
+    set_b(node, b)
+    return _keep(node, key)
+
+
+def _new3(cls, a, b, c):
+    key = (cls, a, b, c)
+    ref = _interned.get(key)
+    if ref is not None and (node := ref()) is not None:
+        return node
+    node = _new_object(cls)
+    set_a, set_b, set_c = cls._setters
+    set_a(node, a)
+    set_b(node, b)
+    set_c(node, c)
+    return _keep(node, key)
+
+
+_CONSTRUCTORS = (_new0, _new1, _new2, _new3)  # by number of fields
 
 
 class Formula:
-    """Base class for formula nodes.  Nodes are interned: ``Formula.__new__``
-    looks ``(class, *args)`` up in one weak table and returns the node
-    already there, so equal trees are the same object.  Equality is
-    identity, a hash takes constant time at any depth, and nodes are
+    """Base class for formula nodes.  Nodes are interned: a node class's
+    constructor looks ``(class, *args)`` up in one weak table and returns
+    the node already there, so equal trees are the same object.  Equality
+    is identity, a hash takes constant time at any depth, and nodes are
     immutable.  The table is a plain dict of weak references (``_Ref``)
     that carry their key, with one callback (``_drop``) that drops the
     entry, so a node no one refers to leaves it.
+
+    The constructor is one of four, one per number of fields (0 to 3),
+    and ``__init_subclass__`` installs the right one as ``__new__`` on
+    each node class, a class defined later included, together with the
+    class's slot setters (``_setters``), read once.  A class with a
+    ``__new__`` of its own keeps it and calls the constructor of its
+    arity (``QDep`` checks its bound first).  A wrong number of arguments
+    raises TypeError.
 
     Two slots keep facts derived from the node, set the first time they
     are asked for: ``_atoms``, the frozenset of its atom names (None until
@@ -100,25 +174,13 @@ class Formula:
     __slots__ = ("__weakref__", "_atoms", "_in_nnf")
     fields = kids = ()
     _interned: dict = {}  # (class, *args) -> _Ref to the node
+    __new__ = staticmethod(_new0)
 
-    def __new__(cls, *args):
-        key = (cls,) + args
-        ref = Formula._interned.get(key)
-        node = ref() if ref is not None else None
-        if node is None:
-            if len(args) != len(cls.fields):
-                raise TypeError("%s takes %d arguments"
-                                % (cls.__name__, len(cls.fields)))
-            node = object.__new__(cls)
-            for name, value in zip(cls.fields, args):
-                object.__setattr__(node, name, value)
-            # the atoms walk reads this slot on every node it passes;
-            # _in_nnf, read only at the root of nnf, is left unset
-            object.__setattr__(node, "_atoms", None)
-            ref = _Ref(node, _drop)
-            ref.key = key
-            Formula._interned[key] = ref
-        return node
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, k).__set__ for k in cls.fields)
+        if cls.__new__ in _CONSTRUCTORS:  # not one of the class's own
+            cls.__new__ = staticmethod(_CONSTRUCTORS[len(cls.fields)])
 
     def __setattr__(self, *_):
         raise AttributeError("formula nodes are immutable")
@@ -138,6 +200,10 @@ class Formula:
 
     def __str__(self):
         return render_formula(self)
+
+
+_interned = Formula._interned
+_set_atoms = Formula._atoms.__set__
 
 
 class TrueF(Formula):
@@ -189,7 +255,7 @@ class QDep(Formula):
     def __new__(cls, left, right, bound):
         if bound < 0:
             raise ValueError("dependency bound must be non-negative")
-        return Formula.__new__(cls, left, right, bound)
+        return _new3(cls, left, right, bound)
 
 
 class Budget(Formula):

@@ -15,11 +15,16 @@ from typing import Dict, List, Tuple
 
 from .depgraph import DependencyGraph, GraphError, Process
 from .formulas import (
+    And,
     Atom,
     Budget,
+    FalseF,
     Formula,
     Globally,
+    Not,
+    Or,
     QDep,
+    TrueF,
     conj,
     conjuncts_of,
     fold,
@@ -36,6 +41,14 @@ class InfeasibleConstraintError(ValueError):
 class UnsplittableDependencyError(ValueError):
     """A right operand names a dependent variable but is no conjunction of
     variables, so its producers' obligations would not all be required."""
+
+
+class TemporalOperandError(ValueError):
+    """A dependency operand holds more than atoms, constants, ``!``, ``&``
+    and ``|``, so no single event decides it."""
+
+
+_PROPOSITIONAL = (Atom, TrueF, FalseF, Not, And, Or)
 
 
 @dataclass(frozen=True)
@@ -92,6 +105,11 @@ def _unwind_dep(dep: QDep, g: DependencyGraph) -> Dict[Tuple[str, str, int], QDe
         raise UnsplittableDependencyError(
             "cannot unwind %s: a right operand naming a dependent variable "
             "must be a variable or a conjunction of variables"
+            % render_formula(dep))
+    if any(type(x) not in _PROPOSITIONAL
+           for side in (dep.left, dep.right) for x in subformulas(side)):
+        raise TemporalOperandError(
+            "cannot unwind %s: dependency operands must be propositional"
             % render_formula(dep))
     emitted: Dict[Tuple[str, str, int], QDep] = {}
     for v_root in names:

@@ -148,6 +148,26 @@ def test_unwind_refuses_an_unsplittable_right_operand(graph_file, right):
     assert r.stderr == UNSPLITTABLE % ("((I0 & I1) o<=10 %s)" % right)
 
 
+TEMPORAL = ("formula error: cannot unwind %s: dependency operands must be "
+            "propositional\n")
+
+
+@pytest.mark.parametrize("cmd", ["unwind", "group"])
+def test_planning_refuses_a_temporal_dependency_operand(graph_file, cmd):
+    r = run_cli(cmd, "--formula", "G ((F I0) o<=20 Of)", "--graph", graph_file)
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == TEMPORAL % "(F I0 o<=20 Of)"
+
+
+def test_check_refuses_a_nested_dependency_before_it_simulates():
+    # the oracle used to refuse it only after planning and simulating,
+    # under the graph/scenario exit code
+    r = run_cli("check", "--scenario", "example2",
+                "--formula", "G ((I0 o<=3 I1) o<=20 Of)")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == TEMPORAL % "((I0 o<=3 I1) o<=20 Of)"
+
+
 def test_unwind_conjunctive_right_operand(graph_file):
     r = run_cli("unwind", "--formula", "G ((I0 & I1) o<=10 (O2 & O3))",
                 "--graph", graph_file)

@@ -202,6 +202,60 @@ def test_a_dead_reference_drops_only_its_own_entry():
     assert key not in Formula._interned
 
 
+def _node_class(arity):
+    """A node class with ``arity`` fields, defined after the package's."""
+    names = ("left", "right", "n")[:arity]
+
+    class Node(Formula):
+        __slots__ = fields = names
+        kids = names[:2]
+
+    return Node
+
+
+ARGS = (Atom("k0"), Atom("k1"), 7)
+
+
+@pytest.mark.parametrize("arity", range(4))
+def test_a_later_node_class_interns_its_nodes(arity):
+    node_class, args = _node_class(arity), ARGS[:arity]
+    node = node_class(*args)
+    assert node_class(*args) is node
+    assert [getattr(node, k) for k in node_class.fields] == list(args)
+    assert node._atoms is None
+    with pytest.raises(AttributeError):
+        node.left = c
+    with pytest.raises(AttributeError):
+        node._atoms = frozenset()
+    key = (node_class,) + args
+    assert Formula._interned[key]() is node
+    del node
+    assert key not in Formula._interned
+
+
+@pytest.mark.parametrize("arity", range(4))
+def test_a_wrong_argument_count_is_a_type_error(arity):
+    node_class = _node_class(arity)
+    with pytest.raises(TypeError):
+        node_class(*ARGS[:arity], c)
+    if arity:
+        with pytest.raises(TypeError):
+            node_class(*ARGS[:arity - 1])
+
+
+def test_a_class_with_its_own_constructor_keeps_it():
+    class Dep(QDep):
+        __slots__ = ()
+
+    with pytest.raises(ValueError):
+        QDep(a, b, -1)
+    with pytest.raises(ValueError):
+        Dep(a, b, -1)
+    with pytest.raises(TypeError):
+        QDep(a, b)
+    assert Dep(a, b, 1) is Dep(a, b, 1) is not QDep(a, b, 1)
+
+
 def test_round_trip_nested_chains():
     for f in [And(And(a, b), c), And(a, And(b, c)),
               Until(Until(a, b), c), Until(a, Until(b, c)),
@@ -398,22 +452,16 @@ def test_progress_merges_budgets_in_first_place():
     assert r == And(Budget(b, 2), Eventually(c))
 
 
-def test_a_budget_beside_its_dependency_steps_with_two_new_nodes(
-        monkeypatch):
+def test_a_budget_beside_its_dependency_steps_with_two_new_nodes():
     # the re-activated dependency's budget is looser than the kept one,
-    # so it is never made; only the stepped budget and the conjunction are
+    # so it is never made; only the stepped budget and the conjunction are.
+    # New nodes are the keys the step adds to the table, in insertion order
     dep = QDep(a, b, 99)  # bounds no other test keeps a node of
     f = And(Budget(b, 55), Globally(dep))
-    made, new = [], Formula.__new__
-
-    def counting(cls, *args):
-        ref = Formula._interned.get((cls,) + args)
-        if ref is None or ref() is None:
-            made.append(cls)
-        return new(cls, *args)
-
-    monkeypatch.setattr(Formula, "__new__", counting)
-    assert progress(f, E(("a",), 1)) == And(Budget(b, 54), Globally(dep))
+    before = set(Formula._interned)
+    r = progress(f, E(("a",), 1))
+    made = [key[0] for key in Formula._interned if key not in before]
+    assert r == And(Budget(b, 54), Globally(dep))
     assert made == [Budget, And]
 
 

@@ -23,8 +23,9 @@ from costmon import (
 from costmon import unwinding
 from costmon.depgraph import Process
 from costmon.formulas import conj, render_formula
-from costmon.unwinding import (UnsplittableDependencyError,
-                                apply_dependency_rule)
+from costmon.unwinding import (TemporalOperandError,
+                               UnsplittableDependencyError,
+                               apply_dependency_rule)
 
 from oracles import min_downstream
 
@@ -209,6 +210,21 @@ def test_unsplittable_right_operand_is_refused(pipeline, right):
         "be a variable or a conjunction of variables" % render_formula(f.sub))
 
 
+@pytest.mark.parametrize("text", [
+    "G ((F I0) o<=20 Of)", "G ((I0 o<=3 I1) o<=20 Of)",
+    "G ((I0 U I1) o<=20 I1)", "G (X (I0 & !I1) o<=5 O2)",
+    "F (I0 o<=5 (I1 & G true))", "G (I0 o<=5 F I1)"])
+def test_a_dependency_operand_must_be_propositional(pipeline, text):
+    # refused whether or not the dependency names a dependent variable
+    f = parse_formula(text)
+    dep = extract_qdep(f)[0]
+    with pytest.raises(TemporalOperandError) as exc:
+        unwind(f, pipeline)
+    assert str(exc.value) == (
+        "cannot unwind %s: dependency operands must be propositional"
+        % render_formula(dep))
+
+
 def test_conjunctive_right_operand_unwinds_every_producer(pipeline):
     u = unwind(parse_formula("G ((I0 & I1) o<=10 (O2 & O3))"), pipeline)
     assert [(pid, render_formula(d)) for pid, d in u.entries] == [
@@ -248,9 +264,10 @@ def test_a_dependency_under_g_builds_no_conjunction_of_its_conjuncts(
     assert f == Eventually(conj([d for _, d in u.entries]))
 
 
-@pytest.mark.parametrize("right", ["(I0 | I1)", "!I1", "F I1"])
+@pytest.mark.parametrize("right", ["(I0 | I1)", "!I1", "(I1 & !I0)"])
 def test_environment_right_operand_of_any_shape_is_left_alone(pipeline,
                                                               right):
+    # of any propositional shape; a temporal one is refused like any other
     f = parse_formula("G (I0 o<=5 %s)" % right)
     u = unwind(f, pipeline)
     assert (u.formula, u.entries) == (f, ())
