@@ -6,19 +6,21 @@ temporary directory under another name (``costmon_at_rev``) and imported
 beside the working tree's ``src/costmon``.  The inputs are a chain of
 ``CHAIN_N`` processes (``curves.chain_text``) and the scenario documents
 of each perfbench workload, written by ``perfbench/workloads.py`` for
-seed ``SEED``.  First, every scenario is checked once on each side, and
-the two ``check --format json`` outputs and exit codes must be
-identical, byte for byte.  Then each workload runs ``PAIRS`` pairs: a
-pair times all of the workload's scenarios on one side and then on the
-other, the side that goes first alternating from pair to pair, with the
-cycle collector run before each side.  A pair's ratio is the working
-tree's time over the revision's, so below 1 is faster, and the pair is
-won when it is below 1.  Per workload the script prints the median
-ratio, its minimum and maximum, and the pairs won, with the core count
-and the Python version.  The host's speed drifts between runs far more
-than between the two halves of one pair, which is why the sides are
-timed alternately in one process.  Standard library only; run from a
-checkout with
+seed ``SEED``.  First, every scenario is run once on each side, and the
+two ``check --format json`` outputs and exit codes must be identical,
+byte for byte; so must the two ``simulate --format json`` ones, which
+hold the detections and the message total, on every scenario but the
+chain, whose trace log runs to millions of entries.  Then each workload
+runs ``PAIRS`` pairs: a pair times all of the workload's scenarios on
+one side and then on the other, the side that goes first alternating
+from pair to pair, with the cycle collector run before each side.  A
+pair's ratio is the working tree's time over the revision's, so below 1
+is faster, and the pair is won when it is below 1.  Per workload the
+script prints the median ratio, its minimum and maximum, and the pairs
+won, with the core count and the Python version.  The host's speed
+drifts between runs far more than between the two halves of one pair,
+which is why the sides are timed alternately in one process.  Standard
+library only; run from a checkout with
 
     python bench/ab.py [REV]
 """
@@ -72,12 +74,13 @@ def import_revision(rev: str, where: str):
     return importlib.import_module(OTHER + ".cli")
 
 
-def check(side, path: str) -> tuple:
-    """Exit code, output and seconds of one in-process ``check``."""
+def run(side, command: str, path: str) -> tuple:
+    """Exit code, output and seconds of one in-process ``command``
+    (``check`` or ``simulate``) with JSON output."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         start = time.perf_counter()
-        code = side.main(["check", "--scenario", path, "--format", "json"])
+        code = side.main([command, "--scenario", path, "--format", "json"])
         seconds = time.perf_counter() - start
     return code, out.getvalue(), seconds
 
@@ -100,15 +103,22 @@ def main(argv) -> int:
     try:
         base = import_revision(rev, tmp)
         files = scenario_files(tmp)
-        for paths in files.values():
+        for name, paths in files.items():
+            commands = (("check", "simulate") if name in workloads.WORKLOADS
+                        else ("check",))
             for path in paths:
-                ours, theirs = check(cli, path)[:2], check(base, path)[:2]
-                if ours != theirs:
-                    print("outputs differ on %s: exit %s against %s"
-                          % (path, ours[0], theirs[0]))
-                    return 1
-        print("%d scenarios, outputs identical; nproc %d, Python %s %s"
-              % (sum(map(len, files.values())), os.cpu_count(),
+                for command in commands:
+                    ours = run(cli, command, path)[:2]
+                    theirs = run(base, command, path)[:2]
+                    if ours != theirs:
+                        print("%s outputs differ on %s: exit %s against %s"
+                              % (command, path, ours[0], theirs[0]))
+                        return 1
+        print("%d scenarios, check outputs identical, simulate outputs "
+              "identical on %d; nproc %d, Python %s %s"
+              % (sum(map(len, files.values())),
+                 sum(len(files[name]) for name in workloads.WORKLOADS),
+                 os.cpu_count(),
                  platform.python_implementation(),
                  platform.python_version()))
         print("working tree / %s, whole check, %d alternating pairs"
@@ -119,7 +129,8 @@ def main(argv) -> int:
                 seconds = {}
                 for side in ((cli, base) if k % 2 else (base, cli)):
                     gc.collect()
-                    seconds[side] = sum(check(side, p)[2] for p in paths)
+                    seconds[side] = sum(run(side, "check", p)[2]
+                                        for p in paths)
                 ratios.append(seconds[cli] / seconds[base])
             print("%-14s median %.3f  min %.3f  max %.3f  won %d/%d"
                   % (name, statistics.median(ratios), min(ratios),

@@ -115,8 +115,8 @@ def pipeline(text: str):
         state["root"] = build_tableau(state["negated"])
 
     def group():
-        state["groups"] = grouping.organize_groups(
-            state["root"], state["negated"], state["sc"].graph)
+        state["groups"] = grouping.organize_groups(state["root"],
+                                                   state["sc"].graph)
 
     def assign():
         state["assignment"] = grouping.assign_conjuncts(state["groups"],

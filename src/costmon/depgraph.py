@@ -65,8 +65,13 @@ class DependencyGraph:
                 self.producer[v] = p.pid
         self.dependent = frozenset(self.producer)
         consumed = set()
+        # variable -> the processes that observe it (hold it in their
+        # alphabet), in process order
+        self.observers: Dict[str, List[str]] = {}
         for p in self.processes:
             consumed.update(p.inputs)
+            for v in p.alphabet:
+                self.observers.setdefault(v, []).append(p.pid)
         self.environment = frozenset(consumed - self.dependent)
         declared = frozenset(declared_environment)
         bad = declared & self.dependent

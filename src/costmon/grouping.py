@@ -123,10 +123,12 @@ def grow_groups(member_sets: Sequence[AbstractSet[str]]) -> List[List[int]]:
     return out
 
 
-def organize_groups(root: TableauNode, original: Formula,
+def organize_groups(root: TableauNode,
                     graph: DependencyGraph) -> List[MonitorGroup]:
     """Partition the graph's processes into monitor groups for the
-    tableau's ticked leaves."""
+    tableau's ticked leaves.  A tableau of one branch yields one group of
+    all processes for the root's formula, or none if the branch is
+    crossed."""
     procs = graph.processes
     if not procs:
         raise ValueError("no processes to organize")
@@ -135,14 +137,11 @@ def organize_groups(root: TableauNode, original: Formula,
         if ends[0].status == "crossed":
             return []
         pids = tuple(sorted(p.pid for p in procs))
-        return [MonitorGroup(pids, original, (original,))]
+        return [MonitorGroup(pids, root.label[0], (root.label[0],))]
     ticked = {leaf.label: leaf for leaf in ends if leaf.status == "ticked"}
     contents = list(dict.fromkeys(
         c for c in map(branch_content, ticked.values()) if c is not None))
-    observers: Dict[str, List[str]] = {}
-    for p in procs:
-        for name in p.alphabet:
-            observers.setdefault(name, []).append(p.pid)
+    observers = graph.observers
     member_sets: List[set] = []
     for c in contents:
         names = atoms(c)
@@ -151,38 +150,31 @@ def organize_groups(root: TableauNode, original: Formula,
             raise UnobservableAtomError(
                 "no process observes %s" % sorted(unseen)[0])
         member_sets.append({pid for name in names for pid in observers[name]})
+    # a group whose every branch formula has a sole owner splits into one
+    # singleton per owner; within one owner, a formula subsumed by its own
+    # F-version collapses onto the F-version
     groups: List[MonitorGroup] = []
     for indices in grow_groups(member_sets):
-        formulas = [contents[i] for i in indices]
-        split = _owner_split(formulas, graph)
-        if split is not None:
-            groups.extend(split)
+        owned: Dict[str, List[Formula]] = {}
+        for i in indices:
+            owner = _sole_owner(contents[i], graph)
+            if owner is None:
+                formulas = [contents[j] for j in indices]
+                members = set().union(*(member_sets[j] for j in indices))
+                groups.append(MonitorGroup(tuple(sorted(members)),
+                                           disj(formulas), tuple(formulas)))
+                break
+            owned.setdefault(owner, []).append(contents[i])
         else:
-            members = set().union(*(member_sets[i] for i in indices))
-            groups.append(MonitorGroup(tuple(sorted(members)),
-                                       disj(formulas), tuple(formulas)))
+            for owner, fs in owned.items():
+                eventual = {f.sub for f in fs if type(f) is Eventually}
+                kept = [f for f in fs if f not in eventual]
+                groups.append(MonitorGroup((owner,), disj(kept), tuple(kept),
+                                           owner))
+    # an owner observes its formulas' atoms, so it is a member of its own
+    # group and of no other: this sort also puts each group's owners in order
     groups.sort(key=lambda g: g.members)
     return groups
-
-
-def _owner_split(formulas: List[Formula],
-                 graph: DependencyGraph) -> Optional[List[MonitorGroup]]:
-    """Split a merged group into per-owner singletons when every branch
-    formula has a sole owner.  Within one owner, a formula subsumed by its
-    own F-version collapses onto the F-version."""
-    owners: Dict[str, List[Formula]] = {}
-    for f in formulas:
-        owner = _sole_owner(f, graph)
-        if owner is None:
-            return None
-        owners.setdefault(owner, []).append(f)
-    out: List[MonitorGroup] = []
-    for owner in sorted(owners):
-        fs = owners[owner]
-        eventual = {f.sub for f in fs if type(f) is Eventually}
-        kept = [f for f in fs if f not in eventual]
-        out.append(MonitorGroup((owner,), disj(kept), tuple(kept), owner))
-    return out
 
 
 def dep_core(f: Formula) -> Optional[QDep]:

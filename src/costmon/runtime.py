@@ -68,7 +68,6 @@ class BudgetWatcher:
         self._left_atoms = atoms(dep.left)
         self._right_atoms = atoms(dep.right)
         self.due: Optional[int] = None  # set while an activation awaits R
-        self._activated = False
         self.verdict = Verdict.UNKNOWN
         self.detection_round: Optional[int] = None
 
@@ -81,8 +80,9 @@ class BudgetWatcher:
             elif rnd >= self.due:
                 self._fire(rnd)
             return
-        if not self._activated and self._left_atoms <= latched:
-            self._activated = True
+        # once L has latched, R has too or the watcher fired or is due;
+        # latched sets only grow, so testing L again changes nothing
+        if self._left_atoms <= latched:
             if self._right_atoms <= latched:
                 return
             due = rnd + self.dep.bound - self.precharge

@@ -49,7 +49,7 @@ from .runtime import (
     synthesize_monitors,
 )
 from .tableau import build_tableau
-from .unwinding import UnwoundFormula, unwind
+from .unwinding import unwind
 
 FAULT_KINDS = ("drop", "delay", "trigger_failure")
 RECOVERY_KINDS = ("eject_to_bin3", "reference_second_sensor",
@@ -215,9 +215,7 @@ def latched(trace: Iterable[Event]) -> Tuple[Event, ...]:
 
 @dataclass(frozen=True)
 class MonitorPlan:
-    formula: Formula
     graph: DependencyGraph
-    unwound: UnwoundFormula
     negated: Formula
     groups: tuple
     assignment: Dict[str, Formula]
@@ -230,14 +228,13 @@ class MonitorPlan:
 
 def plan_monitors(f: Formula, graph: DependencyGraph) -> MonitorPlan:
     """Full pipeline: unwind, negate, tableau, group, assign."""
-    unwound = unwind(f, graph)
-    negated = negate(unwound.formula)
+    negated = negate(unwind(f, graph).formula)
     root = build_tableau(negated)
-    groups = organize_groups(root, negated, graph)
+    groups = organize_groups(root, graph)
     assignment = assign_conjuncts(groups, graph)
     index_table = subformula_index(negated)
-    return MonitorPlan(f, graph, unwound, negated, tuple(groups),
-                       assignment, index_table)
+    return MonitorPlan(graph, negated, tuple(groups), assignment,
+                       index_table)
 
 
 def run_simulation(scenario: Scenario, rounds: int,
@@ -245,8 +242,11 @@ def run_simulation(scenario: Scenario, rounds: int,
                    root: Optional[Formula] = None) -> SimulationResult:
     """Drives the process model and the monitors in lockstep.  The run is
     never cut short by a verdict: detection triggers recovery and the
-    physical outcome of the remaining rounds is part of the result.  It
-    raises nothing: the scenario was checked when it was built."""
+    physical outcome of the remaining rounds is part of the result.  Only
+    ``monitors`` can make it fail, never the scenario, which was checked
+    when it was built: it raises ValueError when the monitors do not fit
+    the graph, that is when one watches a process the graph lacks or a
+    forwarding monitor is not followed by its successor."""
     graph = scenario.graph
     if root is None:
         root = scenario.formula
@@ -272,13 +272,10 @@ def run_simulation(scenario: Scenario, rounds: int,
                     pid, (frozenset(graph.by_pid[pid].inputs),))
                 for pid in pids}
     starters: Dict[str, List[str]] = {}  # variable -> processes it can start
-    observers: Dict[str, List[str]] = {}  # variable -> processes seeing it
     for pid in pids:
         for var in frozenset().union(*triggers[pid]):
             starters.setdefault(var, []).append(pid)
-        for var in graph.by_pid[pid].alphabet:
-            observers.setdefault(var, []).append(pid)
-    observable = frozenset(observers)
+    observers = graph.observers
 
     arrived: Dict[str, int] = {}
     started: Set[str] = set()
@@ -331,7 +328,9 @@ def run_simulation(scenario: Scenario, rounds: int,
         observing = {pid for var in pulses for pid in observers.get(var, ())}
         events = {pid: Event(frozen_pulses & graph.by_pid[pid].alphabet, 1)
                   for pid in observing}
-        global_trace.append(Event(frozen_pulses & observable, 1))
+        # every pulse is a variable of the graph (a stimulus, an output or
+        # a variable the scenario checked before injecting it)
+        global_trace.append(Event(frozen_pulses, 1))
         sent, verdict = network.round(rnd, events)
         per_round_msgs.append(sent)
         # recovery: only the designated watcher of a configured fault

@@ -196,21 +196,20 @@ def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
 def build_tableau(f: Formula) -> TableauNode:
     """Build the full tableau for ``f`` (normalized internally).  The
     root's disjunction is split first: every node of its OR spine (a
-    node labelled by one disjunction) takes the OR rule, whose distinct
-    children keep ``(a | a)`` at one child.  Each disjunct below the
-    spine then grows its own subtree (``_grow``), counted on its own
-    against ``NODE_LIMIT``."""
+    node labelled by one disjunction) takes the OR rule from ``_rule``,
+    with no ancestors to consult, and its distinct children keep
+    ``(a | a)`` at one child.  Each disjunct below the spine then grows
+    its own subtree (``_grow``), counted on its own against
+    ``NODE_LIMIT``."""
     root = TableauNode((nnf(f),))
     spine = [root]
     while spine:
         node = spine.pop()
-        g = node.label[0]
-        if type(g) is not Or:
+        if type(node.label[0]) is not Or:
             _grow(node)
             continue
-        node.rule = "OR"
-        node.children = [TableauNode(lab) for lab in
-                         _child_labels(node.label, 0, (g.left,), (g.right,))]
+        node.status, node.rule, labels = _rule(node.label, [], {})
+        node.children = [TableauNode(lab) for lab in labels]
         spine.extend(reversed(node.children))
     return root
 

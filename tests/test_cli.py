@@ -490,6 +490,19 @@ def test_simulate_zero_rounds():
     assert "messages total: 0" in r.stdout
 
 
+def test_simulate_without_a_formula_runs_no_monitor(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"graph": json.loads(PIPELINE_DOC),
+                                "stimuli": {"3": ["I0", "I1"]}}))
+    r = run_cli("simulate", "--scenario", str(path), "--format", "json")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert (doc["verdict"], doc["detections"], doc["messages_total"]) == (
+        "Unknown", [], 0)
+    # the process model still runs: Of lands 11 rounds after the stimulus
+    assert doc["trace_log"]["p6"][14]["props"] == ["Of"]
+
+
 def test_simulate_unknown_scenario_is_usage_error():
     r = run_cli("simulate", "--scenario", "no_such_scenario")
     assert r.returncode == 64

@@ -8,9 +8,13 @@ import pytest
 from costmon import (
     GraphError,
     InfeasibleConstraintError,
+    cli,
+    example2_graph,
     load_graph,
     local_constraint,
+    random_scenario,
 )
+from costmon.sortingline import sorting_line_graph
 from conftest import CHAIN_DOC, PIPELINE_DOC
 from oracles import min_downstream
 
@@ -31,6 +35,16 @@ def test_load_chain(chain):
     assert chain.environment == {"I0"}
     assert chain.dependent == {"O0", "O1", "Of"}
     assert sorted(chain.edges) == [("p0", "p1"), ("p1", "p2")]
+
+
+def test_observers_are_the_processes_whose_alphabet_holds_a_variable():
+    graphs = [example2_graph(), sorting_line_graph()]
+    graphs += [random_scenario(seed, cli.RANDOM_LIMITS).graph
+               for seed in range(50)]
+    for g in graphs:
+        assert set(g.observers) == g.environment | g.dependent
+        for v, pids in g.observers.items():
+            assert pids == [p.pid for p in g.processes if v in p.alphabet]
 
 
 def test_environment_declaration_cross_check():

@@ -81,7 +81,7 @@ def test_pipeline_assignment_rows(pipeline, phi_pipeline):
 
 def test_single_branch_keeps_everyone_together(pipeline):
     f = parse_formula("!O0")
-    groups = organize_groups(build_tableau(f), f, graph=pipeline)
+    groups = organize_groups(build_tableau(f), graph=pipeline)
     assert len(groups) == 1
     assert groups[0].members == ("p0", "p1", "p2", "p3", "p4", "p5", "p6")
     assert groups[0].formula == f
@@ -98,7 +98,7 @@ def test_branch_content_absorbs_what_the_label_repeats(pipeline):
     assert leaf.status == "ticked"
     assert branch_content(leaf) == Globally(i0)
     rows = [(g.members, g.formula)
-            for g in organize_groups(root, f, graph=pipeline)]
+            for g in organize_groups(root, graph=pipeline)]
     assert rows == [(("p0",), parse_formula("G I0")),
                     (("p6",), parse_formula("G Of"))]
     # a branch that ends in true carries no obligation
@@ -115,7 +115,7 @@ def test_branch_content_absorbs_what_the_label_repeats(pipeline):
 def test_overlapping_branches_merge():
     g = load_graph(TWO_PROC_DOC)
     f = parse_formula("F (!a) | F (!(a & b))")
-    groups = organize_groups(build_tableau(f), f, graph=g)
+    groups = organize_groups(build_tableau(f), graph=g)
     assert len(groups) == 1
     grp = groups[0]
     assert grp.members == ("p0", "p1")
@@ -140,7 +140,7 @@ def test_group_lists_contents_in_growth_order():
         {"pid": "p2", "inputs": ["a", "b"], "outputs": ["d"], "cost": 1},
     ]}))
     f = parse_formula("!e | (!h | (!e & !h))")
-    [grp] = organize_groups(build_tableau(f), f, graph=g)
+    [grp] = organize_groups(build_tableau(f), graph=g)
     assert grp.members == ("p0", "p1")
     assert grp.branch_formulas == (parse_formula("!e"),
                                    parse_formula("!e & !h"),
@@ -165,7 +165,7 @@ def test_growth_rule_matches_restart_on_merge():
 def test_unobservable_atom_is_rejected(pipeline):
     f = parse_formula("F (!zz)")
     with pytest.raises(UnobservableAtomError, match="zz"):
-        organize_groups(build_tableau(f), f, graph=pipeline)
+        organize_groups(build_tableau(f), graph=pipeline)
 
 
 def test_grouping_memory_stays_linear():
@@ -183,7 +183,7 @@ def test_grouping_memory_stays_linear():
     root = build_tableau(neg)
     tracemalloc.start()
     try:
-        groups = organize_groups(root, neg, graph=g)
+        groups = organize_groups(root, graph=g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -196,7 +196,7 @@ def test_conjunct_without_producer_is_rejected(pipeline):
     f = parse_formula("G (I0 o<=2 I1)")
     u = unwind(f, pipeline)
     neg = negate(u.formula)
-    groups = organize_groups(build_tableau(neg), neg, graph=pipeline)
+    groups = organize_groups(build_tableau(neg), graph=pipeline)
     with pytest.raises(UnobservableAtomError, match="no producing member"):
         assign_conjuncts(groups, pipeline)
 
@@ -239,7 +239,7 @@ def test_owner_is_the_emitting_process():
     for f, graph in _assignment_inputs():
         u = unwind(f, graph)
         neg = negate(u.formula)
-        groups = organize_groups(build_tableau(neg), neg, graph)
+        groups = organize_groups(build_tableau(neg), graph)
         want = _emitting_owners(groups, u)
         assert want and assign_conjuncts(groups, graph) == want, f
         # a split group keeps the owner its split found

@@ -3,7 +3,9 @@
 import pytest
 
 from costmon import (
+    Eventually,
     FaultSpec,
+    Not,
     Verdict,
     evaluate_trace,
     evaluate_trace_with_position,
@@ -16,7 +18,7 @@ from costmon import (
     run_scenario,
     synthesize_monitors,
 )
-from costmon.runtime import LocalMonitor, MonitorNetwork
+from costmon.runtime import BudgetWatcher, LocalMonitor, MonitorNetwork
 
 from conftest import CHAIN_DOC
 
@@ -99,6 +101,20 @@ def test_budget_watcher_steps_only_when_its_input_or_due_round_comes():
     res = run_scenario(sc, monitors=mons)
     assert rounds == [0, 3, 14] == [0, 3, res.report.detection_round]
     assert p0.verdict is T
+
+
+@pytest.mark.parametrize("b_with_a", [True, False],
+                         ids=["right-latched-first", "discharged"])
+def test_a_watcher_whose_right_operand_latched_stays_unknown(b_with_a):
+    # a latches in round 2, b with it or (after the due round 2 + 5 was
+    # set) in round 4; latched sets only grow, so no later step can fire
+    dep = parse_formula("(a o<=5 b)")
+    w = BudgetWatcher(Eventually(Not(dep)), dep)
+    w.step(2, frozenset({"a", "b"} if b_with_a else {"a"}))
+    assert w.due == (None if b_with_a else 7)
+    for rnd in (4, 5, 7, 8, 1000):
+        w.step(rnd, frozenset({"a", "b"}))
+        assert (w.verdict, w.due, w.detection_round) == (U, None, None)
 
 
 def test_nominal_run_stays_unknown():
