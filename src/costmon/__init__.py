@@ -25,7 +25,6 @@ from .formulas import (
 )
 from .depgraph import GraphError, load_graph
 from .tableau import (
-    apply_dist,
     build_tableau,
     export_dot,
     leaves,
@@ -56,7 +55,7 @@ __all__ = [
     "And", "Atom", "Eventually", "Globally", "Not", "Or", "QDep", "Verdict",
     "atoms", "evaluate_trace", "evaluate_trace_with_position", "make_event",
     "negate", "parse_formula", "progress", "GraphError", "load_graph",
-    "apply_dist", "build_tableau", "export_dot", "leaves", "terminal_node",
+    "build_tableau", "export_dot", "leaves", "terminal_node",
     "InfeasibleConstraintError", "extract_qdep", "local_constraint", "unwind",
     "UnobservableAtomError", "assign_conjuncts", "organize_groups",
     "synthesize_monitors", "FaultSpec", "case_monitors", "example2_graph",

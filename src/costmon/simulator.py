@@ -22,6 +22,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
                     Tuple)
 
@@ -105,27 +106,36 @@ class RecoveryAction:
 class Scenario:
     """A run of the process model, checked against its graph when built:
     files, builtins and ``dataclasses.replace`` all pass these checks, so
-    no run meets an invalid scenario.  Raises ValueError."""
+    no run meets an invalid scenario.  The mapping fields are kept as
+    read-only views over copies, so what was checked is what runs.
+    Raises ValueError."""
     graph: DependencyGraph
-    stimuli: Dict[int, frozenset]  # round -> environment variables pulsing
+    stimuli: Mapping[int, frozenset]  # round -> environment variables pulsing
     # pid -> latency rounds, >= declared cost (unlisted: declared cost)
-    behaviors: Dict[str, int] = field(default_factory=dict)
+    behaviors: Mapping[str, int] = field(default_factory=dict)
     faults: Tuple[FaultSpec, ...] = ()
-    recoveries: Dict[str, RecoveryAction] = field(default_factory=dict)
+    recoveries: Mapping[str, RecoveryAction] = field(default_factory=dict)
     formula: Optional[Formula] = None
     suggested_rounds: int = 40
     # variables a colorway never emits (classifier stays silent on the
     # other color) and alternative start conditions (a process that goes
     # on whichever of several input sets completes first)
     suppressed_outputs: frozenset = frozenset()
-    trigger_sets: Dict[str, Tuple[frozenset, ...]] = field(default_factory=dict)
+    trigger_sets: Mapping[str, Tuple[frozenset, ...]] = field(
+        default_factory=dict)
     deadline: Optional[Tuple[str, int]] = None  # (variable, round)
     monitor_specs: Tuple[Tuple[str, str, Formula], ...] = ()
 
     def __post_init__(self):
+        for name in ("stimuli", "behaviors", "recoveries", "trigger_sets"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
         g = self.graph
         variables = g.environment | g.dependent
-        for names in self.stimuli.values():
+        for rnd, names in self.stimuli.items():
+            if rnd < 0:
+                raise ValueError("stimulus round must be non-negative, got %d"
+                                 % rnd)
             _known(names, "stimuli", g.environment, "an environment variable")
         for pid, latency in self.behaviors.items():
             p = g.by_pid.get(pid)

@@ -1,8 +1,9 @@
 """Tree-shaped tableau construction for the extended temporal language.
 
 Labels are ordered, duplicate-free tuples of formulas.  Expansion picks the
-first formula (insertion order) that is not a literal, an atomic dependency,
-or a next-step obligation, and applies its rule.  Time steps via the X-rule
+first formula (insertion order) that is not a literal or a next-step
+obligation, and applies its rule.  A dependency is a literal, as its
+negation is: no rule looks inside it.  Time steps via the X-rule
 once a label is poised.  Termination comes from the LOOP rule (tick a
 repeated poised label) and the PRUNE rule (cross a thrice-repeated label
 with no eventuality progress).
@@ -26,6 +27,7 @@ from typing import Dict, List, Tuple
 from .formulas import (
     And,
     Atom,
+    Budget,
     Eventually,
     FALSE,
     FalseF,
@@ -37,7 +39,6 @@ from .formulas import (
     QDep,
     TrueF,
     Until,
-    fold,
     nnf,
 )
 
@@ -65,33 +66,10 @@ class TableauNode:
     rule: str = ""
 
 
-def _ready(f: Formula) -> bool:
-    """Whether ``f`` waits for the X-rule: a literal (a constant, an atom
-    or a negated atom or dependency), a dependency whose left operand is
-    free of And/Or, or a next-step obligation."""
-    t = type(f)
-    if t is Atom or t is Next or t is TrueF or t is FalseF:
-        return True
-    if t is QDep:
-        t = type(f.left)
-        return t is not And and t is not Or
-    return t is Not and type(f.sub) in (Atom, QDep)
-
-
-def apply_dist(f: Formula) -> Formula:
-    """Distribute a dependency over its left operand's And/Or structure;
-    the right operand is left untouched.  Non-matching input is returned
-    unchanged."""
-    if type(f) is not QDep or _ready(f):
-        return f
-
-    def step(g, kids):
-        t = type(g)
-        if t is And or t is Or:
-            return t(*kids)
-        return QDep(g, f.right, f.bound)
-
-    return fold(f.left, step)
+# The node kinds that wait for the X-rule: the literals (a constant, an
+# atom, a dependency, a budget, or a `Not`, which after `nnf` wraps only
+# an atom, a dependency or a budget) and next-step obligations.
+_READY = frozenset({TrueF, FalseF, Atom, QDep, Budget, Not, Next})
 
 
 def _dedup(items) -> Tuple[Formula, ...]:
@@ -139,11 +117,10 @@ def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
     """``(status, rule, child labels)`` of a node labelled ``label`` whose
     ancestors, root first, carry the labels ``path``; ``depths`` maps each
     label on ``path`` to its positions there, in order."""
-    # contradiction: false, or an atom beside its negation (labels are
+    # contradiction: false, or a literal beside its negation (labels are
     # short, and nodes are interned, so a scan beats building a set)
     for f in label:
-        if (f is FALSE or type(f) is Not and type(f.sub) is Atom
-                and f.sub in label):
+        if f is FALSE or type(f) is Not and f.sub in label:
             return "crossed", "contradiction", []
     # PRUNE: the label's third appearance is cut when the stretch since
     # the previous appearance satisfied no eventuality that the stretch
@@ -164,7 +141,7 @@ def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
     # the first member that is not ready decides the rule; a label with
     # none is poised
     for idx, f in enumerate(label):
-        if not _ready(f):
+        if type(f) not in _READY:
             break
     else:
         # an ancestor with a poised label is interior, so it took the
@@ -184,12 +161,8 @@ def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
         rule, repls = "G", [(f.sub, Next(f))]
     elif t is Eventually:
         rule, repls = "F", [(f.sub,), (Next(f),)]
-    elif t is Until:
+    else:  # Until, the one kind left that is not ready
         rule, repls = "U", [(f.right,), (f.left, Next(f))]
-    elif t is QDep:
-        rule, repls = "DIST", [(apply_dist(f),)]
-    else:
-        raise TypeError("no tableau rule for %r" % (f,))
     return "interior", rule, _child_labels(label, idx, *repls)
 
 

@@ -28,6 +28,24 @@ PIPELINE_DOC = json.dumps({
 })
 
 
+def write_golden(path, records, name):
+    """Write ``records`` to the golden file ``path``, one JSON line each.
+    First print ``name(record)`` for each record that differs from the
+    record of that name in the file it replaces, or that is new, then how
+    many of them changed."""
+    try:
+        with open(path) as fh:
+            old = {name(r): r for r in json.load(fh)}
+    except FileNotFoundError:
+        old = {}
+    changed = [name(r) for r in records if old.get(name(r)) != r]
+    for line in changed:
+        print(line)
+    print("%d of %d records changed" % (len(changed), len(records)))
+    with open(path, "w") as fh:
+        fh.write("[\n%s\n]\n" % ",\n".join(json.dumps(r) for r in records))
+
+
 def endpoint_monitors(sc):
     """The sorting line watched only end to end: one budget watcher for
     the scenario's formula at EC, the producer of its right operand."""

@@ -536,6 +536,7 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
     ({"rounds": -1}, [], 2),
     ({}, ["--rounds", "-1"], 64),
     ({"stimuli": {"3": ["I0", "I9"]}}, [], 2),
+    ({"stimuli": {"-2": ["I0", "I1"]}}, [], 2),
     ({"trigger_sets": {"p9": [["O0"]]}}, [], 2),
     ({"trigger_sets": {"p2": [["O0", "O9"]]}}, [], 2),
     ({"suppressed_outputs": ["O9"]}, [], 2),
@@ -547,7 +548,8 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
         "deadline-valid", "deadline-variable-number", "deadline-variable-null",
         "deadline-variable-unknown",
         "environment-number", "negative-rounds", "negative-rounds-flag",
-        "stimulus-unknown", "trigger-set-unknown-pid",
+        "stimulus-unknown", "stimulus-negative-round",
+        "trigger-set-unknown-pid",
         "trigger-set-unknown-variable", "suppressed-output-unknown",
         "seed-key"])
 def test_malformed_scenario_exits_without_traceback(tmp_path, override,

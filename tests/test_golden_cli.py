@@ -7,6 +7,9 @@ sees from these commands shows up here.  After an intended change of
 output, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+which prints the command line of each record that changed, then how many
+did.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ import os
 import pytest
 
 from costmon import cli
+from conftest import write_golden
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_cli.json")
@@ -72,6 +76,5 @@ def test_cli_output_matches_golden(golden, argv):
 
 
 if __name__ == "__main__":
-    with open(GOLDEN, "w") as fh:
-        fh.write("[\n%s\n]\n" % ",\n".join(
-            json.dumps(replay(argv)) for argv in _cases()))
+    write_golden(GOLDEN, [replay(argv) for argv in _cases()],
+                 lambda r: " ".join(r["argv"]))

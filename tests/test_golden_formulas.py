@@ -5,12 +5,11 @@ whole grammar: parsed texts with deep unary and ``U`` nesting, and budget
 residuals reached by progressing parsed formulas.  For each it records the
 rendered text, ``nnf``, ``negate``, ``atoms``, ``ordered_atoms``,
 ``subformula_index`` (in index order), ``extract_qdep``, grouping's
-``_qdeps_of``, ``apply_dist`` of every distinct dependency subformula, the
-residuals of progressing its negation normal form over five seeded events
-(``progression``), and for parsed texts the exit code and output of
-``costmon parse --format json``.  Formulas are written as their rendered
-text; the bulky values (``negate``, the index, the parse output, a long
-residual) as a sha256 of that text.
+``_qdeps_of``, the residuals of progressing its negation normal form
+over five seeded events (``progression``), and for parsed texts the exit
+code and output of ``costmon parse --format json``.  Formulas are
+written as their rendered text; the bulky values (``negate``, the index,
+the parse output, a long residual) as a sha256 of that text.
 Residuals, which do not parse, are stored as their ``parse --format json``
 AST.  Over every parsed text, the facts a node keeps (its atoms and
 its negation normal form mark) are checked against fresh walks.  After an
@@ -18,9 +17,10 @@ intended change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_formulas.py
 
-which records the inputs already in the file afresh.  The residual inputs
-are drawn by progressing, so an earlier ``progress`` drew them; only
-without a file are new inputs drawn.
+which records the inputs already in the file afresh and prints the text
+(for a residual, the AST) of each record that changed, then how many
+did.  The residual inputs are drawn by progressing, so an earlier
+``progress`` drew them; only without a file are new inputs drawn.
 """
 
 import contextlib
@@ -61,8 +61,8 @@ from costmon.formulas import (
     subformulas,
 )
 from costmon.grouping import _qdeps_of
-from costmon.tableau import apply_dist
 from costmon.unwinding import extract_qdep
+from conftest import write_golden
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_formulas.json")
@@ -205,7 +205,6 @@ def record(text, ast):
     """The golden record of one input, recomputed."""
     f = parse_formula(text) if text is not None else _build(ast)
     index = subformula_index(f)
-    deps = [g for g in index if isinstance(g, QDep)]
     rec = {
         "text": text,
         "ast": ast,
@@ -218,8 +217,6 @@ def record(text, ast):
             render_formula(g) for g in sorted(index, key=index.get))),
         "extract_qdep": [render_formula(g) for g in extract_qdep(f)],
         "qdeps_of": [render_formula(g) for g in _qdeps_of(f)],
-        "apply_dist": [render_formula(apply_dist(g)) for g in deps],
-        "apply_dist_is_input": [apply_dist(g) is g for g in [f] + deps],
         "progression": _progression(f),
     }
     if text is not None:
@@ -301,6 +298,6 @@ if __name__ == "__main__":
             inputs = [(r["text"], r["ast"]) for r in json.load(fh)]
     else:
         inputs = _inputs()
-    records = [record(t, ast) for t, ast in inputs]
-    with open(GOLDEN, "w") as fh:
-        fh.write("[\n%s\n]\n" % ",\n".join(json.dumps(r) for r in records))
+    write_golden(GOLDEN, [record(t, ast) for t, ast in inputs],
+                 lambda r: r["text"] if r["text"] is not None
+                 else json.dumps(r["ast"]))

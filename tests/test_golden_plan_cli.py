@@ -13,6 +13,9 @@ each graph in a file first.  After an intended change of output,
 regenerate the file with
 
     PYTHONPATH=src python tests/test_golden_plan_cli.py
+
+which prints the command line of each record that changed, then how many
+did.
 """
 
 import contextlib
@@ -26,7 +29,7 @@ import pytest
 
 from costmon import cli
 from costmon.sortingline import SORTING_LINE_GRAPH_JSON
-from conftest import PIPELINE_DOC
+from conftest import PIPELINE_DOC, write_golden
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_plan_cli.json")
@@ -165,5 +168,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         _write_graphs(tmp)
         records = [replay(argv, tmp) for argv in _cases()]
-    with open(GOLDEN, "w") as fh:
-        fh.write("[\n%s\n]\n" % ",\n".join(json.dumps(r) for r in records))
+    write_golden(GOLDEN, records, lambda r: " ".join(r["argv"]))

@@ -14,6 +14,9 @@ wrong, shows up here.  After an intended change of output, regenerate
 the file with
 
     PYTHONPATH=src python tests/test_golden_run.py
+
+which prints the command line of each record that changed, then how many
+did.
 """
 
 import contextlib
@@ -27,6 +30,7 @@ import tempfile
 import pytest
 
 from costmon import cli
+from conftest import write_golden
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_run.json")
@@ -225,5 +229,4 @@ def test_run_output_matches_golden(golden, scenario_dir, argv):
 if __name__ == "__main__":
     with _scenario_dir():
         records = [replay(argv) for argv in _cases()]
-    with open(GOLDEN, "w") as fh:
-        fh.write("[\n%s\n]\n" % ",\n".join(json.dumps(r) for r in records))
+    write_golden(GOLDEN, records, lambda r: " ".join(r["argv"]))

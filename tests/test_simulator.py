@@ -151,6 +151,21 @@ def test_replace_checks_the_scenario_again():
                             faults=(FaultSpec("nothing", "drop"),))
 
 
+def test_a_checked_scenario_is_read_only():
+    behaviors = {"p0": 3}
+    sc = dataclasses.replace(example2_scenario(), behaviors=behaviors)
+    for name in ("stimuli", "behaviors", "recoveries", "trigger_sets"):
+        with pytest.raises(TypeError):
+            getattr(sc, name)["p0"] = 0
+    # the scenario holds a copy: changing the dict it was built from
+    # changes nothing it runs
+    behaviors["p0"] = 0
+    assert dict(sc.behaviors) == {**sc.behaviors} == {"p0": 3}
+    moved = dataclasses.replace(sc, behaviors={**sc.behaviors, "p1": 4})
+    assert moved.behaviors == {"p0": 3, "p1": 4}
+    assert run_scenario(sc).arrival_rounds["O0"] == 3 + 3
+
+
 def test_a_second_sensor_recovery_names_its_variable():
     with pytest.raises(ValueError, match="reference_second_sensor needs a "
                                          "'variable' parameter"):

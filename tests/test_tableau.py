@@ -1,15 +1,14 @@
 """Tableau construction: expansion goldens, termination, branch status."""
 
+import functools
 import itertools
 import json
 import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from costmon import (
-    apply_dist,
     build_tableau,
     export_dot,
     leaves,
@@ -26,7 +25,6 @@ from costmon.formulas import (
     Or,
     QDep,
     Verdict,
-    atoms,
     evaluate_trace,
     make_event,
     nnf,
@@ -68,13 +66,12 @@ def test_globally_single_branch_loop():
     assert nodes[1].label == nodes[3].label
 
 
-def test_dep_formula_single_branch_distributes():
+def test_dep_formula_single_branch_keeps_the_dependency_whole():
     t = build_tableau(parse_formula("G ((a & b) o<=5 c)"))
     bs = tableau_paths(t)
     assert len(bs) == 1 and bs[0].outcome == "ticked"
-    assert "DIST" in [n.rule for n in bs[0].nodes]
-    term = set(terminal_node(bs[0].leaf))
-    assert term == {QDep(a, c, 5), QDep(b, c, 5)}
+    assert [n.rule for n in bs[0].nodes] == ["G", "X", "G", "LOOP"]
+    assert set(terminal_node(bs[0].leaf)) == {QDep(And(a, b), c, 5)}
 
 
 def test_terminal_node_globally():
@@ -125,60 +122,33 @@ def test_negated_pipeline_formula_branch_structure(pipeline, phi_pipeline):
 
 
 # ---------------------------------------------------------------------------
-# distribution rule
+# a dependency is one literal
 
-def test_dist_over_and():
-    f = QDep(And(a, b), c, 7)
-    assert apply_dist(f) == And(QDep(a, c, 7), QDep(b, c, 7))
-
-
-def test_dist_over_or():
-    f = QDep(Or(a, b), c, 7)
-    assert apply_dist(f) == Or(QDep(a, c, 7), QDep(b, c, 7))
+# every trace of length at most 4 over the events {}, {a}, {b}, {a, b} and
+# {c}, each of cost 1: 781 traces
+SMALL_TRACES = [list(tr) for n in range(5) for tr in itertools.product(
+    [make_event(ps, 1) for ps in ((), ("a",), ("b",), ("a", "b"), ("c",))],
+    repeat=n)]
 
 
-def test_dist_atomic_left_unchanged():
-    f = QDep(a, c, 7)
-    assert apply_dist(f) is f
+@pytest.mark.parametrize("left", ["a & b", "a | b", "a & (b | c)"])
+def test_ticked_contents_mean_what_the_dependency_means(left):
+    # G of the disjunction of the ticked branches' contents is the formula
+    # again; reading the dependency per atom of its left operand is not
+    f = parse_formula("G ((%s) o<=1 c)" % left)
+    contents = [functools.reduce(And, terminal_node(leaf))
+                for leaf in leaves(build_tableau(f))
+                if leaf.status == "ticked"]
+    g = Globally(functools.reduce(Or, contents))
+    assert len(SMALL_TRACES) == 781
+    for tr in SMALL_TRACES:
+        assert evaluate_trace(g, tr) is evaluate_trace(f, tr), tr
 
 
-def test_dist_right_operand_untouched():
-    f = QDep(a, And(b, c), 7)
-    assert apply_dist(f) == f
-
-
-def test_dist_recurses_into_left():
-    f = QDep(And(a, Or(b, c)), c, 2)
-    got = apply_dist(f)
-    assert got == And(QDep(a, c, 2), Or(QDep(b, c, 2), QDep(c, c, 2)))
-
-
-# The distribution laws hold when the left operand's atoms stand or fall
-# together at each position, which is how anchors behave in the intended
-# runs (a stimulus pulses all its variables in the same round).  With a
-# partial anchor like {a} under (a & b), the original is vacuous while the
-# distributed (a o<= c) conjunct activates, so the two sides genuinely
-# diverge; such traces are outside the law's domain.
-CO_ANCHORED = [make_event(ps, cost)
-               for ps in ((), ("c",), ("a", "b"), ("a", "b", "c"))
-               for cost in (0, 1)]
-
-
-@settings(max_examples=80)
-@given(st.sampled_from([QDep(And(a, b), c, 2), QDep(Or(a, b), c, 2),
-                        QDep(And(a, Or(b, c)), c, 1)]),
-       st.lists(st.sampled_from(CO_ANCHORED), max_size=6))
-def test_dist_preserves_semantics_on_co_anchored_traces(f, tr):
-    assert evaluate_trace(Globally(f), tr) == evaluate_trace(Globally(apply_dist(f)), tr)
-
-
-def test_dist_diverges_on_partial_anchor():
-    # the recorded counterexample pinning the law's domain
-    f = Globally(QDep(And(a, b), c, 2))
-    tr = [make_event(("a",), 0), make_event((), 1), make_event((), 1),
-          make_event((), 1)]
-    assert evaluate_trace(f, tr) == Verdict.UNKNOWN
-    assert evaluate_trace(Globally(apply_dist(f.sub)), tr) == Verdict.FALSE
+def test_a_dependency_beside_its_negation_is_crossed():
+    t = build_tableau(parse_formula("(a o<=1 b) & !(a o<=1 b)"))
+    assert [(b.outcome, b.leaf.rule) for b in tableau_paths(t)] == [
+        ("crossed", "contradiction")]
 
 
 # ---------------------------------------------------------------------------
