@@ -7,6 +7,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costmon import (
     build_tableau,
@@ -131,18 +132,65 @@ SMALL_TRACES = [list(tr) for n in range(5) for tr in itertools.product(
     repeat=n)]
 
 
+@functools.lru_cache(maxsize=None)
+def ticked_formula(f):
+    """G of the disjunction of the contents of f's ticked leaves."""
+    contents = [functools.reduce(And, terminal_node(leaf))
+                for leaf in leaves(build_tableau(f))
+                if leaf.status == "ticked"]
+    return Globally(functools.reduce(Or, contents))
+
+
 @pytest.mark.parametrize("left", ["a & b", "a | b", "a & (b | c)"])
 def test_ticked_contents_mean_what_the_dependency_means(left):
     # G of the disjunction of the ticked branches' contents is the formula
     # again; reading the dependency per atom of its left operand is not
     f = parse_formula("G ((%s) o<=1 c)" % left)
-    contents = [functools.reduce(And, terminal_node(leaf))
-                for leaf in leaves(build_tableau(f))
-                if leaf.status == "ticked"]
-    g = Globally(functools.reduce(Or, contents))
+    g = ticked_formula(f)
     assert len(SMALL_TRACES) == 781
     for tr in SMALL_TRACES:
         assert evaluate_trace(g, tr) is evaluate_trace(f, tr), tr
+
+
+# The distribution laws, (a & b) o<=q c == (a o<=q c) & (b o<=q c) and the
+# same with |, hold when the left operand's atoms stand or fall together at
+# each position, which is how anchors behave in the intended runs (a stimulus
+# pulses all its variables in the same round).  With a partial anchor like {a}
+# under (a & b), the original is vacuous while the per-atom (a o<=q c)
+# conjunct activates, so the two readings diverge; that is why the tableau
+# keeps a dependency whole.
+CO_ANCHORED = [make_event(ps, cost)
+               for ps in ((), ("c",), ("a", "b"), ("a", "b", "c"))
+               for cost in (0, 1)]
+
+PER_ATOM = [
+    (QDep(And(a, b), c, 2), And(QDep(a, c, 2), QDep(b, c, 2))),
+    (QDep(Or(a, b), c, 2), Or(QDep(a, c, 2), QDep(b, c, 2))),
+    (QDep(And(a, Or(b, c)), c, 1),
+     And(QDep(a, c, 1), Or(QDep(b, c, 1), QDep(c, c, 1)))),
+]
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(PER_ATOM),
+       st.lists(st.sampled_from(CO_ANCHORED), max_size=6))
+def test_dist_preserves_semantics_on_co_anchored_traces(pair, tr):
+    f, per_atom = pair
+    verdict = evaluate_trace(Globally(f), tr)
+    assert evaluate_trace(Globally(per_atom), tr) == verdict
+    assert evaluate_trace(ticked_formula(Globally(f)), tr) == verdict
+
+
+def test_dist_diverges_on_partial_anchor():
+    # the recorded counterexample pinning the law's domain: the per-atom
+    # reading fails where the dependency is vacuous, and the tableau's
+    # ticked contents side with the dependency
+    f = Globally(QDep(And(a, b), c, 2))
+    tr = [make_event(("a",), 0), make_event((), 1), make_event((), 1),
+          make_event((), 1)]
+    assert evaluate_trace(f, tr) == Verdict.UNKNOWN
+    assert evaluate_trace(Globally(PER_ATOM[0][1]), tr) == Verdict.FALSE
+    assert evaluate_trace(ticked_formula(f), tr) == Verdict.UNKNOWN
 
 
 def test_a_dependency_beside_its_negation_is_crossed():
