@@ -97,11 +97,11 @@ def _rounds_arg(text: str) -> int:
 
 def _tamper_arg(text: str):
     idx, sep, val = text.partition("=")
-    if not sep or not idx.isdigit():
-        raise argparse.ArgumentTypeError("expected IDX=VAL, got %r" % text)
     try:
-        value = int(val)
+        value = int(val) if sep and idx.isdigit() else -1
     except ValueError:
+        value = -1
+    if value < 0:  # no budget is negative
         raise argparse.ArgumentTypeError("expected IDX=VAL, got %r" % text)
     return int(idx), value
 

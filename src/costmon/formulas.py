@@ -399,7 +399,9 @@ def _polar(f: Formula, positive: bool) -> Formula:
         elif t is Not:
             for k in g.kids:
                 todo.append((getattr(g, k), not pos, False))
-        elif t is Atom or t is Budget:
+        elif (t is Atom or t is Budget or t is QDep
+              and type(g.left) is Atom and type(g.right) is Atom):
+            # a dependency of atoms is its own normal form
             done.append(g if pos else Not(g))
         elif t is TrueF or t is FalseF:
             done.append(g if pos else (FALSE if t is TrueF else TRUE))

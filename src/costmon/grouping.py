@@ -63,6 +63,10 @@ def branch_content(leaf: TableauNode) -> Optional[Formula]:
     """
     if leaf.status != "ticked":
         return None
+    if len(leaf.label) == 1:  # nothing to absorb
+        (f,) = leaf.label
+        f = f.sub if type(f) is Next else f
+        return None if f is TRUE else f
     parts = dict.fromkeys(f.sub if type(f) is Next else f
                           for f in leaf.label)  # an ordered set
     always = {g.sub for g in parts if type(g) is Globally}
@@ -74,8 +78,8 @@ def branch_content(leaf: TableauNode) -> Optional[Formula]:
 def _sole_owner(f: Formula, graph: DependencyGraph) -> Optional[str]:
     """The unique process that can watch ``f`` alone: it produces the right
     operand of every dependency in ``f`` and observes all of its atoms."""
-    owner = None
-    for d in _qdeps_of(f):
+    owner, dep = None, dep_core(f)
+    for d in _qdeps_of(f) if dep is None else (dep,):
         for name in atoms(d.right):
             producer = graph.producer.get(name)
             if producer is None or owner not in (None, producer):
@@ -181,11 +185,9 @@ def dep_core(f: Formula) -> Optional[QDep]:
     """The dependency inside a falsification-witness conjunct: a bare
     dependency, its negation, or the F-wrapped negation.  Other shapes
     (notably G-wrapped originals) are not attributable to one process."""
-    g = f.sub if isinstance(f, Eventually) else f
-    g = g.sub if isinstance(g, Not) else g
-    if isinstance(g, QDep) and atoms(f) == atoms(g):
-        return g
-    return None
+    g = f.sub if type(f) is Eventually else f
+    g = g.sub if type(g) is Not else g
+    return g if type(g) is QDep else None
 
 
 def assign_conjuncts(groups: Sequence[MonitorGroup],

@@ -14,10 +14,13 @@ bound minus precharge) and fires at that round unless its right operand
 latched first; a residual watcher is due every round until it decides,
 because cost accrues every round.  A monitor therefore only has work in
 a round where it observes something, receives a message or has a
-watcher due.  ``MonitorNetwork`` is the one round engine: it keeps the
-monitors' due rounds in a heap and their verdicts as running counts, and
-visits only the monitors with work, so a round costs what happens in it,
-not the number of monitors.  A round in which no monitor observes
+watcher due.  Round 0 is no different: before any input, only a watcher
+that acts on an empty view is pending, that is a residual watcher or a
+budget watcher whose anchor has no atoms, which is active from round 0.
+``MonitorNetwork`` is the one round engine: it keeps the monitors' due
+rounds in a heap and their verdicts as running counts, and visits only
+the monitors with work, so a round costs what happens in it, not the
+number of monitors.  A round in which no monitor observes
 anything and none is due (``next_due``) changes nothing, so a run need
 not visit it.  The network also holds the verdict rule (any monitor
 confirming its conjunct makes the global property false; satisfaction of
@@ -67,7 +70,10 @@ class BudgetWatcher:
         self.precharge = precharge
         self._left_atoms = atoms(dep.left)
         self._right_atoms = atoms(dep.right)
-        self.due: Optional[int] = None  # set while an activation awaits R
+        # set while an activation awaits R; an anchor without atoms holds
+        # on the empty view, so it is active from round 0
+        self.due: Optional[int] = (None if self._left_atoms
+                                   else dep.bound - precharge)
         self.verdict = Verdict.UNKNOWN
         self.detection_round: Optional[int] = None
 
@@ -132,7 +138,8 @@ class LocalMonitor:
     (a relay) is refuted from the start: its share of the obligation is
     empty.  A step with no inbox, no observation and no due watcher
     changes nothing, since nothing a watcher reads has changed;
-    ``MonitorNetwork`` makes no such step.
+    ``MonitorNetwork`` makes no such step.  Round 0 follows the same
+    rule: a monitor is first due when its earliest pending watcher is.
     """
 
     def __init__(self, pid: str, watchers: Sequence,
@@ -148,8 +155,6 @@ class LocalMonitor:
         self.latched: set = set()
         self.inbox: List[int] = []  # indices of forwarded atoms
         self._settle()
-        # due in the first round, so an anchor that needs no atom activates
-        self._next_due: Optional[int] = 0
 
     def step(self, rnd: int, event: Event) -> List[int]:
         newly: List[str] = []
@@ -202,7 +207,7 @@ def _budget_watcher(part: Formula, graph: DependencyGraph) -> BudgetWatcher:
     lower-bound completion cost among the left operand's variables."""
     dep = dep_core(part)
     return BudgetWatcher(part, dep, max(
-        (graph.lb_completion(a) for a in sorted(atoms(dep.left))), default=0))
+        (graph.lb_completion(a) for a in atoms(dep.left)), default=0))
 
 
 def synthesize_monitors(groups: Sequence[MonitorGroup],

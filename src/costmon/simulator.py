@@ -10,7 +10,8 @@ A run visits round 0 and each round in which a stimulus, an emission or
 an injected variable lands or a monitor is due.  Skipping the others is
 exact: nothing arrives in them, so no process starts and no monitor
 steps; each records the idle event and no message, and the verdict that
-recovery reads stays as it was.
+recovery reads stays as it was.  Round 0 tries only the processes with
+an empty trigger set, since an arrival adds the processes it can start.
 """
 
 from __future__ import annotations
@@ -136,6 +137,9 @@ class Scenario:
             if rnd < 0:
                 raise ValueError("stimulus round must be non-negative, got %d"
                                  % rnd)
+            if rnd >= self.suggested_rounds:  # it would never be delivered
+                raise ValueError("stimulus round %d is not below 'rounds' %d"
+                                 % (rnd, self.suggested_rounds))
             _known(names, "stimuli", g.environment, "an environment variable")
         for pid, latency in self.behaviors.items():
             p = g.by_pid.get(pid)
@@ -285,6 +289,8 @@ def run_simulation(scenario: Scenario, rounds: int,
     for pid in pids:
         for var in frozenset().union(*triggers[pid]):
             starters.setdefault(var, []).append(pid)
+    # the processes that need no input, the only ones no arrival starts
+    unfed = {pid for pid in pids if frozenset() in triggers[pid]}
     observers = graph.observers
 
     arrived: Dict[str, int] = {}
@@ -306,11 +312,11 @@ def run_simulation(scenario: Scenario, rounds: int,
     rnd = 0
     while rnd < rounds:
         pulses: Set[str] = landing.pop(rnd, set())
-        # after the first round, which tries every process, only a newly
-        # arrived variable can start one; starts cascade within the round
-        # so zero-latency chains resolve
+        # a newly arrived variable can start a process, and so can round 0
+        # one that needs no input; starts cascade within the round so
+        # zero-latency chains resolve
         fresh = [var for var in pulses if var not in arrived]
-        candidates = set(pids) if rnd == 0 else set()
+        candidates = set(unfed) if rnd == 0 else set()
         while fresh or candidates:
             for var in fresh:
                 arrived[var] = rnd

@@ -21,6 +21,7 @@ so none recurs below it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -196,26 +197,24 @@ def _grow(top: TableauNode) -> None:
     ancestors."""
     count = 1
     path: List[Tuple[Formula, ...]] = []
-    depths: Dict[Tuple[Formula, ...], List[int]] = {}
+    depths: Dict[Tuple[Formula, ...], List[int]] = defaultdict(list)
     stack = [(top, 0)]
     while stack:
         node, depth = stack.pop()
         while len(path) > depth:
-            label = path.pop()
-            seen = depths[label]
-            seen.pop()
-            if not seen:
-                del depths[label]
+            depths[path.pop()].pop()
         node.status, node.rule, labels = _rule(node.label, path, depths)
+        if not labels:  # a leaf keeps its empty children, and is no ancestor
+            continue
         count += len(labels)
         if count > NODE_LIMIT:
             raise TableauLimitError("tableau exceeded %d nodes" % NODE_LIMIT)
-        node.children = [TableauNode(lab) for lab in labels]
-        if labels:  # leaves never become ancestors
-            depths.setdefault(node.label, []).append(depth)
-            path.append(node.label)
-            stack.extend((child, depth + 1)
-                         for child in reversed(node.children))
+        children = node.children = [TableauNode(lab) for lab in labels]
+        depths[node.label].append(depth)
+        path.append(node.label)
+        depth += 1
+        for child in reversed(children):
+            stack.append((child, depth))
 
 
 def leaves(root: TableauNode) -> List[TableauNode]:

@@ -537,6 +537,9 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
     ({}, ["--rounds", "-1"], 64),
     ({"stimuli": {"3": ["I0", "I9"]}}, [], 2),
     ({"stimuli": {"-2": ["I0", "I1"]}}, [], 2),
+    ({"stimuli": {"40": ["I0", "I1"]}}, [], 2),
+    ({"stimuli": {"50": ["I0", "I1"]}}, [], 2),
+    ({"stimuli": {"39": ["I0", "I1"]}}, ["--rounds", "10"], 0),
     ({"trigger_sets": {"p9": [["O0"]]}}, [], 2),
     ({"trigger_sets": {"p2": [["O0", "O9"]]}}, [], 2),
     ({"suppressed_outputs": ["O9"]}, [], 2),
@@ -549,6 +552,7 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
         "deadline-variable-unknown",
         "environment-number", "negative-rounds", "negative-rounds-flag",
         "stimulus-unknown", "stimulus-negative-round",
+        "stimulus-at-rounds", "stimulus-past-rounds", "rounds-flag-cuts-short",
         "trigger-set-unknown-pid",
         "trigger-set-unknown-variable", "suppressed-output-unknown",
         "seed-key"])
@@ -777,6 +781,14 @@ def test_check_tamper_index_out_of_range_is_exit_64():
     assert r.returncode == 64
     assert r.stderr == ("error: --tamper-budget index 7 out of range "
                         "(7 budget watchers)\n")
+
+
+@pytest.mark.parametrize("value", ["0=-3", "0=x", "x=1", "1.5=2", "0", "0="])
+def test_check_malformed_tamper_budget_is_exit_64(value):
+    r = run_cli("check", "--scenario", "example2", "--tamper-budget", value)
+    assert r.returncode == 64
+    assert r.stderr.endswith("error: argument --tamper-budget: expected "
+                             "IDX=VAL, got %r\n" % value)
 
 
 def test_formula_is_read_from_a_file(tmp_path):

@@ -10,6 +10,7 @@ messages per round and detecting process, known-wrong detections
 included.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from costmon import (
     Eventually,
     FaultSpec,
+    Not,
     Verdict,
     build_sorting_line_scenario,
     case_monitors,
@@ -28,8 +30,8 @@ from costmon import (
     random_scenario,
     run_scenario,
 )
-from costmon.runtime import (LocalMonitor, MonitorNetwork, MonitorReport,
-                             ResidualWatcher, monitor_round)
+from costmon.runtime import (BudgetWatcher, LocalMonitor, MonitorNetwork,
+                             MonitorReport, ResidualWatcher, monitor_round)
 from costmon.simulator import load_scenario
 from costmon.sortingline import FAULT_NAMES, TOKENS
 
@@ -184,11 +186,12 @@ def test_simulation_rejects_a_monitor_of_an_unknown_process():
 def test_round_work_is_proportional_to_activity(tmp_path, monkeypatch,
                                                  capsys):
     # every process of the chain observes its input and its output once,
-    # and its watcher is due once: a handful of steps per monitor, not
-    # one per monitor per round.  The run visits round 0 and the rounds
-    # in which a pulse lands or a watcher is due; at the lower-bound
-    # budget a watcher is due exactly when its output lands, so those are
-    # the stimulus round and each output's round, not all q + 5 rounds
+    # and its watcher is due when its output lands: two steps per
+    # monitor, none in round 0, not one per monitor per round.  The run
+    # visits round 0 and the rounds in which a pulse lands or a watcher
+    # is due; at the lower-bound budget a watcher is due exactly when its
+    # output lands, so those are the stimulus round and each output's
+    # round, not all q + 5 rounds
     n, costs = 300, (1, 2, 3)
     procs = [{"pid": "p%d" % i,
               "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
@@ -214,9 +217,28 @@ def test_round_work_is_proportional_to_activity(tmp_path, monkeypatch,
     monkeypatch.setattr(MonitorNetwork, "round", recorded)
     assert cli.main(["check", "--scenario", str(path)]) == 0
     assert "agree: Unknown" in capsys.readouterr().out
-    assert n <= calls[0] <= 5 * n
+    assert calls[0] == 2 * n
     lands = [1 + sum(p["cost"] for p in procs[:i + 1]) for i in range(n)]
     assert visited == [0, 1] + lands
+
+
+def test_an_anchor_without_atoms_activates_in_round_0():
+    # true holds on the empty view, so the watcher over (true o<=2 b) is
+    # active from round 0 and fires at round 2 with no event at all, as
+    # in the naive loop that steps it in every round
+    def monitors(sc=None):
+        dep = parse_formula("(true o<=2 b)")
+        return [LocalMonitor("p0", [BudgetWatcher(Eventually(Not(dep)), dep)],
+                             {}, {})]
+
+    traces = {"p0": [make_event(cost=1)] * 4}
+    report = network_report(traces, monitors())
+    assert report == naive_report(traces, monitors(), stop_early=True)
+    assert (report.global_verdict, report.detection_round) == (
+        Verdict.FALSE, 2)
+    sc = dataclasses.replace(example2_scenario(), stimuli={})
+    report = assert_engine_matches_naive(sc, monitors)
+    assert (report.detection_round, report.detecting_pid) == (2, "p0")
 
 
 def test_all_refuted_conjuncts_confirm_an_eventuality_rooted_property():

@@ -89,8 +89,8 @@ def test_sink_fault_detected_by_the_sink():
 
 
 def test_budget_watcher_steps_only_when_its_input_or_due_round_comes():
-    # the watcher reads the first round, its activation and its due
-    # round; the idle rounds in between cost it nothing
+    # the watcher reads its activation and its due round; the rounds
+    # before and in between cost it nothing, round 0 included
     sc = example2_scenario(fault=FaultSpec("p0", "drop", 0), stimulus_round=3)
     mons = plan_monitors(sc.formula, sc.graph).fresh_monitors()
     (p0,) = [m for m in mons if m.pid == "p0"]
@@ -99,7 +99,7 @@ def test_budget_watcher_steps_only_when_its_input_or_due_round_comes():
     step = w.step
     w.step = lambda rnd, latched: (rounds.append(rnd), step(rnd, latched))
     res = run_scenario(sc, monitors=mons)
-    assert rounds == [0, 3, 14] == [0, 3, res.report.detection_round]
+    assert rounds == [3, 14] == [3, res.report.detection_round]
     assert p0.verdict is T
 
 
@@ -199,8 +199,9 @@ def test_a_monitor_combines_its_watchers_verdicts(verdicts, verdict):
     ((7, None, 3, 5), 3), ((None, 4), 4), ((None, None), None), ((), None)])
 def test_a_monitor_is_next_due_when_its_earliest_pending_watcher_is(
         dues, next_due):
+    # round 0 included: a monitor is first due when that watcher is
     m = LocalMonitor("p0", [_Watcher(U, d) for d in dues], {}, {})
-    assert m._next_due == 0  # every monitor is due in the first round
+    assert m._next_due == next_due
     m.step(0, make_event(cost=1))
     assert m._next_due == next_due
 

@@ -197,6 +197,17 @@ def test_scenario_document_round_trip():
     assert res.arrival_rounds == {"I0": 2, "O0": 4, "Of": 7}
 
 
+def test_a_process_that_needs_no_input_starts_in_round_0():
+    # round 0 tries the processes with an empty trigger set: p0 has no
+    # inputs, and p1 may also start on none; p2 waits for its input
+    g = DependencyGraph((Process("p0", (), ("O0",), 2),
+                         Process("p1", ("O0",), ("O1",), 1),
+                         Process("p2", ("O1",), ("Of",), 1)), ())
+    sc = Scenario(graph=g, stimuli={}, suggested_rounds=6,
+                  trigger_sets={"p1": (frozenset(), frozenset(["O0"]))})
+    assert run_scenario(sc).arrival_rounds == {"O0": 2, "O1": 1, "Of": 2}
+
+
 def test_a_scenario_without_rounds_runs_forty():
     doc = scenario_doc(CHAIN_SPEC)
     del doc["rounds"]
