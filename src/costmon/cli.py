@@ -356,9 +356,15 @@ def _assemble_scenario(args) -> Scenario:
     name = args.scenario
     kind, rnd, target = getattr(args, "fault", None) or (None, None, None)
     extra = 10 if kind == "delay" else 0  # a delay's extra rounds
-    # on a builtin scenario the fault's round places the stimulus
-    placed = {} if kind is None else {"stimulus_round": rnd}
+    # on a builtin scenario the fault's round places the stimulus, and a
+    # --rounds above the builtin's own count lengthens the run it is in
+    placed = {"min_rounds": args.rounds or 0}
+    if kind is not None:
+        placed["stimulus_round"] = rnd
     if name in ("sorting_line", "sorting_line_blue"):
+        if target is not None:
+            raise _UsageError("--fault on the sorting line takes no target; "
+                              "each failure mode fixes its own")
         token = "blue" if name == "sorting_line_blue" else "white"
         return build_sorting_line_scenario(token, fault=kind, **placed)
     if name == "example2":

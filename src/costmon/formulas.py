@@ -372,14 +372,13 @@ _DUAL = {And: or_, Or: and_, Next: Next, Eventually: Globally,
          Globally: Eventually}
 
 
-def _polar(f: Formula, positive: bool) -> Formula:
-    """Negation normal form of ``f`` (``positive``) or of its negation, in
-    one post-order pass that carries each node's polarity.  The result is
-    marked as being in negation normal form, and the normal form of a
-    marked node is the node."""
-    if positive and getattr(f, "_in_nnf", False):
+def nnf(f: Formula) -> Formula:
+    """Push negations inward onto atoms and dependency literals, in one
+    post-order pass that carries each node's polarity.  The result is
+    marked, and the normal form of a marked node is the node."""
+    if getattr(f, "_in_nnf", False):
         return f
-    done, todo = [], [(f, positive, False)]
+    done, todo = [], [(f, True, False)]
     while todo:
         g, pos, ready = todo.pop()
         t = type(g)
@@ -416,14 +415,9 @@ def _polar(f: Formula, positive: bool) -> Formula:
     return done[0]
 
 
-def nnf(f: Formula) -> Formula:
-    """Push negations inward until they sit on atoms or dependency literals."""
-    return _polar(f, True)
-
-
 def negate(f: Formula) -> Formula:
     """Negation-normal-form negation of ``f``."""
-    return _polar(f, False)
+    return nnf(Not(f))
 
 
 def atoms(f: Formula) -> frozenset:
@@ -681,10 +675,12 @@ def _tokenize(text: str):
     return out
 
 
-# prefix connectives and their text; the parser reads the text stripped
+# prefix and infix connectives and their text, infix loosest first; the
+# parser reads the text stripped, one precedence level per infix one
 _PREFIX = {Not: "!", Next: "X ", Eventually: "F ", Globally: "G "}
 _PREFIX_TOKENS = {text.strip(): cls for cls, text in _PREFIX.items()}
-_INFIX = {And: " & ", Or: " | ", Until: " U "}
+_INFIX = {Until: " U ", Or: " | ", And: " & "}
+_INFIX_LEVELS = tuple((text.strip(), cls) for cls, text in _INFIX.items())
 
 # deepest parenthesis nesting the parser accepts; it bounds the parser's
 # recursion, while prefix and binary chains are read in loops
@@ -708,35 +704,29 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.until_expr()
+        f = self.infix_expr()
         tok = self.peek()
         if tok[0] != "EOF":
             raise FormulaSyntaxError("unexpected trailing %r" % tok[1], tok[2])
         return f
 
-    def until_expr(self) -> Formula:
-        # right-associative: a U b U c == a U (b U c)
-        parts = [self.or_expr()]
-        while self.peek()[0] == "U":
-            self.take("U")
-            parts.append(self.or_expr())
-        f = parts.pop()
-        while parts:
-            f = Until(parts.pop(), f)
-        return f
-
-    def or_expr(self) -> Formula:
-        f = self.and_expr()
-        while self.peek()[0] == "|":
-            self.take("|")
-            f = Or(f, self.and_expr())
-        return f
-
-    def and_expr(self) -> Formula:
-        f = self.unary_expr()
-        while self.peek()[0] == "&":
-            self.take("&")
-            f = And(f, self.unary_expr())
+    def infix_expr(self, level: int = 0) -> Formula:
+        # U nests to the right (a U b U c == a U (b U c)), & and | to the left
+        if level == len(_INFIX_LEVELS):
+            return self.unary_expr()
+        token, cls = _INFIX_LEVELS[level]
+        parts = [self.infix_expr(level + 1)]
+        while self.peek()[0] == token:
+            self.take()
+            parts.append(self.infix_expr(level + 1))
+        if cls is Until:
+            f = parts.pop()
+            while parts:
+                f = Until(parts.pop(), f)
+            return f
+        f = parts[0]
+        for g in parts[1:]:
+            f = cls(f, g)
         return f
 
     def unary_expr(self) -> Formula:
@@ -765,11 +755,11 @@ class _Parser:
                                          % MAX_PAREN_DEPTH, pos)
             self.take()
             self.depth += 1
-            inner = self.until_expr()
+            inner = self.infix_expr()
             if self.peek()[0] == "QLE":
                 self.take("QLE")
                 bound_tok = self.take("INT")
-                inner = QDep(inner, self.until_expr(), int(bound_tok[1]))
+                inner = QDep(inner, self.infix_expr(), int(bound_tok[1]))
             self.take(")")
             self.depth -= 1
             return inner

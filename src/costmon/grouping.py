@@ -2,7 +2,7 @@
 
 Each ticked branch contributes the conjunction of its terminal content,
 worked out once per distinct leaf label; processes whose local alphabet
-meets the branch's atoms are its members.
+meets the branch's atoms are its members (every process, if it has none).
 Contents that share a member end up in one group, its formula their
 disjunction.  A group grows from the earliest content not yet grouped:
 each step adds the earliest content that shares a process with the
@@ -153,7 +153,8 @@ def organize_groups(root: TableauNode,
         if unseen:
             raise UnobservableAtomError(
                 "no process observes %s" % sorted(unseen)[0])
-        member_sets.append({pid for name in names for pid in observers[name]})
+        member_sets.append({pid for name in names for pid in observers[name]}
+                           if names else set(graph.by_pid))
     # a group whose every branch formula has a sole owner splits into one
     # singleton per owner; within one owner, a formula subsumed by its own
     # F-version collapses onto the F-version

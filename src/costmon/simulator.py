@@ -16,7 +16,6 @@ an empty trigger set, since an arrival adds the processes it can start.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 import random
@@ -295,11 +294,10 @@ def run_simulation(scenario: Scenario, rounds: int,
 
     arrived: Dict[str, int] = {}
     started: Set[str] = set()
-    # round -> variables that pulse in it (no suppressed emission), and a
-    # heap of those rounds
+    # round -> variables that pulse in it (no suppressed emission); a
+    # round leaves it when visited, and every write is to a later round
     landing = defaultdict(set, {r: set(names)
                                 for r, names in scenario.stimuli.items()})
-    upcoming = sorted(landing)
     recovered: Set[int] = set()
     recovery_log: List[Tuple[int, FaultSpec, RecoveryAction, Formula]] = []
     ejected = False
@@ -334,7 +332,6 @@ def run_simulation(scenario: Scenario, rounds: int,
                         continue
                     if lat > 0:
                         landing[rnd + lat].add(var)
-                        heapq.heappush(upcoming, rnd + lat)
                     else:
                         pulses.add(var)
                         if var not in arrived:
@@ -368,16 +365,13 @@ def run_simulation(scenario: Scenario, rounds: int,
                 ejected = True
             elif action.kind == "reference_second_sensor":
                 landing[rnd + 1].add(action.param("variable"))
-                heapq.heappush(upcoming, rnd + 1)
             elif action.kind == "reduce_belt_speed":
                 if deadline_round is not None and deadline_round > rnd:
                     factor = action.param("factor", 2)
                     deadline_round = rnd + factor * (deadline_round - rnd)
         # the rounds before the next landing or due monitor are idle
-        while upcoming and upcoming[0] <= rnd:
-            heapq.heappop(upcoming)
         due = network.next_due()
-        nxt = min(upcoming[0] if upcoming else rounds, rounds,
+        nxt = min(min(landing, default=rounds), rounds,
                   rounds if due is None else max(due, rnd + 1))
         global_trace.extend([IDLE] * (nxt - rnd - 1))
         per_round_msgs.extend([0] * (nxt - rnd - 1))
@@ -460,16 +454,18 @@ def example2_graph() -> DependencyGraph:
 
 
 def example2_scenario(fault: Optional[FaultSpec] = None,
-                      stimulus_round: int = 3) -> Scenario:
+                      stimulus_round: int = 3,
+                      min_rounds: int = 0) -> Scenario:
     """Seven-process pipeline scenario: one stimulus, lower-bound
-    latencies, budget 20 end to end, 40 rounds."""
+    latencies, budget 20 end to end, 40 rounds (``min_rounds`` if more)."""
     g = example2_graph()
     f = parse_formula("G ((I0 & I1) o<=20 Of)")
     return Scenario(
         graph=g,
         stimuli={stimulus_round: frozenset(["I0", "I1"])},
         faults=(fault,) if fault is not None else (),
-        formula=f)
+        formula=f,
+        suggested_rounds=max(Scenario.suggested_rounds, min_rounds))
 
 
 _SCENARIO_KEYS = frozenset([

@@ -94,9 +94,10 @@ def _watcher_rows(color: Dict[str, str]) -> tuple:
 
 def build_sorting_line_scenario(token: str = "white",
                                 fault: Optional[str] = None,
-                                stimulus_round: int = 2) -> Scenario:
-    """Scenario for one token run of 20 rounds.  fault is one of the five
-    failure mode names or None for the nominal run."""
+                                stimulus_round: int = 2,
+                                min_rounds: int = 0) -> Scenario:
+    """Scenario for one token run of 20 rounds (``min_rounds`` if more).
+    fault is one of the five failure modes, or None for the nominal run."""
     if token not in TOKENS:
         raise ValueError("token must be one of %s" % (TOKENS,))
     g = sorting_line_graph()
@@ -129,7 +130,7 @@ def build_sorting_line_scenario(token: str = "white",
         recoveries=recoveries,
         # the end-to-end property is the arrival watcher's own formula
         formula=by_name[token[0] + "_arrival"],
-        suggested_rounds=20,
+        suggested_rounds=max(20, min_rounds),
         suppressed_outputs=suppressed,
         trigger_sets={"EC": (frozenset(["LS1", "SC", "LS2", "E_W"]),
                              frozenset(["LS1", "SC", "LS2", "E_B"]))},

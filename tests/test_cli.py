@@ -680,6 +680,32 @@ def test_fault_flag_on_a_scenario_file(tmp_path):
     assert "agree: False; decentralized round 14" in r.stdout
 
 
+@pytest.mark.parametrize("argv, rounds, last_line", [
+    (["--scenario", "example2", "--fault", "drop@40:p0"], "80",
+     "agree: False; decentralized round 51 <= centralized round 61"),
+    (["--scenario", "sorting_line", "--fault", "trigger_failure@25"], "40",
+     "agree: False; decentralized round 28 <= centralized round 31"),
+])
+def test_a_longer_rounds_lets_a_builtin_place_a_late_fault(argv, rounds,
+                                                           last_line):
+    # the stimulus lands past the builtin's own count (40 and 20 rounds):
+    # refused as never delivered, unless --rounds lengthens the run
+    r = run_cli("check", *argv)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "is not below 'rounds'" in r.stderr
+    r = run_cli("check", *argv, "--rounds", rounds)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines()[-1] == last_line
+
+
+def test_a_sorting_line_fault_takes_no_target():
+    r = run_cli("check", "--scenario", "sorting_line", "--fault",
+                "trigger_failure@2:NOPE")
+    assert (r.returncode, r.stdout) == (64, "")
+    assert r.stderr == ("error: --fault on the sorting line takes no target; "
+                        "each failure mode fixes its own\n")
+
+
 # ---------------------------------------------------------------- check
 
 
@@ -723,6 +749,18 @@ def test_check_agrees_on_false_decided_before_any_event():
     doc = json.loads(r.stdout)
     assert (r.returncode, doc["agree"], doc["centralized_position"]) == (
         0, True, None)
+
+
+@pytest.mark.parametrize("formula", ["G false", "G (I0 & false)"])
+def test_check_watches_an_atom_free_content_with_every_process(formula):
+    # the negation's branch content `F true` has no atoms, so no process
+    # observes it; every process watches it, as for the formula `false`
+    r = run_cli("check", "--scenario", "example2", "--formula", formula)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines()[1:] == [
+        "decentralized: False at round 0 by p6",
+        "centralized: False at position 0",
+        "agree: False; decentralized round 0 <= centralized round 0"]
 
 
 def test_check_detects_tampered_verdict():

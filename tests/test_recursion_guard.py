@@ -23,8 +23,7 @@ PACKAGE = os.path.dirname(os.path.abspath(costmon.__file__))
 ALLOWED = {
     "formulas": {
         # recursive descent; MAX_PAREN_DEPTH bounds its depth
-        "_Parser.until_expr", "_Parser.or_expr", "_Parser.and_expr",
-        "_Parser.unary_expr", "_Parser.primary",
+        "_Parser.infix_expr", "_Parser.unary_expr", "_Parser.primary",
     },
 }
 
