@@ -17,10 +17,12 @@ from pair to pair, with the cycle collector run before each side.  A
 pair's ratio is the working tree's time over the revision's, so below 1
 is faster, and the pair is won when it is below 1.  Per workload the
 script prints the median ratio, its minimum and maximum, and the pairs
-won, with the core count and the Python version.  The host's speed
-drifts between runs far more than between the two halves of one pair,
-which is why the sides are timed alternately in one process.  Standard
-library only; run from a checkout with
+won.  The line that reports the identity pass also gives the line
+count of ``src/costmon/*.py`` on both sides, the core count and the
+Python version.  The host's speed drifts between runs far more than
+between the two halves of one pair, which is why the sides are timed
+alternately in one process.  Standard library only; run from a checkout
+with
 
     python bench/ab.py [REV]
 """
@@ -56,22 +58,37 @@ SEED = 1
 PAIRS = 10
 
 
-def import_revision(rev: str, where: str):
+def import_revision(rev: str, where: str) -> tuple:
     """The ``cli`` module of ``src/costmon`` at ``rev``, copied from git
-    into ``where`` as the package ``OTHER``."""
+    into ``where`` as the package ``OTHER``, and the line count of the
+    copied ``.py`` files."""
     blob = subprocess.run(
         ["git", "-C", ROOT, "archive", "--format=tar", rev, "src/costmon"],
         check=True, capture_output=True).stdout
     pkg = os.path.join(where, OTHER)
     os.makedirs(pkg)
+    lines = 0
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         for member in tar.getmembers():
             if member.isfile() and member.name.endswith(".py"):
+                data = tar.extractfile(member).read()
+                lines += data.count(b"\n")
                 with open(os.path.join(pkg, os.path.basename(member.name)),
                           "wb") as fh:
-                    fh.write(tar.extractfile(member).read())
+                    fh.write(data)
     sys.path.insert(0, where)
-    return importlib.import_module(OTHER + ".cli")
+    return importlib.import_module(OTHER + ".cli"), lines
+
+
+def tree_lines() -> int:
+    """The line count of the working tree's ``src/costmon/*.py``."""
+    src = os.path.join(ROOT, "src", "costmon")
+    total = 0
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def run(side, command: str, path: str) -> tuple:
@@ -101,7 +118,7 @@ def main(argv) -> int:
     rev = argv[0] if argv else "HEAD"
     tmp = tempfile.mkdtemp(prefix="costmon-ab-")
     try:
-        base = import_revision(rev, tmp)
+        base, base_lines = import_revision(rev, tmp)
         files = scenario_files(tmp)
         for name, paths in files.items():
             commands = (("check", "simulate") if name in workloads.WORKLOADS
@@ -115,10 +132,11 @@ def main(argv) -> int:
                               % (command, path, ours[0], theirs[0]))
                         return 1
         print("%d scenarios, check outputs identical, simulate outputs "
-              "identical on %d; nproc %d, Python %s %s"
+              "identical on %d; src/costmon %d lines, %d at %s; nproc %d, "
+              "Python %s %s"
               % (sum(map(len, files.values())),
                  sum(len(files[name]) for name in workloads.WORKLOADS),
-                 os.cpu_count(),
+                 tree_lines(), base_lines, rev, os.cpu_count(),
                  platform.python_implementation(),
                  platform.python_version()))
         print("working tree / %s, whole check, %d alternating pairs"

@@ -11,20 +11,21 @@ Groups with one member never send anything.
 
 A budget watcher turns its activation into a due round (activation plus
 bound minus precharge) and fires at that round unless its right operand
-latched first; a residual watcher is due every round until it decides,
-because cost accrues every round.  A monitor therefore only has work in
-a round where it observes something, receives a message or has a
-watcher due.  Round 0 is no different: before any input, only a watcher
-that acts on an empty view is pending, that is a residual watcher or a
-budget watcher whose anchor has no atoms, which is active from round 0.
-``MonitorNetwork`` is the one round engine: it keeps the monitors' due
-rounds in a heap and their verdicts as running counts, and visits only
+latched first; a residual watcher is due in the round after each step
+until it decides, because cost accrues every round.  A monitor
+therefore only has work in a round where it observes something,
+receives a message or has a watcher due.  Round 0 is no different:
+before any input, only a watcher that acts on an empty view is pending,
+that is a residual watcher or a budget watcher whose anchor has no
+atoms, which is active from round 0.  ``MonitorNetwork`` is the one
+round engine: it orders the monitors' own due rounds in a heap, with no
+copy beside it, keeps their verdicts as running counts, and visits only
 the monitors with work, so a round costs what happens in it, not the
-number of monitors.  A round in which no monitor observes
-anything and none is due (``next_due``) changes nothing, so a run need
-not visit it.  The network also holds the verdict rule (any monitor
-confirming its conjunct makes the global property false; satisfaction of
-a globally-rooted property is never claimable from a finite prefix, so
+number of monitors.  A round in which no monitor observes anything and
+none is due (``next_due``) changes nothing, so a run need not visit it.
+The network also holds the verdict rule (any monitor confirming its
+conjunct makes the global property false; satisfaction of a
+globally-rooted property is never claimable from a finite prefix, so
 nominal runs end unknown) and builds the run's report.
 """
 
@@ -56,7 +57,7 @@ class BudgetWatcher:
     """Tracks one budgeted dependency conjunct F!(L o<=c R) at its owner.
 
     Every round after activation costs one unit (the shared clock).  When
-    L latches without R, the watcher sets its due round: the activation
+    L latches, the watcher activates: its due round is the activation
     round plus c minus the precharge.  It is satisfied if R latches by the
     due round, and it fires at the due round otherwise: any later R costs
     at least one more unit and cannot fit the budget.  With latched
@@ -70,32 +71,27 @@ class BudgetWatcher:
         self.precharge = precharge
         self._left_atoms = atoms(dep.left)
         self._right_atoms = atoms(dep.right)
-        # set while an activation awaits R; an anchor without atoms holds
-        # on the empty view, so it is active from round 0
-        self.due: Optional[int] = (None if self._left_atoms
-                                   else dep.bound - precharge)
+        self.due: Optional[int] = None  # set while an activation awaits R
         self.verdict = Verdict.UNKNOWN
         self.detection_round: Optional[int] = None
+        if not self._left_atoms:  # it holds on the empty view
+            self._activate(0)
+
+    def _activate(self, rnd: int) -> None:
+        self.due = rnd + self.dep.bound - self.precharge
 
     def step(self, rnd: int, latched: frozenset) -> None:
         if self.verdict is not Verdict.UNKNOWN:
             return
-        if self.due is not None:
-            if self._right_atoms <= latched:
-                self.due = None
-            elif rnd >= self.due:
-                self._fire(rnd)
-            return
-        # once L has latched, R has too or the watcher fired or is due;
-        # latched sets only grow, so testing L again changes nothing
-        if self._left_atoms <= latched:
-            if self._right_atoms <= latched:
+        if self.due is None:
+            # a discharged watcher activates and discharges again at once
+            if not self._left_atoms <= latched:
                 return
-            due = rnd + self.dep.bound - self.precharge
-            if due <= rnd:
-                self._fire(rnd)
-            else:
-                self.due = due
+            self._activate(rnd)
+        if self._right_atoms <= latched:
+            self.due = None
+        elif rnd >= self.due:
+            self._fire(rnd)
 
     def _fire(self, rnd: int) -> None:
         self.due = None
@@ -107,7 +103,7 @@ class ResidualWatcher:
     """Progresses an arbitrary assigned formula over the latched view, one
     cost unit per round.  Used by the tail of a multi-member group, where
     the latched set has been completed by forwarded observations.  Until
-    it decides, it is due every round (``due`` 0)."""
+    it decides, it is due in round 0 and after each step in the next."""
 
     def __init__(self, formula: Formula):
         self.formula = formula
@@ -125,6 +121,7 @@ class ResidualWatcher:
         elif self.residual == FALSE:
             self.verdict = Verdict.FALSE
         else:
+            self.due = rnd + 1
             return
         self.due = None
         self.detection_round = rnd
@@ -249,14 +246,14 @@ class MonitorNetwork:
 
     A round steps, in list order, exactly the monitors with work: those
     that observe something, those with a watcher due and those that
-    receive a message.  Due rounds come from a heap fed by each monitor's
-    ``_next_due``; an entry is live while it matches the round last
-    scheduled for its monitor.  A forwarding monitor must be directly
-    followed by its successor, as ``synthesize_monitors`` lays groups
-    out, so a message from monitor ``i`` goes to monitor ``i + 1`` and
-    joins the same round.  The global verdict (``verdict``) comes from
-    running counts of the monitors' verdicts, and ``report`` reads it at
-    the end of a run.
+    receive a message.  Due rounds come from a heap of ``(round, index)``
+    entries; an entry is live while its monitor's ``_next_due`` is its
+    round, and a step that changes that round pushes a new entry.  A
+    forwarding monitor must be directly followed by its successor, as
+    ``synthesize_monitors`` lays groups out, so a message from monitor
+    ``i`` goes to monitor ``i + 1`` and joins the same round.  The global
+    verdict (``verdict``) comes from running counts of the monitors'
+    verdicts, and ``report`` reads it at the end of a run.
     """
 
     def __init__(self, monitors: Sequence[LocalMonitor], *,
@@ -271,9 +268,8 @@ class MonitorNetwork:
                     or self.monitors[i + 1].pid != m.successor):
                 raise ValueError("the monitor of %s forwards to %s, which "
                                  "does not follow it" % (m.pid, m.successor))
-        self._scheduled = [m._next_due for m in self.monitors]
-        self._due = [(d, i) for i, d in enumerate(self._scheduled)
-                     if d is not None]
+        self._due = [(m._next_due, i) for i, m in enumerate(self.monitors)
+                     if m._next_due is not None]
         heapq.heapify(self._due)
         self._tally = Counter(m.verdict for m in self.monitors)
 
@@ -319,31 +315,28 @@ class MonitorNetwork:
         that observe something; any other monitor reads an empty event.
         Returns the number of messages sent and the global verdict."""
         todo = set()
-        due, scheduled = self._due, self._scheduled
+        due, monitors = self._due, self.monitors
         while due and due[0][0] <= rnd:
             d, i = heapq.heappop(due)
-            if scheduled[i] == d:
-                scheduled[i] = None
+            if monitors[i]._next_due == d:
                 todo.add(i)
         for pid, event in events.items():
             if event.props:
                 todo.update(self._by_pid.get(pid, ()))
         work = sorted(todo)
-        monitors, tally = self.monitors, self._tally
+        tally = self._tally
         sent = 0
         while work:
             i = heapq.heappop(work)
             m = monitors[i]
-            before = m.verdict
+            before, before_due = m.verdict, m._next_due
             out = m.step(rnd, events.get(m.pid, IDLE))
             if m.verdict is not before:
                 tally[before] -= 1
                 tally[m.verdict] += 1
             d = m._next_due
-            if d != scheduled[i]:
-                scheduled[i] = d
-                if d is not None:
-                    heapq.heappush(due, (d, i))
+            if d != before_due and d is not None:
+                heapq.heappush(due, (d, i))
             if out:
                 sent += len(out)
                 monitors[i + 1].inbox.extend(out)
@@ -353,10 +346,11 @@ class MonitorNetwork:
         return sent, self.verdict
 
     def next_due(self) -> Optional[int]:
-        """The least round in which some monitor is due, or None.  Stale
-        heap entries go: a changed schedule always pushes a new one."""
-        due, scheduled = self._due, self._scheduled
-        while due and scheduled[due[0][1]] != due[0][0]:
+        """The least round in which some monitor is due, or None; after
+        ``round(rnd)`` it is later than ``rnd``.  Stale heap entries go: a
+        changed due round always pushes a new one."""
+        due, monitors = self._due, self.monitors
+        while due and monitors[due[0][1]]._next_due != due[0][0]:
             heapq.heappop(due)
         return due[0][0] if due else None
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,6 +36,7 @@ from .formulas import (
     Globally,
     QDep,
     Verdict,
+    atoms,
     conj,
     negate,
     parse_formula,
@@ -157,6 +159,9 @@ class Scenario:
         if self.deadline is not None and self.deadline[0] not in variables:
             raise ValueError("the deadline variable %r is not a variable "
                              "of the graph" % self.deadline[0])
+        if self.deadline is not None and self.deadline[1] < 0:
+            raise ValueError("deadline round must be non-negative, got %d"
+                             % self.deadline[1])
         if self.suggested_rounds < 0:
             raise ValueError("'rounds' must be non-negative, got %d"
                              % self.suggested_rounds)
@@ -371,8 +376,8 @@ def run_simulation(scenario: Scenario, rounds: int,
                     deadline_round = rnd + factor * (deadline_round - rnd)
         # the rounds before the next landing or due monitor are idle
         due = network.next_due()
-        nxt = min(min(landing, default=rounds), rounds,
-                  rounds if due is None else max(due, rnd + 1))
+        nxt = min(min(landing, default=rounds),
+                  rounds if due is None else due, rounds)
         global_trace.extend([IDLE] * (nxt - rnd - 1))
         per_round_msgs.extend([0] * (nxt - rnd - 1))
         rnd = nxt
@@ -501,11 +506,11 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
         raise ValueError("'graph' must be an object or a file path")
     stimuli = {}
     for key, names in _typed(doc["stimuli"], dict, "'stimuli'").items():
-        try:
-            rnd = int(key)  # JSON object keys are always strings
-        except ValueError:
-            raise ValueError("stimulus round %r is not an integer" % key)
-        stimuli[rnd] = _names(names, "stimuli")
+        # a JSON key is a string; one spelling per round: str(int(key))
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+            raise ValueError("stimulus round %r is not an integer in plain "
+                             "decimal" % key)
+        stimuli[int(key)] = _names(names, "stimuli")
     behaviors = {pid: _int(latency, "latency") for pid, latency in _typed(
         doc.get("behaviors", {}), dict, "'behaviors'").items()}
     faults = []
@@ -644,21 +649,18 @@ def _build_random(rng: random.Random, n: int, max_fan: int, cost_cap: int,
     slack = rng.randint(0, slack_cap)
     q = maxpath + slack
     s = rng.randint(0, stim_cap)
-    # horizon must cover the centralized falsification of the original
-    # formula and of the slowest unwound conjunct
-    latest = q + 1
-    for p in procs:
-        pre = max((g.lb_completion(v) for v in p.inputs), default=0)
-        down = g.min_downstream_cost(p.pid, sink_var)
-        latest = max(latest, pre + (q - down) + 1)
-    needed = s + latest + 2
+    formula = Globally(QDep(conj([Atom(v) for v in sorted(env_vars)]),
+                            Atom(sink_var), q))
+    # the horizon covers the centralized falsification of the formula and
+    # of each unwound conjunct (anchor completion plus local budget)
+    needed = s + 2 + max([q + 1] + [
+        max(g.lb_completion(a) for a in atoms(dep.left)) + dep.bound + 1
+        for _, dep in unwind(formula, g).entries])
     fault: Optional[FaultSpec] = None
     if rng.random() < 0.6:
         fault = FaultSpec(target="p%d" % rng.randrange(n), kind="drop",
                           at_round=0)
     rng.randint(0, 2 ** 31)  # unused, but a retry's draws follow it
-    left = conj([Atom(v) for v in sorted(env_vars)])
-    formula = Globally(QDep(left, Atom(sink_var), q))
     return Scenario(
         graph=g,
         stimuli={s: frozenset(env_vars)},

@@ -36,8 +36,6 @@ SORTING_LINE_GRAPH_JSON = """{
 }"""
 
 TOKENS = ("white", "blue")
-FAULT_NAMES = ("trigger_failure", "lost_step_count", "classify_delay",
-               "eject_delay", "arrival_failure")
 
 # published budgets; the arrival/overall rows are one unit tighter than
 # what the end-to-end property allows and would alarm on nominal runs,
@@ -78,6 +76,7 @@ _FAULT_PLANS = {
     "eject_delay": ("{C}BR", "delay", "reduce_belt_speed", "{c}_eject"),
     "arrival_failure": ("A_{C}", "drop", "eject_to_bin3", "{c}_arrival"),
 }
+FAULT_NAMES = tuple(_FAULT_PLANS)
 
 
 def _watcher_rows(color: Dict[str, str]) -> tuple:

@@ -532,11 +532,16 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
     ({"deadline": [5, 3]}, [], 2),
     ({"deadline": [None, 3]}, [], 2),
     ({"deadline": ["Nope", 3]}, [], 2),
+    ({"deadline": ["Of", -3]}, [], 2),
     ({"graph": dict(json.loads(PIPELINE_DOC), environment=5)}, [], 2),
     ({"rounds": -1}, [], 2),
     ({}, ["--rounds", "-1"], 64),
     ({"stimuli": {"3": ["I0", "I9"]}}, [], 2),
     ({"stimuli": {"-2": ["I0", "I1"]}}, [], 2),
+    ({"stimuli": {"3": ["I0"], "03": ["I1"]}}, [], 2),
+    ({"stimuli": {" 3": ["I0", "I1"]}}, [], 2),
+    ({"stimuli": {"+3": ["I0", "I1"]}}, [], 2),
+    ({"stimuli": {"1_0": ["I0", "I1"]}}, [], 2),
     ({"stimuli": {"40": ["I0", "I1"]}}, [], 2),
     ({"stimuli": {"50": ["I0", "I1"]}}, [], 2),
     ({"stimuli": {"39": ["I0", "I1"]}}, ["--rounds", "10"], 0),
@@ -549,9 +554,11 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
         "recovery-factor-text", "recovery-factor-fraction",
         "latency-fraction", "rounds-bool", "deadline-number",
         "deadline-valid", "deadline-variable-number", "deadline-variable-null",
-        "deadline-variable-unknown",
+        "deadline-variable-unknown", "deadline-negative-round",
         "environment-number", "negative-rounds", "negative-rounds-flag",
         "stimulus-unknown", "stimulus-negative-round",
+        "stimulus-round-zero-padded", "stimulus-round-spaced",
+        "stimulus-round-signed", "stimulus-round-underscored",
         "stimulus-at-rounds", "stimulus-past-rounds", "rounds-flag-cuts-short",
         "trigger-set-unknown-pid",
         "trigger-set-unknown-variable", "suppressed-output-unknown",

@@ -241,6 +241,62 @@ def test_an_anchor_without_atoms_activates_in_round_0():
     assert (report.detection_round, report.detecting_pid) == (2, "p0")
 
 
+@pytest.mark.parametrize("text, precharge, props, fired", [
+    ("(true o<=0 b)", 0, (), 0),  # active from round 0, due at once
+    ("(a o<=2 b)", 2, ("a",), 1),  # precharge equal to the bound
+    ("(a o<=2 b)", 5, ("a",), 1),  # precharge above the bound
+], ids=["atom-free-bound-0", "precharge-at-bound", "precharge-past-bound"])
+def test_a_watcher_due_when_it_activates_fires_then(text, precharge, props,
+                                                    fired):
+    # a is observed in round 1; a watcher whose due round is not after
+    # its activation round fires in that round, in the engine as in the
+    # naive loop
+    def monitors():
+        dep = parse_formula(text)
+        return [LocalMonitor(
+            "p0", [BudgetWatcher(Eventually(Not(dep)), dep, precharge)],
+            {}, {})]
+
+    traces = {"p0": [make_event(cost=1), make_event(props, cost=1),
+                     make_event(cost=1)]}
+    report = network_report(traces, monitors())
+    assert report == naive_report(traces, monitors(), stop_early=True)
+    assert (report.global_verdict, report.detection_round) == (
+        Verdict.FALSE, fired)
+
+
+def test_after_a_round_every_due_round_is_a_later_one(monkeypatch):
+    # the run takes its next round from next_due() as it is, so after
+    # round(rnd) no monitor may be due in rnd or before
+    early = []
+    round_ = MonitorNetwork.round
+
+    def checked(self, rnd, events):
+        out = round_(self, rnd, events)
+        due = self.next_due()
+        if due is not None and due <= rnd:
+            early.append((rnd, due))
+        return out
+
+    monkeypatch.setattr(MonitorNetwork, "round", checked)
+    runs = [(random_scenario(seed, LIMITS), _planned) for seed in range(200)]
+    runs += [(build_sorting_line_scenario(token=token, fault=fault), make)
+             for token in TOKENS for fault in (None,) + FAULT_NAMES
+             for make in (case_monitors, _planned)]
+    runs += [(example2_scenario(fault=FaultSpec("p%d" % i, "drop", 0)),
+              _planned) for i in range(7)]
+    runs.append((dataclasses.replace(
+        example2_scenario(), formula=parse_formula("F (O2 & O5)")), _planned))
+    residual = 0
+    for sc, make in runs:
+        mons = make(sc)
+        residual += any(isinstance(w, ResidualWatcher)
+                        for m in mons for w in m.watchers)
+        run_scenario(sc, monitors=mons)
+    assert residual > 0
+    assert early == []
+
+
 def test_all_refuted_conjuncts_confirm_an_eventuality_rooted_property():
     # the count of refuted monitors must reach the total: every monitor
     # progresses G !a, which a refutes
