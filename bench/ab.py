@@ -16,8 +16,11 @@ one side and then on the other, the side that goes first alternating
 from pair to pair, with the cycle collector run before each side.  A
 pair's ratio is the working tree's time over the revision's, so below 1
 is faster, and the pair is won when it is below 1.  Per workload the
-script prints the median ratio, its minimum and maximum, and the pairs
-won.  The line that reports the identity pass also gives the line
+script prints the median ratio, its first and third quartiles, its
+minimum and maximum, and the pairs won.  A run on an unmodified tree
+(``python bench/ab.py HEAD``) compares the package with itself: its
+quartiles are the A/A spread that a claimed gain's median must clear,
+beside winning 9 of 10 pairs.  The line that reports the identity pass also gives the line
 count of ``src/costmon/*.py`` on both sides, the core count and the
 Python version.  The host's speed drifts between runs far more than
 between the two halves of one pair, which is why the sides are timed
@@ -150,9 +153,11 @@ def main(argv) -> int:
                     seconds[side] = sum(run(side, "check", p)[2]
                                         for p in paths)
                 ratios.append(seconds[cli] / seconds[base])
-            print("%-14s median %.3f  min %.3f  max %.3f  won %d/%d"
-                  % (name, statistics.median(ratios), min(ratios),
-                     max(ratios), sum(r < 1 for r in ratios), PAIRS),
+            q1, median, q3 = statistics.quantiles(ratios, n=4)
+            print("%-14s median %.3f  q1 %.3f  q3 %.3f  min %.3f  max %.3f  "
+                  "won %d/%d" % (name, median, q1, q3, min(ratios),
+                                 max(ratios), sum(r < 1 for r in ratios),
+                                 PAIRS),
                   flush=True)
     finally:
         shutil.rmtree(tmp)

@@ -499,7 +499,8 @@ def cmd_check(args) -> int:
     # needs to carry no other proposition
     names = atoms(formula)
     central, position = evaluate_trace_with_position(formula, latched(
-        Event(e.props & names, e.cost) for e in result.global_trace))
+        e if e.props <= names else Event(e.props & names, e.cost)
+        for e in result.global_trace))
     dec, det = report.global_verdict, report.detection_round
     # a centralized False without a position was decided before any
     # event, so no detection round can be later

@@ -8,7 +8,6 @@ variables; the rest are dependent variables.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,6 +21,10 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Process:
+    """A process: input and output variables and a lower-bound cost.  Its
+    ``alphabet``, the variables it observes (inputs plus outputs), is set
+    when the process is made, as an attribute that is not a field: the
+    graph, grouping and the round loop all read it."""
     pid: str
     inputs: Tuple[str, ...]
     outputs: Tuple[str, ...]
@@ -30,20 +33,17 @@ class Process:
     def __post_init__(self):
         if self.cost < 0:
             raise GraphError("process %s has negative cost" % self.pid)
-        overlap = set(self.inputs) & set(self.outputs)
-        if overlap:
+        inputs = frozenset(self.inputs)
+        if not inputs.isdisjoint(self.outputs):
             raise GraphError("process %s lists %s as both input and output"
-                             % (self.pid, sorted(overlap)[0]))
+                             % (self.pid, min(inputs & set(self.outputs))))
+        # the locally observable propositions: inputs plus outputs
+        alphabet = inputs.union(self.outputs)
         # a formula could not name such a variable
-        reserved = _KEYWORDS.intersection(self.inputs + self.outputs)
-        if reserved:
+        if not _KEYWORDS.isdisjoint(alphabet):
             raise GraphError("variable %s of process %s is a formula keyword"
-                             % (sorted(reserved)[0], self.pid))
-
-    @functools.cached_property
-    def alphabet(self) -> frozenset:
-        """Locally observable propositions: inputs plus outputs."""
-        return frozenset(self.inputs).union(self.outputs)
+                             % (min(_KEYWORDS & alphabet), self.pid))
+        object.__setattr__(self, "alphabet", alphabet)
 
 
 class DependencyGraph:
@@ -57,21 +57,20 @@ class DependencyGraph:
                 raise GraphError("duplicate pid %s" % p.pid)
             self.by_pid[p.pid] = p
         self.producer: Dict[str, str] = {}
+        consumed = set()
+        # variable -> the processes that observe it (hold it in their
+        # alphabet), in process order
+        self.observers: Dict[str, List[str]] = {}
         for p in self.processes:
             for v in p.outputs:
                 if v in self.producer:
                     raise GraphError("variable %s produced by both %s and %s"
                                      % (v, self.producer[v], p.pid))
                 self.producer[v] = p.pid
-        self.dependent = frozenset(self.producer)
-        consumed = set()
-        # variable -> the processes that observe it (hold it in their
-        # alphabet), in process order
-        self.observers: Dict[str, List[str]] = {}
-        for p in self.processes:
             consumed.update(p.inputs)
             for v in p.alphabet:
                 self.observers.setdefault(v, []).append(p.pid)
+        self.dependent = frozenset(self.producer)
         self.environment = frozenset(consumed - self.dependent)
         declared = frozenset(declared_environment)
         bad = declared & self.dependent
@@ -225,9 +224,9 @@ def graph_from_doc(doc) -> DependencyGraph:
     for entry in doc["processes"]:
         if not isinstance(entry, dict):
             raise GraphError("process entries must be objects")
-        unknown = set(entry) - _PROCESS_KEYS
-        if unknown:
-            raise GraphError("unknown process key %r" % sorted(unknown)[0])
+        if not _PROCESS_KEYS.issuperset(entry):
+            raise GraphError("unknown process key %r"
+                             % min(set(entry) - _PROCESS_KEYS))
         try:
             pid = entry["pid"]
             inputs = entry["inputs"]

@@ -302,22 +302,22 @@ def fold(f: Formula, step):
 
 def and_(left: Formula, right: Formula) -> Formula:
     """Conjunction with eager true/false absorption and no other rewriting."""
-    if left == FALSE or right == FALSE:
+    if left is FALSE or right is FALSE:
         return FALSE
-    if left == TRUE:
+    if left is TRUE:
         return right
-    if right == TRUE:
+    if right is TRUE:
         return left
     return And(left, right)
 
 
 def or_(left: Formula, right: Formula) -> Formula:
     """Disjunction with eager true/false absorption and no other rewriting."""
-    if left == TRUE or right == TRUE:
+    if left is TRUE or right is TRUE:
         return TRUE
-    if left == FALSE:
+    if left is FALSE:
         return right
-    if right == FALSE:
+    if right is FALSE:
         return left
     return Or(left, right)
 
@@ -448,10 +448,17 @@ def ordered_atoms(f: Formula) -> list:
 
 
 def subformula_index(f: Formula) -> dict:
-    """Stable pre-order numbering of distinct subformulas, root first."""
-    table = {}
-    for g in subformulas(f):
-        table.setdefault(g, len(table))
+    """Stable pre-order numbering of distinct subformulas, root first.  A
+    node met again adds nothing: its subtree was numbered when it was
+    first met, so the walk does not enter it."""
+    table: dict = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g not in table:
+            table[g] = len(table)
+            for k in reversed(g.kids):
+                stack.append(getattr(g, k))
     return table
 
 
@@ -621,15 +628,15 @@ def evaluate_trace(f: Formula, trace: Trace) -> Verdict:
 def evaluate_trace_with_position(f: Formula, trace: Trace):
     """Verdict plus the event index where it became definite (None if never)."""
     residual = nnf(f)
-    if residual == TRUE:
+    if residual is TRUE:
         return Verdict.TRUE, None
-    if residual == FALSE:
+    if residual is FALSE:
         return Verdict.FALSE, None
     for k, event in enumerate(trace):
         residual = progress(residual, event)
-        if residual == TRUE:
+        if residual is TRUE:
             return Verdict.TRUE, k
-        if residual == FALSE:
+        if residual is FALSE:
             return Verdict.FALSE, k
     return Verdict.UNKNOWN, None
 

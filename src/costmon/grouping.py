@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from .depgraph import DependencyGraph
@@ -149,12 +150,14 @@ def organize_groups(root: TableauNode,
     member_sets: List[set] = []
     for c in contents:
         names = atoms(c)
-        unseen = names.difference(observers)
-        if unseen:
-            raise UnobservableAtomError(
-                "no process observes %s" % sorted(unseen)[0])
-        member_sets.append({pid for name in names for pid in observers[name]}
-                           if names else set(graph.by_pid))
+        members = set() if names else set(graph.by_pid)
+        for name in names:
+            pids = observers.get(name)
+            if pids is None:
+                raise UnobservableAtomError("no process observes %s" % sorted(
+                    names.difference(observers))[0])
+            members.update(pids)
+        member_sets.append(members)
     # a group whose every branch formula has a sole owner splits into one
     # singleton per owner; within one owner, a formula subsumed by its own
     # F-version collapses onto the F-version
@@ -178,7 +181,7 @@ def organize_groups(root: TableauNode,
                                            owner))
     # an owner observes its formulas' atoms, so it is a member of its own
     # group and of no other: this sort also puts each group's owners in order
-    groups.sort(key=lambda g: g.members)
+    groups.sort(key=attrgetter("members"))
     return groups
 
 

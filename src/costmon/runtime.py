@@ -32,7 +32,6 @@ nominal runs end unknown) and builds the run's report.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -51,6 +50,12 @@ from .formulas import (
     progress,
 )
 from .grouping import MonitorGroup, dep_core
+
+
+# The verdicts, read once: ``Verdict``'s metaclass defines ``__getattr__``,
+# so reading a member off the class takes CPython's slow attribute path,
+# and the round loop compares verdicts at every monitor step.
+V_TRUE, V_FALSE, V_UNKNOWN = Verdict.TRUE, Verdict.FALSE, Verdict.UNKNOWN
 
 
 class BudgetWatcher:
@@ -72,7 +77,7 @@ class BudgetWatcher:
         self._left_atoms = atoms(dep.left)
         self._right_atoms = atoms(dep.right)
         self.due: Optional[int] = None  # set while an activation awaits R
-        self.verdict = Verdict.UNKNOWN
+        self.verdict = V_UNKNOWN
         self.detection_round: Optional[int] = None
         if not self._left_atoms:  # it holds on the empty view
             self._activate(0)
@@ -81,7 +86,7 @@ class BudgetWatcher:
         self.due = rnd + self.dep.bound - self.precharge
 
     def step(self, rnd: int, latched: frozenset) -> None:
-        if self.verdict is not Verdict.UNKNOWN:
+        if self.verdict is not V_UNKNOWN:
             return
         if self.due is None:
             # a discharged watcher activates and discharges again at once
@@ -95,7 +100,7 @@ class BudgetWatcher:
 
     def _fire(self, rnd: int) -> None:
         self.due = None
-        self.verdict = Verdict.TRUE
+        self.verdict = V_TRUE
         self.detection_round = rnd
 
 
@@ -109,17 +114,17 @@ class ResidualWatcher:
         self.formula = formula
         self.residual = formula
         self.due: Optional[int] = 0
-        self.verdict = Verdict.UNKNOWN
+        self.verdict = V_UNKNOWN
         self.detection_round: Optional[int] = None
 
     def step(self, rnd: int, latched: frozenset) -> None:
-        if self.verdict is not Verdict.UNKNOWN:
+        if self.verdict is not V_UNKNOWN:
             return
         self.residual = progress(self.residual, Event(latched, 1))
         if self.residual == TRUE:
-            self.verdict = Verdict.TRUE
+            self.verdict = V_TRUE
         elif self.residual == FALSE:
-            self.verdict = Verdict.FALSE
+            self.verdict = V_FALSE
         else:
             self.due = rnd + 1
             return
@@ -131,10 +136,13 @@ class LocalMonitor:
     """Per-process monitor: latches observations, runs its watchers, and
     forwards new group-relevant atoms to its successor in the group.
 
-    ``verdict`` is recomputed at every step.  A monitor without watchers
-    (a relay) is refuted from the start: its share of the obligation is
-    empty.  A step with no inbox, no observation and no due watcher
-    changes nothing, since nothing a watcher reads has changed;
+    ``latched`` is one frozenset, the view every watcher reads, replaced
+    only in a step that latches a new atom.  A name heard from the
+    predecessor and observed in the same step is latched and forwarded
+    once.  ``verdict`` is recomputed at every step.  A monitor without
+    watchers (a relay) is refuted from the start: its share of the
+    obligation is empty.  A step with no inbox, no observation and no due
+    watcher changes nothing, since nothing a watcher reads has changed;
     ``MonitorNetwork`` makes no such step.  Round 0 follows the same
     rule: a monitor is first due when its earliest pending watcher is.
     """
@@ -149,32 +157,36 @@ class LocalMonitor:
         self._atom_of_idx = atom_of_idx
         self.group_atoms = group_atoms
         self.successor = successor
-        self.latched: set = set()
+        self.latched: frozenset = frozenset()
         self.inbox: List[int] = []  # indices of forwarded atoms
         self._settle()
 
     def step(self, rnd: int, event: Event) -> List[int]:
-        newly: List[str] = []
-        heard = [self._atom_of_idx[idx] for idx in self.inbox]
-        self.inbox = []
-        for name in heard + sorted(event.props):
-            if name not in self.latched:
-                self.latched.add(name)
-                newly.append(name)
-        view = frozenset(self.latched)
+        view, props = self.latched, event.props
+        if self.inbox:  # heard names first, then observed ones, in order
+            names = [self._atom_of_idx[idx] for idx in self.inbox]
+            self.inbox = []
+            names += sorted(props)
+            newly = [n for n in dict.fromkeys(names) if n not in view]
+        elif props <= view:
+            newly = ()
+        else:
+            newly = sorted(props - view)
+        if newly:
+            view = self.latched = view.union(newly)
         for w in self.watchers:
             w.step(rnd, view)
         self._settle()
-        if self.successor is None:
+        if self.successor is None or not newly:
             return []
         return [self._index_of_atom[n] for n in newly if n in self.group_atoms]
 
     def _settle(self) -> None:
         """Caches when the next input-free step is due, and the verdict:
         True if any watcher is, else Unknown if any is, else False."""
-        verdict, due = Verdict.FALSE, None
+        verdict, due = V_FALSE, None
         for w in self.watchers:
-            if w.verdict is not Verdict.FALSE and verdict is not Verdict.TRUE:
+            if w.verdict is not V_FALSE and verdict is not V_TRUE:
                 verdict = w.verdict
             if w.due is not None and (due is None or w.due < due):
                 due = w.due
@@ -204,7 +216,7 @@ def _budget_watcher(part: Formula, graph: DependencyGraph) -> BudgetWatcher:
     lower-bound completion cost among the left operand's variables."""
     dep = dep_core(part)
     return BudgetWatcher(part, dep, max(
-        (graph.lb_completion(a) for a in atoms(dep.left)), default=0))
+        map(graph.lb_completion, atoms(dep.left)), default=0))
 
 
 def synthesize_monitors(groups: Sequence[MonitorGroup],
@@ -216,20 +228,20 @@ def synthesize_monitors(groups: Sequence[MonitorGroup],
     beyond those is progressed by the group's last member, whose latched
     view is completed by the forwarded observations of the others."""
     atom_of_idx = {i: f.name for f, i in index_table.items()
-                   if isinstance(f, Atom)}
+                   if type(f) is Atom}
     index_of_atom = {name: i for i, name in atom_of_idx.items()}
     monitors: List[LocalMonitor] = []
     for group in groups:
         order = group.members
-        parts = {pid: disjuncts_of(assignment[pid])
-                 for pid in order if pid in assignment}
-        covered = {part for ps in parts.values() for part in ps}
+        parts = [disjuncts_of(assignment[pid]) if pid in assignment else ()
+                 for pid in order]
+        covered = set().union(*parts)
         residual_parts = [f for f in group.branch_formulas if f not in covered]
         group_atoms = atoms(group.formula)
         for pos, pid in enumerate(order):
             successor = order[pos + 1] if pos + 1 < len(order) else None
             watchers: List = [_budget_watcher(part, graph)
-                              for part in parts.get(pid, ())]
+                              for part in parts[pos]]
             if successor is None and residual_parts:
                 watchers.append(ResidualWatcher(disj(residual_parts)))
             monitors.append(LocalMonitor(
@@ -261,6 +273,9 @@ class MonitorNetwork:
         self.monitors = list(monitors)
         self.eventually_rooted = eventually_rooted
         self._by_pid: Dict[str, List[int]] = {}
+        # the monitors confirming and refuting their conjuncts: counts, not
+        # a table keyed by verdict, since an enum member hashes in Python
+        confirmed = refuted = 0
         for i, m in enumerate(self.monitors):
             self._by_pid.setdefault(m.pid, []).append(i)
             if m.successor is not None and (
@@ -268,10 +283,12 @@ class MonitorNetwork:
                     or self.monitors[i + 1].pid != m.successor):
                 raise ValueError("the monitor of %s forwards to %s, which "
                                  "does not follow it" % (m.pid, m.successor))
+            confirmed += m.verdict is V_TRUE
+            refuted += m.verdict is V_FALSE
+        self._confirmed, self._refuted = confirmed, refuted
         self._due = [(m._next_due, i) for i, m in enumerate(self.monitors)
                      if m._next_due is not None]
         heapq.heapify(self._due)
-        self._tally = Counter(m.verdict for m in self.monitors)
 
     def check_pids(self, pids, rnd: int) -> None:
         """Raises unless every monitor's pid is among ``pids``."""
@@ -286,12 +303,12 @@ class MonitorNetwork:
         falsifies it; all conjuncts refuted confirm it only when the
         property is eventuality-rooted, since a globally-rooted property
         has no finite witness of satisfaction."""
-        if self._tally[Verdict.TRUE]:
-            return Verdict.FALSE
+        if self._confirmed:
+            return V_FALSE
         if (self.eventually_rooted and self.monitors
-                and self._tally[Verdict.FALSE] == len(self.monitors)):
-            return Verdict.TRUE
-        return Verdict.UNKNOWN
+                and self._refuted == len(self.monitors)):
+            return V_TRUE
+        return V_UNKNOWN
 
     def report(self, per_round_messages: Sequence[int]) -> MonitorReport:
         """The report of the rounds run so far: the global verdict, and
@@ -299,7 +316,7 @@ class MonitorNetwork:
         as the detection."""
         detections = sorted(((w.detection_round, m.pid, w.formula)
                              for m in self.monitors for w in m.watchers
-                             if w.verdict is Verdict.TRUE),
+                             if w.verdict is V_TRUE),
                             key=lambda d: (d[0], d[1]))
         first = detections[0] if detections else (None, None, None)
         return MonitorReport(
@@ -324,16 +341,16 @@ class MonitorNetwork:
             if event.props:
                 todo.update(self._by_pid.get(pid, ()))
         work = sorted(todo)
-        tally = self._tally
         sent = 0
         while work:
             i = heapq.heappop(work)
             m = monitors[i]
             before, before_due = m.verdict, m._next_due
             out = m.step(rnd, events.get(m.pid, IDLE))
-            if m.verdict is not before:
-                tally[before] -= 1
-                tally[m.verdict] += 1
+            after = m.verdict
+            if after is not before:
+                self._confirmed += (after is V_TRUE) - (before is V_TRUE)
+                self._refuted += (after is V_FALSE) - (before is V_FALSE)
             d = m._next_due
             if d != before_due and d is not None:
                 heapq.heappush(due, (d, i))

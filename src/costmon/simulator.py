@@ -35,7 +35,6 @@ from .formulas import (
     Formula,
     Globally,
     QDep,
-    Verdict,
     atoms,
     conj,
     negate,
@@ -49,10 +48,15 @@ from .runtime import (
     LocalMonitor,
     MonitorNetwork,
     MonitorReport,
+    V_FALSE,
+    V_TRUE,
     synthesize_monitors,
 )
 from .tableau import build_tableau
 from .unwinding import unwind
+
+# ``Event`` without the check of its cost, for costs known to be valid
+_event = tuple.__new__
 
 FAULT_KINDS = ("drop", "delay", "trigger_failure")
 RECOVERY_KINDS = ("eject_to_bin3", "reference_second_sensor",
@@ -197,6 +201,8 @@ class SimulationResult:
     report: MonitorReport
     recovery_log: Tuple[Tuple[int, FaultSpec, RecoveryAction, Formula], ...]
     arrival_rounds: Dict[str, int]
+    # ejected_bin3, or for a deadline sorted, missed or pending (the run
+    # ended before the deadline round, which the variable may still meet)
     outcome: Optional[str] = None
     effective_deadline: Optional[int] = None
 
@@ -285,9 +291,16 @@ def run_simulation(scenario: Scenario, rounds: int,
         elif f.kind == "delay":
             delays[f.target] = (f.at_round, f.extra)
 
-    pids = sorted(graph.by_pid)
+    # per-run tables, read in the round loop: each process's latency,
+    # outputs and start sets, and the alphabet of each monitored process
+    # (no other process's event is read)
+    by_pid = graph.by_pid
+    pids = sorted(by_pid)
+    latency = {pid: scenario.behaviors.get(pid, p.cost)
+               for pid, p in by_pid.items()}
+    outputs = {pid: p.outputs for pid, p in by_pid.items()}
     triggers = {pid: scenario.trigger_sets.get(
-                    pid, (frozenset(graph.by_pid[pid].inputs),))
+                    pid, (frozenset(by_pid[pid].inputs),))
                 for pid in pids}
     starters: Dict[str, List[str]] = {}  # variable -> processes it can start
     for pid in pids:
@@ -295,9 +308,12 @@ def run_simulation(scenario: Scenario, rounds: int,
             starters.setdefault(var, []).append(pid)
     # the processes that need no input, the only ones no arrival starts
     unfed = {pid for pid in pids if frozenset() in triggers[pid]}
+    alphabet = {m.pid: by_pid[m.pid].alphabet for m in monitors
+                if m.pid in by_pid}
     observers = graph.observers
 
     arrived: Dict[str, int] = {}
+    have = arrived.keys()
     started: Set[str] = set()
     # round -> variables that pulse in it (no suppressed emission); a
     # round leaves it when visited, and every write is to a later round
@@ -325,14 +341,19 @@ def run_simulation(scenario: Scenario, rounds: int,
                 arrived[var] = rnd
                 candidates.update(starters.get(var, ()))
             fresh = []
-            for pid in sorted(candidates - started):
-                if not any(s <= arrived.keys() for s in triggers[pid]):
+            candidates -= started
+            for pid in sorted(candidates) if len(candidates) > 1 \
+                    else candidates:
+                for needed in triggers[pid]:
+                    if needed <= have:
+                        break
+                else:
                     continue
                 started.add(pid)
-                lat = scenario.behaviors.get(pid, graph.by_pid[pid].cost)
+                lat = latency[pid]
                 if pid in delays and rnd >= delays[pid][0]:
                     lat += delays[pid][1]
-                for var in graph.by_pid[pid].outputs:
+                for var in outputs[pid]:
                     if drop_from.get(var, rounds) <= rnd + lat:
                         continue
                     if lat > 0:
@@ -342,20 +363,22 @@ def run_simulation(scenario: Scenario, rounds: int,
                         if var not in arrived:
                             fresh.append(var)
             candidates = set()
-        frozen_pulses = frozenset(pulses)
-        observing = {pid for var in pulses for pid in observers.get(var, ())}
-        events = {pid: Event(frozen_pulses & graph.by_pid[pid].alphabet, 1)
-                  for pid in observing}
         # every pulse is a variable of the graph (a stimulus, an output or
-        # a variable the scenario checked before injecting it)
-        global_trace.append(Event(frozen_pulses, 1))
+        # a variable the scenario checked before injecting it), and the
+        # cost is 1, so no event needs ``Event``'s check
+        frozen_pulses = frozenset(pulses)
+        observing = {pid for var in pulses for pid in observers.get(var, ())
+                     if pid in alphabet}
+        events = {pid: _event(Event, (frozen_pulses & alphabet[pid], 1))
+                  for pid in observing}
+        global_trace.append(_event(Event, (frozen_pulses, 1)))
         sent, verdict = network.round(rnd, events)
         per_round_msgs.append(sent)
         # recovery: only the designated watcher of a configured fault
         # triggers; every other violation is data.  A watcher has fired
         # exactly when the global verdict is False.
         for i, f in enumerate(scenario.faults):
-            if i in recovered or verdict is not Verdict.FALSE:
+            if i in recovered or verdict is not V_FALSE:
                 continue
             action = scenario.recoveries.get(f.key,
                                              scenario.recoveries.get(f.kind))
@@ -387,8 +410,10 @@ def run_simulation(scenario: Scenario, rounds: int,
         outcome = "ejected_bin3"
     elif deadline_var is not None:
         got = arrived.get(deadline_var)
-        outcome = "sorted" if got is not None and got <= deadline_round \
-            else "missed"
+        if got is not None:
+            outcome = "sorted" if got <= deadline_round else "missed"
+        else:  # still due, if the run ended before the deadline round
+            outcome = "pending" if rounds <= deadline_round else "missed"
     return SimulationResult(
         graph=graph,
         global_trace=tuple(global_trace) if pids else (),
@@ -403,7 +428,7 @@ def _triggering_watcher(monitors: Sequence[LocalMonitor],
                         trigger: Optional[Formula]):
     for m in monitors:
         for w in m.watchers:
-            if w.verdict is not Verdict.TRUE:
+            if w.verdict is not V_TRUE:
                 continue
             if trigger is None or w.formula == trigger:
                 return w

@@ -22,7 +22,6 @@ so none recurs below it.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .formulas import (
@@ -59,12 +58,19 @@ class TableauLimitError(RuntimeError):
     """A disjunct's subtree grew past NODE_LIMIT nodes."""
 
 
-@dataclass(slots=True)
 class TableauNode:
-    label: Tuple[Formula, ...]
-    children: List["TableauNode"] = field(default_factory=list)
-    status: str = "interior"  # interior | ticked | crossed
-    rule: str = ""
+    """A node: its label, its children left to right (a tuple, empty at a
+    leaf), its status (interior, ticked or crossed) and the tag of the
+    rule that decided it.  A plain slotted class: a plan makes a node per
+    label, and a generated initializer costs twice as much."""
+
+    __slots__ = ("label", "children", "status", "rule")
+
+    def __init__(self, label: Tuple[Formula, ...]):
+        self.label = label
+        self.children: Tuple["TableauNode", ...] = ()
+        self.status = "interior"
+        self.rule = ""
 
 
 # The node kinds that wait for the X-rule: the literals (a constant, an
@@ -78,7 +84,10 @@ def _dedup(items) -> Tuple[Formula, ...]:
     already stands in the label is dropped (it is satisfied here and now),
     and a bare `true` is dropped unless it is all the label says.  Both
     preserve the label's conjunction reading; without them poised labels
-    rarely repeat exactly and the LOOP rule starves."""
+    rarely repeat exactly and the LOOP rule starves.  One member is
+    already all that."""
+    if len(items) == 1:
+        return tuple(items)
     seen = dict.fromkeys(items)  # first occurrences, in order
     kept = [f for f in seen
             if not (isinstance(f, Eventually) and f.sub in seen
@@ -86,20 +95,6 @@ def _dedup(items) -> Tuple[Formula, ...]:
     if len(kept) > 1:
         kept = [f for f in kept if not isinstance(f, TrueF)] or kept
     return tuple(kept)
-
-
-def _child_labels(label, idx, *repls) -> List[Tuple[Formula, ...]]:
-    """Labels a rule hands its children, distinct ones only: ``label``
-    with its member ``idx`` replaced by each of ``repls`` in turn.  A
-    one-member label is already what ``_dedup`` would make of it."""
-    out: List[Tuple[Formula, ...]] = []
-    for repl in repls:
-        lab = label[:idx] + repl + label[idx + 1:]
-        if len(lab) > 1:
-            lab = _dedup(lab)
-        if lab not in out:
-            out.append(lab)
-    return out
 
 
 def _eventualities(label: Tuple[Formula, ...]) -> frozenset:
@@ -117,12 +112,20 @@ def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
           depths: Dict[Tuple[Formula, ...], List[int]]):
     """``(status, rule, child labels)`` of a node labelled ``label`` whose
     ancestors, root first, carry the labels ``path``; ``depths`` maps each
-    label on ``path`` to its positions there, in order."""
+    label on ``path`` to its positions there, in order.  The child labels
+    are distinct: ``label`` with its deciding member replaced by each of
+    the rule's replacements in turn."""
     # contradiction: false, or a literal beside its negation (labels are
-    # short, and nodes are interned, so a scan beats building a set)
-    for f in label:
-        if f is FALSE or type(f) is Not and f.sub in label:
-            return "crossed", "contradiction", []
+    # short, and nodes are interned, so a scan beats building a set); the
+    # same scan finds the first member that is not ready, which decides
+    # the rule (a label with none is poised)
+    first = None
+    for idx, f in enumerate(label):
+        t = type(f)
+        if f is FALSE or t is Not and f.sub in label:
+            return "crossed", "contradiction", ()
+        if first is None and t not in _READY:
+            first = idx
     # PRUNE: the label's third appearance is cut when the stretch since
     # the previous appearance satisfied no eventuality that the stretch
     # before it did not already satisfy
@@ -135,36 +138,41 @@ def _rule(label: Tuple[Formula, ...], path: List[Tuple[Formula, ...]],
         recent = {ev for ev in evs
                   if any(_satisfies(mid, ev) for mid in path[last + 1:])}
         if recent <= earlier:
-            return "crossed", "PRUNE", []
+            return "crossed", "PRUNE", ()
     if len(occurrences) >= 4:
         # hard backstop: no described rule fired after four repeats
-        return "crossed", "PRUNE", []
-    # the first member that is not ready decides the rule; a label with
-    # none is poised
-    for idx, f in enumerate(label):
-        if type(f) not in _READY:
-            break
-    else:
+        return "crossed", "PRUNE", ()
+    if first is None:
         # an ancestor with a poised label is interior, so it took the
         # X-rule: LOOP ticks a label that took it higher up the branch
         if occurrences:
-            return "ticked", "LOOP", []
+            return "ticked", "LOOP", ()
         nexts = [f.sub for f in label if type(f) is Next]
         if not nexts:
-            return "ticked", "open", []
-        return "interior", "X", [_dedup(nexts)]
+            return "ticked", "open", ()
+        return "interior", "X", (_dedup(nexts),)
+    f = label[first]
     t = type(f)
     if t is And:
-        rule, repls = "AND", [(f.left, f.right)]
+        rule, repls = "AND", ((f.left, f.right),)
     elif t is Or:
-        rule, repls = "OR", [(f.left,), (f.right,)]
+        rule, repls = "OR", ((f.left,), (f.right,))
     elif t is Globally:
-        rule, repls = "G", [(f.sub, Next(f))]
+        rule, repls = "G", ((f.sub, Next(f)),)
     elif t is Eventually:
-        rule, repls = "F", [(f.sub,), (Next(f),)]
+        rule, repls = "F", ((f.sub,), (Next(f),))
     else:  # Until, the one kind left that is not ready
-        rule, repls = "U", [(f.right,), (f.left, Next(f))]
-    return "interior", rule, _child_labels(label, idx, *repls)
+        rule, repls = "U", ((f.right,), (f.left, Next(f)))
+    if len(label) > 1:
+        head, tail = label[:first], label[first + 1:]
+        repls = [head + repl + tail for repl in repls]
+    labels: List[Tuple[Formula, ...]] = []
+    for lab in repls:
+        if len(lab) > 1:
+            lab = _dedup(lab)
+        if lab not in labels:
+            labels.append(lab)
+    return "interior", rule, labels
 
 
 def build_tableau(f: Formula) -> TableauNode:
@@ -183,38 +191,40 @@ def build_tableau(f: Formula) -> TableauNode:
             _grow(node)
             continue
         node.status, node.rule, labels = _rule(node.label, [], {})
-        node.children = [TableauNode(lab) for lab in labels]
+        node.children = tuple(map(TableauNode, labels))
         spine.extend(reversed(node.children))
     return root
 
 
 def _grow(top: TableauNode) -> None:
-    """Expand the subtree under ``top``: one loop over a stack of ``(node,
-    depth)``, which asks ``_rule`` for each node's status and children,
-    depth first.  The labels of the current branch's ancestors sit in one
-    path list, cut back to the popped node's depth, and a map from each
-    of them to its depths on the path, so no node rescans its
-    ancestors."""
+    """Expand the subtree under ``top``: one loop over a stack of nodes,
+    which asks ``_rule`` for each node's status and children, depth
+    first.  The labels of the current branch's ancestors sit in one path
+    list, and a map from each of them to its depths on the path, so no
+    node rescans its ancestors.  An interior node pushes a None below its
+    children, which takes its label off the path once its subtree is
+    done."""
     count = 1
     path: List[Tuple[Formula, ...]] = []
     depths: Dict[Tuple[Formula, ...], List[int]] = defaultdict(list)
-    stack = [(top, 0)]
+    stack = [top]
     while stack:
-        node, depth = stack.pop()
-        while len(path) > depth:
+        node = stack.pop()
+        if node is None:
             depths[path.pop()].pop()
-        node.status, node.rule, labels = _rule(node.label, path, depths)
+            continue
+        label = node.label
+        node.status, node.rule, labels = _rule(label, path, depths)
         if not labels:  # a leaf keeps its empty children, and is no ancestor
             continue
         count += len(labels)
         if count > NODE_LIMIT:
             raise TableauLimitError("tableau exceeded %d nodes" % NODE_LIMIT)
-        children = node.children = [TableauNode(lab) for lab in labels]
-        depths[node.label].append(depth)
-        path.append(node.label)
-        depth += 1
-        for child in reversed(children):
-            stack.append((child, depth))
+        children = node.children = tuple(map(TableauNode, labels))
+        depths[label].append(len(path))
+        path.append(label)
+        stack.append(None)
+        stack.extend(reversed(children))
 
 
 def leaves(root: TableauNode) -> List[TableauNode]:
@@ -226,7 +236,7 @@ def leaves(root: TableauNode) -> List[TableauNode]:
     while stack:
         node = stack.pop()
         if node.children:
-            stack.extend(reversed(node.children))
+            stack += node.children[::-1]
         else:
             out.append(node)
     return out

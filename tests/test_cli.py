@@ -20,8 +20,8 @@ import costmon
 from costmon import cli
 from conftest import PIPELINE_DOC
 from costmon.formulas import Formula, render_formula
-from costmon.simulator import (example2_scenario, load_scenario_file,
-                               run_scenario)
+from costmon.simulator import (EXAMPLE2_GRAPH_JSON, example2_scenario,
+                               load_scenario_file, run_scenario)
 from costmon.sortingline import (SORTING_LINE_GRAPH_JSON,
                                  build_sorting_line_scenario)
 
@@ -467,6 +467,30 @@ def test_simulate_fault_detection_and_recovery():
     assert "eject_to_bin3" in r.stdout
     assert "outcome: ejected_bin3" in r.stdout
     assert "effective deadline: round 13" in r.stdout
+
+
+@pytest.mark.parametrize("rounds, deadline, outcome", [
+    (None, 100, "pending"),  # the run ends at 40, the deadline is 100
+    (None, 40, "pending"),  # round 40, the deadline, is not run
+    (None, 39, "missed"),  # the run passed round 39 without Of
+    ("60", 100, "sorted"),  # Of lands at 44
+    ("60", 40, "missed"),  # ... after the deadline round
+], ids=["open", "deadline-at-run-end", "deadline-in-run", "met", "late"])
+def test_simulate_outcome_names_a_deadline_the_run_ends_before(
+        tmp_path, rounds, deadline, outcome):
+    # stimulus at 3 and a delay of 30 at p0: Of lands at 44
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps({
+        "graph": json.loads(EXAMPLE2_GRAPH_JSON),
+        "stimuli": {"3": ["I0", "I1"]}, "rounds": 40,
+        "faults": [{"target": "p0", "kind": "delay", "extra": 30}],
+        "deadline": ["Of", deadline],
+        "formula": "G ((I0 & I1) o<=20 Of)"}))
+    argv = ["simulate", "--scenario", str(path)]
+    r = run_cli(*argv + (["--rounds", rounds] if rounds else []))
+    assert r.returncode == 0
+    assert "outcome: %s" % outcome in r.stdout.splitlines()
+    assert "effective deadline: round %d" % deadline in r.stdout
 
 
 def test_simulate_ends_quietly_when_the_reader_closes_its_output():

@@ -32,7 +32,8 @@ from costmon import (
 )
 from costmon.runtime import (BudgetWatcher, LocalMonitor, MonitorNetwork,
                              MonitorReport, ResidualWatcher, monitor_round)
-from costmon.simulator import load_scenario
+from costmon.depgraph import DependencyGraph, Process
+from costmon.simulator import Scenario, load_scenario
 from costmon.sortingline import FAULT_NAMES, TOKENS
 
 import test_golden_run
@@ -147,6 +148,44 @@ def test_example2_faults_match_the_naive_loop():
             sc = example2_scenario(fault=FaultSpec(pid, kind, 0, extra=4),
                                    stimulus_round=3)
             assert_engine_matches_naive(sc, _planned)
+
+
+def _dag_wide(violated):
+    """16 sources into a 16-input join, then stacked diamonds, with
+    staggered stimuli and a delayed join: the shape of the dag-wide
+    benchmark workload.  The last stimulus reaches a source of the
+    highest cost, so the anchor completes on the critical path, and both
+    branches of a diamond cost the same; the join's delay passes the
+    budget's slack when ``violated`` and stays within it otherwise."""
+    sources = ["I%d" % i for i in range(16)]
+    procs = [Process("s%d" % i, (env,), ("A%d" % i,), 1 + i % 3)
+             for i, env in enumerate(sources)]
+    procs.append(Process("j", tuple("A%d" % i for i in range(16)), ("B0",),
+                         2))
+    for k in range(4):
+        top, bottom = "B%d" % k, "Of" if k == 3 else "B%d" % (k + 1)
+        procs += [Process("l%d" % k, (top,), ("C%d" % k,), 1 + k % 3),
+                  Process("r%d" % k, (top,), ("D%d" % k,), 1 + k % 3),
+                  Process("m%d" % k, ("C%d" % k, "D%d" % k), (bottom,), 1)]
+    g = DependencyGraph(procs, sources)
+    slack = 1
+    q = g.lb_completion("Of") + slack
+    stimuli = {}
+    for i, env in enumerate(sources):  # s14 costs 3 and is reached last
+        stimuli.setdefault(4 if i == 14 else 1 + i % 3, set()).add(env)
+    extra = slack + 2 if violated else slack
+    return Scenario(
+        graph=g, stimuli={r: frozenset(v) for r, v in stimuli.items()},
+        faults=(FaultSpec("j", "delay", 0, extra),),
+        formula=parse_formula("G ((%s) o<=%d Of)" % (" & ".join(sources), q)),
+        suggested_rounds=4 + q + extra + 3)
+
+
+@pytest.mark.parametrize("violated", (True, False))
+def test_a_wide_join_and_stacked_diamonds_match_the_naive_loop(violated):
+    report = assert_engine_matches_naive(_dag_wide(violated), _planned)
+    assert report.global_verdict is (Verdict.FALSE if violated
+                                     else Verdict.UNKNOWN)
 
 
 def test_monitor_round_replays_like_the_naive_loop():
@@ -361,3 +400,14 @@ def test_a_message_reaches_the_next_monitor_in_the_same_round():
     sent, _ = network.round(0, {"p0": make_event(("a",), cost=1)})
     assert sent == 1
     assert mons[1].latched == {"a"} and mons[1].inbox == []
+
+
+def test_a_name_heard_and_observed_in_one_round_is_latched_once():
+    # p1 hears a from p0 and observes a itself in the same round: it
+    # latches a once and forwards it once, as in the naive loop
+    mons = [_relay("p0", "p1"), _relay("p1", "p2"), _relay("p2")]
+    event = make_event(("a",), cost=1)
+    sent, _ = MonitorNetwork(mons).round(0, {"p0": event, "p1": event})
+    assert sent == 2
+    assert [m.latched for m in mons] == [{"a"}] * 3
+    assert mons[1].step(1, event) == []  # nothing new to forward
