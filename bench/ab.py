@@ -13,11 +13,15 @@ hold the detections and the message total, on every scenario but the
 chain, whose trace log runs to millions of entries.  Then each workload
 runs ``PAIRS`` pairs: a pair times all of the workload's scenarios on
 one side and then on the other, the side that goes first alternating
-from pair to pair, with the cycle collector run before each side.  A
-pair's ratio is the working tree's time over the revision's, so below 1
-is faster, and the pair is won when it is below 1.  Per workload the
-script prints the median ratio, its first and third quartiles, its
-minimum and maximum, and the pairs won.  A run on an unmodified tree
+from pair to pair, with the cycle collector run before each side.  Each
+side is timed in CPU time (``time.process_time``), which a stall of the
+host, when the process does not run, does not reach.  A pair's ratio is
+the working tree's time over the revision's, so below 1 is faster, and
+the pair is won when it is below 1.  Per workload the script prints the
+median ratio, its first and third quartiles, its minimum and maximum,
+and the pairs won, then the median ratio of the same pairs timed in
+wall-clock time (``time.perf_counter``), so that the two clocks can be
+compared.  A run on an unmodified tree
 (``python bench/ab.py HEAD``) compares the package with itself: its
 quartiles are the A/A spread that a claimed gain's median must clear,
 beside winning 9 of 10 pairs.  The line that reports the identity pass also gives the line
@@ -95,14 +99,14 @@ def tree_lines() -> int:
 
 
 def run(side, command: str, path: str) -> tuple:
-    """Exit code, output and seconds of one in-process ``command``
-    (``check`` or ``simulate``) with JSON output."""
+    """Exit code, output, CPU seconds and wall-clock seconds of one
+    in-process ``command`` (``check`` or ``simulate``) with JSON output."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        start = time.perf_counter()
+        cpu, wall = time.process_time(), time.perf_counter()
         code = side.main([command, "--scenario", path, "--format", "json"])
-        seconds = time.perf_counter() - start
-    return code, out.getvalue(), seconds
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    return code, out.getvalue(), cpu, wall
 
 
 def scenario_files(tmp: str) -> dict:
@@ -142,22 +146,25 @@ def main(argv) -> int:
                  tree_lines(), base_lines, rev, os.cpu_count(),
                  platform.python_implementation(),
                  platform.python_version()))
-        print("working tree / %s, whole check, %d alternating pairs"
-              % (rev, PAIRS))
+        print("working tree / %s, whole check in CPU time, %d alternating "
+              "pairs; wall: the median in wall-clock time" % (rev, PAIRS))
         for name, paths in files.items():
-            ratios = []
+            ratios, walls = [], []
             for k in range(PAIRS):
-                seconds = {}
+                cpu, wall = {}, {}
                 for side in ((cli, base) if k % 2 else (base, cli)):
                     gc.collect()
-                    seconds[side] = sum(run(side, "check", p)[2]
-                                        for p in paths)
-                ratios.append(seconds[cli] / seconds[base])
+                    times = [run(side, "check", p)[2:] for p in paths]
+                    cpu[side] = sum(t[0] for t in times)
+                    wall[side] = sum(t[1] for t in times)
+                ratios.append(cpu[cli] / cpu[base])
+                walls.append(wall[cli] / wall[base])
             q1, median, q3 = statistics.quantiles(ratios, n=4)
             print("%-14s median %.3f  q1 %.3f  q3 %.3f  min %.3f  max %.3f  "
-                  "won %d/%d" % (name, median, q1, q3, min(ratios),
-                                 max(ratios), sum(r < 1 for r in ratios),
-                                 PAIRS),
+                  "won %d/%d  wall %.3f"
+                  % (name, median, q1, q3, min(ratios), max(ratios),
+                     sum(r < 1 for r in ratios), PAIRS,
+                     statistics.median(walls)),
                   flush=True)
     finally:
         shutil.rmtree(tmp)

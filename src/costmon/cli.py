@@ -40,6 +40,7 @@ from .grouping import UnobservableAtomError
 from .runtime import BudgetWatcher
 from .simulator import (
     FaultSpec,
+    MAX_ROUNDS,
     SimulationResult,
     Scenario,
     example2_scenario,
@@ -89,9 +90,9 @@ def _fault_arg(text: str):
 
 
 def _rounds_arg(text: str) -> int:
-    if not text.isdecimal():
+    if not text.isdecimal() or int(text) > MAX_ROUNDS:
         raise argparse.ArgumentTypeError(
-            "expected a non-negative integer, got %r" % text)
+            "expected an integer from 0 to %d, got %r" % (MAX_ROUNDS, text))
     return int(text)
 
 
@@ -128,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "sorting_line_blue, example2, random) or "
                                 "path to a scenario JSON file")
             p.add_argument("--rounds", type=_rounds_arg, metavar="N",
-                           help="rounds to run (default: scenario choice)")
+                           help="rounds to run (default: the scenario's "
+                                "horizon)")
             p.add_argument("--fault", type=_fault_arg, metavar="K@R[:T]",
                            help="inject fault KIND at round R on target T; "
                                 "for builtin scenarios R places the "
@@ -356,11 +358,8 @@ def _assemble_scenario(args) -> Scenario:
     name = args.scenario
     kind, rnd, target = getattr(args, "fault", None) or (None, None, None)
     extra = 10 if kind == "delay" else 0  # a delay's extra rounds
-    # on a builtin scenario the fault's round places the stimulus, and a
-    # --rounds above the builtin's own count lengthens the run it is in
-    placed = {"min_rounds": args.rounds or 0}
-    if kind is not None:
-        placed["stimulus_round"] = rnd
+    # on a builtin scenario the fault's round places the stimulus
+    placed = {} if kind is None else {"stimulus_round": rnd}
     if name in ("sorting_line", "sorting_line_blue"):
         if target is not None:
             raise _UsageError("--fault on the sorting line takes no target; "
@@ -382,11 +381,11 @@ def _assemble_scenario(args) -> Scenario:
         sc, faults=sc.faults + (FaultSpec(target, kind, rnd, extra),))
 
 
-def _result_document(name: str, rounds: int, result: SimulationResult) -> dict:
+def _result_document(name: str, result: SimulationResult) -> dict:
     report = result.report
     return {
         "scenario": name,
-        "rounds": rounds,
+        "rounds": report.rounds_run,
         "verdict": _verdict(report.global_verdict),
         "detecting_pid": report.detecting_pid,
         "detection_round": report.detection_round,
@@ -438,15 +437,10 @@ def _result_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _rounds(args, sc: Scenario) -> int:
-    return sc.suggested_rounds if args.rounds is None else args.rounds
-
-
 def cmd_simulate(args) -> int:
     sc = _assemble_scenario(args)
-    rounds = _rounds(args, sc)
-    result = run_scenario(sc, rounds)
-    doc = _result_document(args.scenario, rounds, result)
+    result = run_scenario(sc, args.rounds)
+    doc = _result_document(args.scenario, result)
     _emit_doc(args, doc, _result_text)
     if args.out and args.format != "json":
         _print("\n".join(_verdict_lines(doc)))
@@ -477,8 +471,9 @@ def _check_text(doc: dict) -> str:
 
 def cmd_check(args) -> int:
     sc = _assemble_scenario(args)
-    formula = (_read_formula(args.formula) if args.formula is not None
-               else sc.formula)
+    if args.formula is not None:  # the run is as long as it needs
+        sc = dataclasses.replace(sc, formula=_read_formula(args.formula))
+    formula = sc.formula
     if formula is None:
         raise _UsageError("scenario carries no end-to-end formula; "
                           "pass --formula")
@@ -493,7 +488,7 @@ def cmd_check(args) -> int:
                               "budget watchers)" % (idx, len(budget_watchers)))
         w = budget_watchers[idx]
         w.dep = QDep(w.dep.left, w.dep.right, val)
-    result = run_simulation(sc, _rounds(args, sc), monitors, root=formula)
+    result = run_simulation(sc, args.rounds, monitors)
     report = result.report
     # progression reads only the formula's atoms, so the latched view
     # needs to carry no other proposition

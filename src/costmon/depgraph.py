@@ -191,11 +191,11 @@ class DependencyGraph:
             path.append(table[path[-1]][1])
         return path
 
-    def lb_completion(self, variable: str) -> int:
-        """Lower-bound cumulative cost to produce ``variable`` from the
-        environment: the critical (most expensive) chain of producers,
+    def lb_completion(self, *variables: str) -> int:
+        """Lower-bound cumulative cost to produce all of ``variables`` from
+        the environment: the critical (most expensive) chain of producers,
         since a process cannot start before all inputs are present."""
-        return self._lb.get(variable, 0)
+        return max((self._lb.get(v, 0) for v in variables), default=0)
 
 
 _PROCESS_KEYS = {"pid", "inputs", "outputs", "cost"}

@@ -215,8 +215,7 @@ def _budget_watcher(part: Formula, graph: DependencyGraph) -> BudgetWatcher:
     provably consumed before its anchor can complete: the largest
     lower-bound completion cost among the left operand's variables."""
     dep = dep_core(part)
-    return BudgetWatcher(part, dep, max(
-        map(graph.lb_completion, atoms(dep.left)), default=0))
+    return BudgetWatcher(part, dep, graph.lb_completion(*atoms(dep.left)))
 
 
 def synthesize_monitors(groups: Sequence[MonitorGroup],

@@ -53,7 +53,7 @@ from .runtime import (
     synthesize_monitors,
 )
 from .tableau import build_tableau
-from .unwinding import unwind
+from .unwinding import extract_qdep, unwind
 
 # ``Event`` without the check of its cost, for costs known to be valid
 _event = tuple.__new__
@@ -61,6 +61,8 @@ _event = tuple.__new__
 FAULT_KINDS = ("drop", "delay", "trigger_failure")
 RECOVERY_KINDS = ("eject_to_bin3", "reference_second_sensor",
                   "reduce_belt_speed")
+# the longest run, given or derived; every idle round is kept in the trace
+MAX_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ class Scenario:
     faults: Tuple[FaultSpec, ...] = ()
     recoveries: Mapping[str, RecoveryAction] = field(default_factory=dict)
     formula: Optional[Formula] = None
-    suggested_rounds: int = 40
+    rounds: Optional[int] = None  # a cap; None: run to the horizon
     # variables a colorway never emits (classifier stays silent on the
     # other color) and alternative start conditions (a process that goes
     # on whichever of several input sets completes first)
@@ -142,9 +144,9 @@ class Scenario:
             if rnd < 0:
                 raise ValueError("stimulus round must be non-negative, got %d"
                                  % rnd)
-            if rnd >= self.suggested_rounds:  # it would never be delivered
+            if self.rounds is not None and rnd >= self.rounds:  # never run
                 raise ValueError("stimulus round %d is not below 'rounds' %d"
-                                 % (rnd, self.suggested_rounds))
+                                 % (rnd, self.rounds))
             _known(names, "stimuli", g.environment, "an environment variable")
         for pid, latency in self.behaviors.items():
             p = g.by_pid.get(pid)
@@ -166,9 +168,6 @@ class Scenario:
         if self.deadline is not None and self.deadline[1] < 0:
             raise ValueError("deadline round must be non-negative, got %d"
                              % self.deadline[1])
-        if self.suggested_rounds < 0:
-            raise ValueError("'rounds' must be non-negative, got %d"
-                             % self.suggested_rounds)
         for pid, sets in self.trigger_sets.items():
             if pid not in g.by_pid:
                 raise ValueError("trigger sets for unknown process %r" % pid)
@@ -185,6 +184,38 @@ class Scenario:
             if action.kind == "reference_second_sensor":
                 _known([action.param("variable")], action.kind, variables,
                        "a variable of the graph")
+        if self.rounds is not None:  # a given length is checked here
+            self.suggested_rounds
+
+    @property
+    def suggested_rounds(self) -> int:
+        """``rounds``, or else the horizon; ValueError past MAX_ROUNDS."""
+        rounds = horizon(self) if self.rounds is None else self.rounds
+        if not 0 <= rounds <= MAX_ROUNDS:
+            raise ValueError("a run takes 0 to %d rounds, not %d"
+                             % (MAX_ROUNDS, rounds))
+        return rounds
+
+
+def horizon(scenario: Scenario) -> int:
+    """The rounds that decide every verdict on the run: the last stimulus,
+    2, the slowdown (latency above cost, delays' extra) and the longest
+    wait: the formula atoms' completion (without a formula, the dependent
+    variables') or, for each dependency and each conjunct unwound from it,
+    its anchor's completion plus its bound plus 1; or the deadline + 1.
+    Recoveries are not counted: a slowed belt moves the deadline, and a
+    second sensor or a trigger set can start a process late."""
+    g, f = scenario.graph, scenario.formula
+    names = g.dependent if f is None else atoms(f)
+    deps = [] if f is None else (
+        extract_qdep(f) + [dep for _, dep in unwind(f, g).entries])
+    wait = max([g.lb_completion(*names)] + [
+        g.lb_completion(*atoms(d.left)) + d.bound + 1 for d in deps])
+    slowdown = sum(latency - g.by_pid[pid].cost
+                   for pid, latency in scenario.behaviors.items())
+    slowdown += sum(x.extra for x in scenario.faults if x.kind == "delay")
+    end = max(scenario.stimuli, default=0) + 2 + slowdown + wait
+    return max(end, scenario.deadline[1] + 1) if scenario.deadline else end
 
 
 def _known(names, what: str, known, kind: str) -> None:
@@ -261,21 +292,20 @@ def plan_monitors(f: Formula, graph: DependencyGraph) -> MonitorPlan:
                        index_table)
 
 
-def run_simulation(scenario: Scenario, rounds: int,
+def run_simulation(scenario: Scenario, rounds: Optional[int],
                    monitors: Sequence[LocalMonitor],
                    root: Optional[Formula] = None) -> SimulationResult:
-    """Drives the process model and the monitors in lockstep.  The run is
-    never cut short by a verdict: detection triggers recovery and the
-    physical outcome of the remaining rounds is part of the result.  Only
-    ``monitors`` can make it fail, never the scenario, which was checked
-    when it was built: it raises ValueError when the monitors do not fit
-    the graph, that is when one watches a process the graph lacks or a
-    forwarding monitor is not followed by its successor."""
+    """Drives the process model and the monitors in lockstep for
+    ``rounds`` (None: ``suggested_rounds``).  The run is never cut short
+    by a verdict: detection triggers recovery and the physical outcome of
+    the remaining rounds is part of the result.  It raises ValueError
+    when the monitors do not fit the graph (one watches a process the
+    graph lacks, or a forwarding monitor is not followed by its
+    successor) or the run would pass ``MAX_ROUNDS``."""
     graph = scenario.graph
-    if root is None:
-        root = scenario.formula
-    eventually_rooted = isinstance(root, Eventually)
-    network = MonitorNetwork(monitors, eventually_rooted=eventually_rooted)
+    rounds = scenario.suggested_rounds if rounds is None else rounds
+    network = MonitorNetwork(monitors, eventually_rooted=isinstance(
+        scenario.formula if root is None else root, Eventually))
     if rounds > 0:
         network.check_pids(graph.by_pid, 0)
 
@@ -322,8 +352,7 @@ def run_simulation(scenario: Scenario, rounds: int,
     recovered: Set[int] = set()
     recovery_log: List[Tuple[int, FaultSpec, RecoveryAction, Formula]] = []
     ejected = False
-    deadline_var, deadline_round = (scenario.deadline
-                                    if scenario.deadline else (None, None))
+    deadline_var, deadline_round = scenario.deadline or (None, None)
 
     global_trace: List[Event] = []
     per_round_msgs: List[int] = []
@@ -409,11 +438,9 @@ def run_simulation(scenario: Scenario, rounds: int,
     if ejected:
         outcome = "ejected_bin3"
     elif deadline_var is not None:
-        got = arrived.get(deadline_var)
-        if got is not None:
-            outcome = "sorted" if got <= deadline_round else "missed"
-        else:  # still due, if the run ended before the deadline round
-            outcome = "pending" if rounds <= deadline_round else "missed"
+        got = arrived.get(deadline_var, rounds)  # if ever, after the run
+        outcome = ("missed" if got > deadline_round
+                   else "sorted" if deadline_var in arrived else "pending")
     return SimulationResult(
         graph=graph,
         global_trace=tuple(global_trace) if pids else (),
@@ -440,8 +467,6 @@ def run_scenario(scenario: Scenario, rounds: Optional[int] = None, *,
                  ) -> SimulationResult:
     """Plans monitors from the scenario's formula when none are given, then
     simulates ``rounds``, by default the scenario's suggested count."""
-    if rounds is None:
-        rounds = scenario.suggested_rounds
     if monitors is None:
         if scenario.monitor_specs:
             monitors = case_monitors(scenario)
@@ -450,7 +475,7 @@ def run_scenario(scenario: Scenario, rounds: Optional[int] = None, *,
                                      scenario.graph).fresh_monitors()
         else:
             monitors = []
-    return run_simulation(scenario, rounds, monitors, root=scenario.formula)
+    return run_simulation(scenario, rounds, monitors)
 
 
 def case_monitors(scenario: Scenario) -> List[LocalMonitor]:
@@ -484,18 +509,14 @@ def example2_graph() -> DependencyGraph:
 
 
 def example2_scenario(fault: Optional[FaultSpec] = None,
-                      stimulus_round: int = 3,
-                      min_rounds: int = 0) -> Scenario:
+                      stimulus_round: int = 3) -> Scenario:
     """Seven-process pipeline scenario: one stimulus, lower-bound
-    latencies, budget 20 end to end, 40 rounds (``min_rounds`` if more)."""
-    g = example2_graph()
-    f = parse_formula("G ((I0 & I1) o<=20 Of)")
+    latencies, budget 20 end to end, run to its horizon."""
     return Scenario(
-        graph=g,
+        graph=example2_graph(),
         stimuli={stimulus_round: frozenset(["I0", "I1"])},
         faults=(fault,) if fault is not None else (),
-        formula=f,
-        suggested_rounds=max(Scenario.suggested_rounds, min_rounds))
+        formula=parse_formula("G ((I0 & I1) o<=20 Of)"))
 
 
 _SCENARIO_KEYS = frozenset([
@@ -508,7 +529,7 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
     path resolved against base_dir.  This checks only the JSON shape;
     ``FaultSpec``, ``RecoveryAction`` and, once the whole file has its
     shape, ``Scenario`` check what the values mean.  A file without
-    ``"rounds"`` gets ``Scenario``'s default.  Raises ValueError."""
+    ``"rounds"`` runs to its horizon.  Raises ValueError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -578,8 +599,7 @@ def load_scenario(text: str, base_dir: Optional[str] = None) -> Scenario:
         faults=tuple(faults),
         recoveries=recoveries,
         formula=formula,
-        suggested_rounds=(Scenario.suggested_rounds if rounds is None
-                          else _int(rounds, "'rounds'")),
+        rounds=None if rounds is None else _int(rounds, "'rounds'"),
         suppressed_outputs=_names(doc.get("suppressed_outputs", []),
                                   "suppressed_outputs"),
         trigger_sets=trigger_sets,
@@ -619,10 +639,8 @@ def load_scenario_file(path: str) -> Scenario:
 def random_scenario(seed: int, limits: Mapping) -> Scenario:
     """Seeded random single-sink pipeline with one stimulus and at most one
     drop fault.  Limits: max_processes, max_fanout, max_cost, max_rounds.
-    The horizon is sized so that both the original and the unwound formula
-    can resolve on violating runs; limits that cannot fit any such system
+    Limits whose ``max_rounds`` holds the horizon of no generated system
     are rejected."""
-    limits = dict(limits)
     max_p = int(limits["max_processes"])
     max_fan = max(1, int(limits["max_fanout"]))
     max_cost = max(1, int(limits["max_cost"]))
@@ -670,17 +688,10 @@ def _build_random(rng: random.Random, n: int, max_fan: int, cost_cap: int,
         procs.append(Process("p%d" % j, inputs, ("v%d" % j,), costs[j]))
     g = DependencyGraph(tuple(procs), tuple(env_vars))
     sink_var = "v%d" % (n - 1)
-    maxpath = g.lb_completion(sink_var)
-    slack = rng.randint(0, slack_cap)
-    q = maxpath + slack
+    q = g.lb_completion(sink_var) + rng.randint(0, slack_cap)
     s = rng.randint(0, stim_cap)
     formula = Globally(QDep(conj([Atom(v) for v in sorted(env_vars)]),
                             Atom(sink_var), q))
-    # the horizon covers the centralized falsification of the formula and
-    # of each unwound conjunct (anchor completion plus local budget)
-    needed = s + 2 + max([q + 1] + [
-        max(g.lb_completion(a) for a in atoms(dep.left)) + dep.bound + 1
-        for _, dep in unwind(formula, g).entries])
     fault: Optional[FaultSpec] = None
     if rng.random() < 0.6:
         fault = FaultSpec(target="p%d" % rng.randrange(n), kind="drop",
@@ -690,5 +701,4 @@ def _build_random(rng: random.Random, n: int, max_fan: int, cost_cap: int,
         graph=g,
         stimuli={s: frozenset(env_vars)},
         faults=(fault,) if fault is not None else (),
-        formula=formula,
-        suggested_rounds=needed)
+        formula=formula)

@@ -93,14 +93,11 @@ def _watcher_rows(color: Dict[str, str]) -> tuple:
 
 def build_sorting_line_scenario(token: str = "white",
                                 fault: Optional[str] = None,
-                                stimulus_round: int = 2,
-                                min_rounds: int = 0) -> Scenario:
-    """Scenario for one token run of 20 rounds (``min_rounds`` if more).
-    fault is one of the five failure modes, or None for the nominal run."""
+                                stimulus_round: int = 2) -> Scenario:
+    """Scenario for one token run, run to its horizon.  fault is one of
+    the five failure modes, or None for the nominal run."""
     if token not in TOKENS:
         raise ValueError("token must be one of %s" % (TOKENS,))
-    g = sorting_line_graph()
-    s = stimulus_round
     color = {"c": token[0], "C": token[0].upper()}
     specs = _watcher_rows(color)
     by_name = {name: f for name, _, f in specs}
@@ -120,18 +117,16 @@ def build_sorting_line_scenario(token: str = "white",
         faults = (f,)
         recoveries = {f.key: RecoveryAction(recovery, trigger=by_name[row],
                                             params=params)}
-    suppressed = frozenset(("CV_B", "A_B") if token == "white"
-                           else ("CV_W", "A_W"))
     return Scenario(
-        graph=g,
-        stimuli={s: frozenset(["LS1", "SC", "LS2"])},
+        graph=sorting_line_graph(),
+        stimuli={stimulus_round: frozenset(["LS1", "SC", "LS2"])},
         faults=faults,
         recoveries=recoveries,
         # the end-to-end property is the arrival watcher's own formula
         formula=by_name[token[0] + "_arrival"],
-        suggested_rounds=max(20, min_rounds),
-        suppressed_outputs=suppressed,
+        suppressed_outputs=frozenset(("CV_B", "A_B") if token == "white"
+                                     else ("CV_W", "A_W")),
         trigger_sets={"EC": (frozenset(["LS1", "SC", "LS2", "E_W"]),
                              frozenset(["LS1", "SC", "LS2", "E_B"]))},
-        deadline=("A_" + color["C"], s + 8),
+        deadline=("A_" + color["C"], stimulus_round + 8),
         monitor_specs=specs)

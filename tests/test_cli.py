@@ -2,10 +2,10 @@
 
 Almost every test shells out through ``python -m costmon`` so the argument
 wiring, exit codes, and printed documents are exercised exactly as a user
-sees them.  Two tests call ``cli.main`` in process: the parser-reuse test,
-which calls it twice, and the test that a check keeps no formula node
+sees them.  Three tests call ``cli.main`` in process: the parser-reuse
+test, which calls it twice, the test that a check keeps no formula node
 alive, which reads ``Formula._interned`` before and after one check with
-the cycle collector off.
+the cycle collector off, and the sweep of 560 example2 fault placements.
 """
 
 import gc
@@ -20,10 +20,11 @@ import costmon
 from costmon import cli
 from conftest import PIPELINE_DOC
 from costmon.formulas import Formula, render_formula
-from costmon.simulator import (EXAMPLE2_GRAPH_JSON, example2_scenario,
-                               load_scenario_file, run_scenario)
-from costmon.sortingline import (SORTING_LINE_GRAPH_JSON,
-                                 build_sorting_line_scenario)
+from costmon.simulator import (EXAMPLE2_GRAPH_JSON, FaultSpec,
+                               example2_scenario, load_scenario_file,
+                               run_scenario)
+from costmon.sortingline import (FAULT_NAMES, SORTING_LINE_GRAPH_JSON,
+                                 TOKENS, build_sorting_line_scenario)
 
 # the child imports the same package as the tests, installed or not
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(costmon.__file__)))
@@ -573,6 +574,12 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
     ({"trigger_sets": {"p2": [["O0", "O9"]]}}, [], 2),
     ({"suppressed_outputs": ["O9"]}, [], 2),
     ({"seed": 3}, [], 2),
+    ({"rounds": 4611686018427387904}, [], 2),
+    ({"rounds": 18446744073709551616}, [], 2),
+    ({"rounds": None, "stimuli": {"4611686018427387904": ["I0", "I1"]}},
+     [], 2),
+    ({"rounds": None, "behaviors": {"p0": 18446744073709551616}}, [], 2),
+    ({}, ["--rounds", "4611686018427387904"], 64),
 ], ids=["valid", "stimuli-list", "stimulus-not-names", "behaviors-list",
         "fault-without-target", "recovery-without-kind",
         "recovery-factor-text", "recovery-factor-fraction",
@@ -586,7 +593,9 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
         "stimulus-at-rounds", "stimulus-past-rounds", "rounds-flag-cuts-short",
         "trigger-set-unknown-pid",
         "trigger-set-unknown-variable", "suppressed-output-unknown",
-        "seed-key"])
+        "seed-key", "rounds-past-ceiling", "rounds-past-64-bits",
+        "horizon-of-a-late-stimulus", "horizon-of-a-slow-process",
+        "rounds-flag-past-ceiling"])
 def test_malformed_scenario_exits_without_traceback(tmp_path, override,
                                                     argv, code):
     path = tmp_path / "scenario.json"
@@ -606,7 +615,7 @@ def test_simulate_out_prints_the_verdict_summary(tmp_path):
     assert r.returncode == 0
     assert r.stdout == "verdict: False\ndetection: round 14 by p0\n"
     assert out.read_text().startswith(
-        "scenario: example2\nrounds: 40\nverdict: False\n")
+        "scenario: example2\nrounds: 33\nverdict: False\n")
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -685,15 +694,21 @@ def test_a_bad_fault_target_is_reported_before_planning(tmp_path):
                             "process nor a variable\n")
 
 
-def test_a_scenario_without_rounds_runs_forty_everywhere(tmp_path):
+def test_a_scenario_without_rounds_runs_to_its_horizon_everywhere(tmp_path):
+    # stimulus 1, then 2 rounds and p1's conjunct (O0 o<=5 Of): O0's
+    # completion 2, the bound 5 and one round past it
     path = tmp_path / "norounds.json"
     path.write_text(json.dumps(dict(CHAIN_SCENARIO,
                                     formula="G (I0 o<=5 Of)")))
     r = run_cli("simulate", "--scenario", str(path))
     assert (r.returncode, r.stderr) == (0, "")
-    assert "rounds: 40\n" in r.stdout
+    assert "rounds: 11\n" in r.stdout
     result = run_scenario(load_scenario_file(str(path)))
-    assert len(result.global_trace) == 40
+    assert len(result.global_trace) == 11
+    # a fault added from the command line counts: a delay's 10 rounds
+    r = run_cli("simulate", "--scenario", str(path), "--fault", "delay@0:p0")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert "rounds: 21\n" in r.stdout
 
 
 def test_fault_flag_on_a_scenario_file(tmp_path):
@@ -711,20 +726,15 @@ def test_fault_flag_on_a_scenario_file(tmp_path):
     assert "agree: False; decentralized round 14" in r.stdout
 
 
-@pytest.mark.parametrize("argv, rounds, last_line", [
-    (["--scenario", "example2", "--fault", "drop@40:p0"], "80",
+@pytest.mark.parametrize("argv, last_line", [
+    (["--scenario", "example2", "--fault", "drop@40:p0"],
      "agree: False; decentralized round 51 <= centralized round 61"),
-    (["--scenario", "sorting_line", "--fault", "trigger_failure@25"], "40",
+    (["--scenario", "sorting_line", "--fault", "trigger_failure@25"],
      "agree: False; decentralized round 28 <= centralized round 31"),
 ])
-def test_a_longer_rounds_lets_a_builtin_place_a_late_fault(argv, rounds,
-                                                           last_line):
-    # the stimulus lands past the builtin's own count (40 and 20 rounds):
-    # refused as never delivered, unless --rounds lengthens the run
+def test_a_builtin_runs_long_enough_for_a_late_fault(argv, last_line):
+    # the stimulus the fault places moves the horizon with it
     r = run_cli("check", *argv)
-    assert (r.returncode, r.stdout) == (2, "")
-    assert "is not below 'rounds'" in r.stderr
-    r = run_cli("check", *argv, "--rounds", rounds)
     assert (r.returncode, r.stderr) == (0, "")
     assert r.stdout.splitlines()[-1] == last_line
 
@@ -792,6 +802,42 @@ def test_check_watches_an_atom_free_content_with_every_process(formula):
         "decentralized: False at round 0 by p6",
         "centralized: False at position 0",
         "agree: False; decentralized round 0 <= centralized round 0"]
+
+
+def test_every_example2_fault_placement_is_decided_on_both_sides(capsys):
+    # a drop or delay at any round up to 39 and any process: the run is
+    # long enough for the oracle to decide what the monitors detect.  A
+    # delay of p1 stays within its slack (O1 at 13 rounds, Of at 17)
+    for kind in ("drop", "delay"):
+        for rnd in range(40):
+            for pid in ["p%d" % i for i in range(7)]:
+                argv = ["check", "--scenario", "example2", "--fault",
+                        "%s@%d:%s" % (kind, rnd, pid), "--format", "json"]
+                assert cli.main(argv) == 0, argv
+                doc = json.loads(capsys.readouterr().out)
+                verdict = ("Unknown" if (kind, pid) == ("delay", "p1")
+                           else "False")
+                assert (doc["decentralized"], doc["centralized"]) == (
+                    verdict, verdict), argv
+    # a formula from the command line sets the length: with a budget of
+    # 30 the oracle decides at round 34, past example2's own 33 rounds
+    assert cli.main(["check", "--scenario", "example2", "--formula",
+                     "G ((I0 & I1) o<=30 Of)", "--fault", "drop@3:p0",
+                     "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["detection_round"], doc["centralized_position"]) == (24, 34)
+    # the last arrival and the effective deadline fall inside the horizon
+    cases = [example2_scenario()]
+    cases += [example2_scenario(FaultSpec("p%d" % i, kind, 0, extra))
+              for kind, extra in (("drop", 0), ("delay", 10),
+                                  ("trigger_failure", 0)) for i in range(7)]
+    cases += [build_sorting_line_scenario(token, fault)
+              for token in TOKENS for fault in FAULT_NAMES]
+    for sc in cases:
+        result = run_scenario(sc)
+        assert max(result.arrival_rounds.values()) < sc.suggested_rounds
+        if result.effective_deadline is not None:
+            assert result.effective_deadline < sc.suggested_rounds
 
 
 def test_check_detects_tampered_verdict():

@@ -178,7 +178,7 @@ def _dag_wide(violated):
         graph=g, stimuli={r: frozenset(v) for r, v in stimuli.items()},
         faults=(FaultSpec("j", "delay", 0, extra),),
         formula=parse_formula("G ((%s) o<=%d Of)" % (" & ".join(sources), q)),
-        suggested_rounds=4 + q + extra + 3)
+        rounds=4 + q + extra + 3)
 
 
 @pytest.mark.parametrize("violated", (True, False))

@@ -118,10 +118,13 @@ def test_a_watcher_whose_right_operand_latched_stays_unknown(b_with_a):
 
 
 def test_nominal_run_stays_unknown():
-    rep = run_scenario(example2_scenario(stimulus_round=3)).report
+    sc = example2_scenario(stimulus_round=3)
+    rep = run_scenario(sc).report
     assert rep.global_verdict is U
     assert rep.detection_round is None
-    assert rep.rounds_run == 40
+    # the horizon: stimulus 3, two rounds, then p6's conjunct waits for O4
+    # and O5 (7 rounds), its budget 20 and one more round
+    assert rep.rounds_run == sc.suggested_rounds == 3 + 2 + 7 + 20 + 1
 
 
 # ---------------------------------------------------------------------------

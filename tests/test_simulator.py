@@ -20,13 +20,16 @@ from costmon import (
     latched,
     load_scenario,
     make_event,
+    parse_formula,
     random_scenario,
     run_scenario,
 )
 from costmon.depgraph import DependencyGraph, Process
 from costmon.formulas import Event
-from costmon.simulator import RecoveryAction, Scenario, run_simulation
+from costmon.simulator import (RecoveryAction, Scenario, horizon,
+                               run_simulation)
 from costmon.sortingline import FAULT_NAMES, PUBLISHED_BOUNDS, TOKENS
+from costmon.unwinding import InfeasibleConstraintError
 
 import test_golden_run
 from conftest import endpoint_monitors
@@ -203,17 +206,45 @@ def test_a_process_that_needs_no_input_starts_in_round_0():
     g = DependencyGraph((Process("p0", (), ("O0",), 2),
                          Process("p1", ("O0",), ("O1",), 1),
                          Process("p2", ("O1",), ("Of",), 1)), ())
-    sc = Scenario(graph=g, stimuli={}, suggested_rounds=6,
+    sc = Scenario(graph=g, stimuli={}, rounds=6,
                   trigger_sets={"p1": (frozenset(), frozenset(["O0"]))})
     assert run_scenario(sc).arrival_rounds == {"O0": 2, "O1": 1, "Of": 2}
 
 
-def test_a_scenario_without_rounds_runs_forty():
+def test_a_scenario_without_rounds_runs_to_its_horizon():
+    # stimulus 2, then 2 rounds and p1's conjunct (O0 o<=9 Of): O0's
+    # completion 2, the bound 9 and one round past it
     doc = scenario_doc(CHAIN_SPEC)
     del doc["rounds"]
     sc = load_scenario(json.dumps(doc))
-    assert sc.suggested_rounds == 40
-    assert len(run_scenario(sc).global_trace) == 40
+    assert (sc.rounds, sc.suggested_rounds, horizon(sc)) == (None, 16, 16)
+    assert len(run_scenario(sc).global_trace) == 16
+    # latency above cost and a delay fault's extra rounds add to it, and
+    # a later deadline takes over
+    slow = dataclasses.replace(sc, behaviors={"p0": 5},
+                               faults=(FaultSpec("p1", "delay", 0, 4),))
+    assert slow.suggested_rounds == 16 + 3 + 4
+    assert dataclasses.replace(sc, deadline=("Of", 30)).suggested_rounds == 31
+    # without a formula, the latest completion of a dependent variable
+    bare = dataclasses.replace(sc, formula=None)
+    assert bare.suggested_rounds == 2 + 2 + 5
+    # the horizon is worked out when it is read, and a given length is a
+    # cap that unwinds nothing: an infeasible budget fails the horizon only
+    tight = dataclasses.replace(sc, formula=parse_formula("G (I0 o<=1 Of)"))
+    assert dataclasses.replace(tight, rounds=3).suggested_rounds == 3
+    with pytest.raises(InfeasibleConstraintError):
+        tight.suggested_rounds
+    # a recovery is not counted: a belt slowed threefold at detection
+    # (round 11) moves the deadline from 30 to 68, so at the horizon the
+    # dropped output is still due, and a run to 69 rounds finds it missed
+    slowed = dataclasses.replace(
+        sc, faults=(FaultSpec("p1", "drop", 0),), deadline=("Of", 30),
+        recoveries={"drop": RecoveryAction("reduce_belt_speed",
+                                           params=(("factor", 3),))})
+    result = run_scenario(slowed)
+    assert (slowed.suggested_rounds, result.effective_deadline,
+            result.outcome) == (31, 68, "pending")
+    assert run_scenario(slowed, 69).outcome == "missed"
 
 
 def test_scenario_graph_may_live_in_a_file(tmp_path):
