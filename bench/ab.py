@@ -19,14 +19,12 @@ host, when the process does not run, does not reach.  A pair's ratio is
 the working tree's time over the revision's, so below 1 is faster, and
 the pair is won when it is below 1.  Per workload the script prints the
 median ratio, its first and third quartiles, its minimum and maximum,
-and the pairs won, then the median ratio of the same pairs timed in
-wall-clock time (``time.perf_counter``), so that the two clocks can be
-compared.  A run on an unmodified tree
+and the pairs won.  A run on an unmodified tree
 (``python bench/ab.py HEAD``) compares the package with itself: its
 quartiles are the A/A spread that a claimed gain's median must clear,
-beside winning 9 of 10 pairs.  The line that reports the identity pass also gives the line
-count of ``src/costmon/*.py`` on both sides, the core count and the
-Python version.  The host's speed drifts between runs far more than
+beside winning 9 of 10 pairs.  The line that reports the identity pass
+also gives the line count of ``src/costmon/*.py`` on both sides, the
+core count and the Python version.  The host's speed drifts between runs far more than
 between the two halves of one pair, which is why the sides are timed
 alternately in one process.  Standard library only; run from a checkout
 with
@@ -99,14 +97,14 @@ def tree_lines() -> int:
 
 
 def run(side, command: str, path: str) -> tuple:
-    """Exit code, output, CPU seconds and wall-clock seconds of one
-    in-process ``command`` (``check`` or ``simulate``) with JSON output."""
+    """Exit code, output and CPU seconds of one in-process ``command``
+    (``check`` or ``simulate``) with JSON output."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        cpu, wall = time.process_time(), time.perf_counter()
+        cpu = time.process_time()
         code = side.main([command, "--scenario", path, "--format", "json"])
-        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
-    return code, out.getvalue(), cpu, wall
+        cpu = time.process_time() - cpu
+    return code, out.getvalue(), cpu
 
 
 def scenario_files(tmp: str) -> dict:
@@ -147,24 +145,20 @@ def main(argv) -> int:
                  platform.python_implementation(),
                  platform.python_version()))
         print("working tree / %s, whole check in CPU time, %d alternating "
-              "pairs; wall: the median in wall-clock time" % (rev, PAIRS))
+              "pairs" % (rev, PAIRS))
         for name, paths in files.items():
-            ratios, walls = [], []
+            ratios = []
             for k in range(PAIRS):
-                cpu, wall = {}, {}
+                cpu = {}
                 for side in ((cli, base) if k % 2 else (base, cli)):
                     gc.collect()
-                    times = [run(side, "check", p)[2:] for p in paths]
-                    cpu[side] = sum(t[0] for t in times)
-                    wall[side] = sum(t[1] for t in times)
+                    cpu[side] = sum(run(side, "check", p)[2] for p in paths)
                 ratios.append(cpu[cli] / cpu[base])
-                walls.append(wall[cli] / wall[base])
             q1, median, q3 = statistics.quantiles(ratios, n=4)
             print("%-14s median %.3f  q1 %.3f  q3 %.3f  min %.3f  max %.3f  "
-                  "won %d/%d  wall %.3f"
+                  "won %d/%d"
                   % (name, median, q1, q3, min(ratios), max(ratios),
-                     sum(r < 1 for r in ratios), PAIRS,
-                     statistics.median(walls)),
+                     sum(r < 1 for r in ratios), PAIRS),
                   flush=True)
     finally:
         shutil.rmtree(tmp)

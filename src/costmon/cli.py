@@ -64,10 +64,6 @@ EXIT_UNOBSERVABLE = 4
 EXIT_DISAGREE = 5
 EXIT_USAGE = 64
 
-RANDOM_LIMITS = {"max_processes": 6, "max_fanout": 3, "max_cost": 3,
-                 "max_rounds": 20}
-
-
 class _UsageError(Exception):
     pass
 
@@ -370,7 +366,7 @@ def _assemble_scenario(args) -> Scenario:
         spec = None if kind is None else FaultSpec(target or "p0", kind, 0,
                                                    extra)
         return example2_scenario(fault=spec, **placed)
-    sc = (random_scenario(args.seed, RANDOM_LIMITS) if name == "random"
+    sc = (random_scenario(args.seed) if name == "random"
           else load_scenario_file(name))
     if kind is None:
         return sc

@@ -134,15 +134,12 @@ class DependencyGraph:
             if not self._pred[p.pid] and not self._succ[p.pid]:
                 raise GraphError("process %s is isolated (no edges)" % p.pid)
 
-    def dependency_paths(self, variable: str,
-                         from_pid: Optional[str] = None) -> List[List[str]]:
-        """Simple pid paths ending at the producer of ``variable``.
-
-        Without ``from_pid``, paths start anywhere upstream (including the
-        producer itself).  With it, only paths starting at that process are
-        returned.  Environment variables have no paths.  The count grows
-        exponentially on reconvergent graphs, so planning never enumerates;
-        this is the exhaustive reference for ``cheapest_path``.
+    def dependency_paths(self, variable: str) -> List[List[str]]:
+        """Simple pid paths ending at the producer of ``variable``, from
+        anywhere upstream (including the producer itself).  Environment
+        variables have no paths.  The count grows exponentially on
+        reconvergent graphs, so planning never enumerates; this is the
+        exhaustive reference for ``cheapest_path``.
         """
         if variable not in self.producer:
             return []
@@ -151,7 +148,7 @@ class DependencyGraph:
             path = todo.pop()
             out.append(path)
             todo.extend([prev] + path for prev in self._pred[path[0]])
-        return sorted(p for p in out if from_pid is None or p[0] == from_pid)
+        return sorted(out)
 
     def _cheapest_to(self, variable: str) -> Dict[str, Tuple[int, Optional[str]]]:
         """For every process with a path to producer(variable): the cost of

@@ -198,16 +198,9 @@ class MonitorReport:
     global_verdict: Verdict
     detecting_pid: Optional[str]
     detection_round: Optional[int]
-    per_round_messages: Tuple[int, ...]
+    rounds_run: int
+    message_total: int
     detections: Tuple[Tuple[int, str, Formula], ...]  # all firings, ordered
-
-    @property
-    def rounds_run(self) -> int:
-        return len(self.per_round_messages)
-
-    @property
-    def message_total(self) -> int:
-        return sum(self.per_round_messages)
 
 
 def _budget_watcher(part: Formula, graph: DependencyGraph) -> BudgetWatcher:
@@ -309,10 +302,11 @@ class MonitorNetwork:
             return V_TRUE
         return V_UNKNOWN
 
-    def report(self, per_round_messages: Sequence[int]) -> MonitorReport:
-        """The report of the rounds run so far: the global verdict, and
-        all watcher firings in (round, pid) order, the earliest one named
-        as the detection."""
+    def report(self, rounds_run: int, message_total: int) -> MonitorReport:
+        """The report of the ``rounds_run`` rounds run so far, which sent
+        ``message_total`` messages: the global verdict, and all watcher
+        firings in (round, pid) order, the earliest one named as the
+        detection."""
         detections = sorted(((w.detection_round, m.pid, w.formula)
                              for m in self.monitors for w in m.watchers
                              if w.verdict is V_TRUE),
@@ -322,7 +316,8 @@ class MonitorNetwork:
             global_verdict=self.verdict,
             detecting_pid=first[1],
             detection_round=first[0],
-            per_round_messages=tuple(per_round_messages),
+            rounds_run=rounds_run,
+            message_total=message_total,
             detections=tuple(detections))
 
     def round(self, rnd: int,

@@ -79,6 +79,8 @@ class FaultSpec:
             raise ValueError("at_round must be non-negative")
         if self.kind == "delay" and self.extra <= 0:
             raise ValueError("delay needs extra > 0")
+        if self.kind != "delay" and self.extra != 0:
+            raise ValueError("a %s fault takes no 'extra'" % self.kind)
 
     @property
     def key(self) -> str:
@@ -99,6 +101,9 @@ class RecoveryAction:
                 or not isinstance(self.param("variable", ""), str)):
             raise ValueError("recovery 'factor' must be a number and "
                              "'variable' a name")
+        if not 1 <= factor <= MAX_ROUNDS:  # below 1 moves the deadline back
+            raise ValueError("recovery 'factor' must be 1 to %d, not %r"
+                             % (MAX_ROUNDS, factor))
         if (self.kind == "reference_second_sensor"
                 and self.param("variable") is None):
             raise ValueError("%s needs a 'variable' parameter" % self.kind)
@@ -355,7 +360,7 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
     deadline_var, deadline_round = scenario.deadline or (None, None)
 
     global_trace: List[Event] = []
-    per_round_msgs: List[int] = []
+    messages = 0
 
     rnd = 0
     while rnd < rounds:
@@ -402,7 +407,7 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
                   for pid in observing}
         global_trace.append(_event(Event, (frozen_pulses, 1)))
         sent, verdict = network.round(rnd, events)
-        per_round_msgs.append(sent)
+        messages += sent
         # recovery: only the designated watcher of a configured fault
         # triggers; every other violation is data.  A watcher has fired
         # exactly when the global verdict is False.
@@ -431,7 +436,6 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
         nxt = min(min(landing, default=rounds),
                   rounds if due is None else due, rounds)
         global_trace.extend([IDLE] * (nxt - rnd - 1))
-        per_round_msgs.extend([0] * (nxt - rnd - 1))
         rnd = nxt
 
     outcome = None
@@ -444,7 +448,7 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
     return SimulationResult(
         graph=graph,
         global_trace=tuple(global_trace) if pids else (),
-        report=network.report(per_round_msgs),
+        report=network.report(rnd, messages),
         recovery_log=tuple(recovery_log),
         arrival_rounds=dict(sorted(arrived.items())),
         outcome=outcome,
@@ -636,37 +640,30 @@ def load_scenario_file(path: str) -> Scenario:
         return load_scenario(fh.read(), base_dir=os.path.dirname(path) or ".")
 
 
-def random_scenario(seed: int, limits: Mapping) -> Scenario:
-    """Seeded random single-sink pipeline with one stimulus and at most one
-    drop fault.  Limits: max_processes, max_fanout, max_cost, max_rounds.
-    Limits whose ``max_rounds`` holds the horizon of no generated system
-    are rejected."""
-    max_p = int(limits["max_processes"])
-    max_fan = max(1, int(limits["max_fanout"]))
-    max_cost = max(1, int(limits["max_cost"]))
-    max_rounds = int(limits["max_rounds"])
-    if max_p < 1 or max_rounds < 1:
-        raise ValueError("limits must be positive")
+def random_scenario(seed: int) -> Scenario:
+    """Seeded random single-sink pipeline of 2 to 6 processes of cost at
+    most 3, each with at most 3 inputs (the sink takes a fourth when no
+    other process has room), one stimulus, at most one drop fault and a
+    horizon of at most 20 rounds.  A draw past 20 is redrawn with one
+    process fewer and lower caps.  The third draw is kept unchecked: at
+    most 4 processes of cost 1, slack at most 1 and the stimulus at
+    round 0 give it a horizon of at most 11."""
     rng = random.Random(seed)
-    n = 1 if max_p == 1 else rng.randint(2, min(max_p, 6))
-    for cost_cap, slack_cap, stim_cap in ((min(max_cost, 3), 3, 2),
-                                          (min(max_cost, 2), 2, 1),
-                                          (1, 1, 0), (1, 0, 0)):
-        scenario = _build_random(rng, n, max_fan, cost_cap, slack_cap,
-                                 stim_cap)
-        if scenario.suggested_rounds <= max_rounds:
+    n = rng.randint(2, 6)
+    for cost_cap, slack_cap, stim_cap in ((3, 3, 2), (2, 2, 1)):
+        scenario = _build_random(rng, n, cost_cap, slack_cap, stim_cap)
+        if scenario.suggested_rounds <= 20:
             return scenario
         n = max(2, n - 1)
-    raise ValueError("max_rounds %d too small for any generated system"
-                     % max_rounds)
+    return _build_random(rng, n, 1, 1, 0)
 
 
-def _build_random(rng: random.Random, n: int, max_fan: int, cost_cap: int,
+def _build_random(rng: random.Random, n: int, cost_cap: int,
                   slack_cap: int, stim_cap: int):
     parents: Dict[int, int] = {}
     fan_in: Dict[int, int] = {i: 0 for i in range(n)}
     for i in range(n - 1):
-        candidates = [j for j in range(i + 1, n) if fan_in[j] < max_fan]
+        candidates = [j for j in range(i + 1, n) if fan_in[j] < 3]
         if not candidates:
             candidates = [min(range(i + 1, n), key=lambda j: fan_in[j])]
         j = rng.choice(candidates)

@@ -76,15 +76,13 @@ def dep(text: str) -> QDep:
 # shared 200-scenario corpus; built once, timed inside the first claim
 # that uses it
 
-CORPUS_LIMITS = {"max_processes": 6, "max_fanout": 3, "max_cost": 3,
-                 "max_rounds": 20}
 _corpus = []
 
 
 def corpus():
     if not _corpus:
         for seed in range(200):
-            sc = random_scenario(seed, CORPUS_LIMITS)
+            sc = random_scenario(seed)
             res = run_scenario(sc)
             merged = latched(res.global_trace)
             _corpus.append((sc, res, merged))

@@ -550,6 +550,21 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
     ({"faults": [{"target": "p0", "kind": "drop"}],
       "recoveries": {"drop": {"kind": "reduce_belt_speed",
                               "params": {"factor": 1.5}}}}, [], 0),
+    # a delay at p0 is detected at round 14, before the deadline, so the
+    # recovery would scale the deadline by each of these factors
+    ({"faults": [{"target": "p0", "kind": "delay", "extra": 30}],
+      "deadline": ["Of", 30],
+      "recoveries": {"delay": {"kind": "reduce_belt_speed",
+                               "params": {"factor": 1e308}}}}, [], 2),
+    ({"faults": [{"target": "p0", "kind": "delay", "extra": 30}],
+      "deadline": ["Of", 30],
+      "recoveries": {"delay": {"kind": "reduce_belt_speed",
+                               "params": {"factor": 0}}}}, [], 2),
+    ({"faults": [{"target": "p0", "kind": "delay", "extra": 30}],
+      "deadline": ["Of", 30],
+      "recoveries": {"delay": {"kind": "reduce_belt_speed",
+                               "params": {"factor": -1}}}}, [], 2),
+    ({"faults": [{"target": "p0", "kind": "drop", "extra": 5}]}, [], 2),
     ({"behaviors": {"p0": 2.5}}, [], 2),
     ({"rounds": True}, [], 2),
     ({"deadline": 5}, [], 2),
@@ -583,6 +598,8 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
 ], ids=["valid", "stimuli-list", "stimulus-not-names", "behaviors-list",
         "fault-without-target", "recovery-without-kind",
         "recovery-factor-text", "recovery-factor-fraction",
+        "recovery-factor-huge", "recovery-factor-zero",
+        "recovery-factor-negative", "drop-with-extra",
         "latency-fraction", "rounds-bool", "deadline-number",
         "deadline-valid", "deadline-variable-number", "deadline-variable-null",
         "deadline-variable-unknown", "deadline-negative-round",

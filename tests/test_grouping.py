@@ -17,7 +17,6 @@ from costmon import (
     atoms,
     build_sorting_line_scenario,
     build_tableau,
-    cli,
     evaluate_trace,
     example2_scenario,
     load_graph,
@@ -222,8 +221,7 @@ def _assignment_inputs():
     fault, and each of its watcher rows on its own."""
     scenarios = [load_scenario(json.dumps(doc))
                  for doc in test_golden_run._scenarios().values()]
-    scenarios += [random_scenario(seed, cli.RANDOM_LIMITS)
-                  for seed in range(200)]
+    scenarios += [random_scenario(seed) for seed in range(200)]
     scenarios.append(example2_scenario())
     scenarios += [build_sorting_line_scenario(token, fault)
                   for token in TOKENS for fault in (None,) + FAULT_NAMES]

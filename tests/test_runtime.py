@@ -24,9 +24,6 @@ from conftest import CHAIN_DOC
 
 U, T, F = Verdict.UNKNOWN, Verdict.TRUE, Verdict.FALSE
 
-QUICK_LIMITS = {"max_processes": 5, "max_fanout": 3, "max_cost": 3,
-                "max_rounds": 15}
-
 
 def monitors_for(formula_text, graph):
     plan = plan_monitors(parse_formula(formula_text), graph)
@@ -134,7 +131,7 @@ def test_empty_traces_resolve_immediately(pipeline, phi_pipeline):
     plan = plan_monitors(phi_pipeline, pipeline)
     mons = synthesize_monitors(plan.groups, plan.assignment, plan.index_table,
                                graph=pipeline)
-    rep = MonitorNetwork(mons).report([])
+    rep = MonitorNetwork(mons).report(0, 0)
     assert rep.global_verdict is U
     assert rep.rounds_run == 0
 
@@ -142,7 +139,7 @@ def test_empty_traces_resolve_immediately(pipeline, phi_pipeline):
 def test_singleton_groups_never_talk():
     sc = example2_scenario(fault=FaultSpec("p0", "drop", 0), stimulus_round=3)
     rep = run_scenario(sc).report
-    assert sum(rep.per_round_messages) == 0
+    assert rep.message_total == 0
 
 
 def test_shared_group_announces_resolved_values_downstream():
@@ -153,10 +150,11 @@ def test_shared_group_announces_resolved_values_downstream():
                                       "p1": make_event(cost=1),
                                       "p2": make_event(cost=1)})
     assert verdict is F
-    rep = network.report([sent])
+    assert sent == 2
+    rep = network.report(1, sent)
     assert rep.global_verdict is F
     assert rep.detecting_pid == "p2"  # last in the relay order confirms
-    assert rep.per_round_messages == (2,)
+    assert (rep.rounds_run, rep.message_total) == (1, 2)
 
 
 def _verdict_of(verdicts, eventually_rooted=False):
@@ -233,7 +231,7 @@ def test_reports_are_reproducible():
 def test_random_scenarios_agree_with_the_oracle():
     # small-scale version of the acceptance sweep
     for seed in range(20):
-        sc = random_scenario(seed, QUICK_LIMITS)
+        sc = random_scenario(seed)
         res = run_scenario(sc)
         rep = res.report
         merged = res.global_trace

@@ -10,7 +10,6 @@ import pytest
 
 from costmon import (
     FaultSpec,
-    GraphError,
     Verdict,
     atoms,
     build_sorting_line_scenario,
@@ -26,15 +25,13 @@ from costmon import (
 )
 from costmon.depgraph import DependencyGraph, Process
 from costmon.formulas import Event
-from costmon.simulator import (RecoveryAction, Scenario, horizon,
-                               run_simulation)
+from costmon.simulator import (RecoveryAction, Scenario, _build_random,
+                               horizon, run_simulation)
 from costmon.sortingline import FAULT_NAMES, PUBLISHED_BOUNDS, TOKENS
 from costmon.unwinding import InfeasibleConstraintError
 
 import test_golden_run
 from conftest import endpoint_monitors
-
-LIMITS = {"max_processes": 5, "max_fanout": 3, "max_cost": 3, "max_rounds": 15}
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +41,7 @@ def _runs():
     yield run_scenario(example2_scenario(
         fault=FaultSpec("p0", "delay", 0, 10), stimulus_round=3))
     for seed in range(30):
-        yield run_scenario(random_scenario(seed, LIMITS))
+        yield run_scenario(random_scenario(seed))
 
 
 def test_global_trace_spans_every_local_round():
@@ -83,8 +80,7 @@ def test_latched_view_holds_every_proposition_seen_so_far():
 def test_oracle_verdict_reads_only_the_formulas_atoms():
     # check latches the global trace restricted to the formula's atoms;
     # the verdict and its position must be those of the full view
-    scenarios = [random_scenario(seed, cli.RANDOM_LIMITS)
-                 for seed in range(60)]
+    scenarios = [random_scenario(seed) for seed in range(60)]
     scenarios += [load_scenario(json.dumps(doc))
                   for doc in test_golden_run._scenarios().values()]
     scenarios += [build_sorting_line_scenario(token, fault)
@@ -139,6 +135,17 @@ def test_fault_kinds_are_checked():
         FaultSpec("p0", "delay", 0, 0)
     with pytest.raises(ValueError, match="non-negative"):
         FaultSpec("p0", "drop", -1)
+    for kind in ("drop", "trigger_failure"):
+        with pytest.raises(ValueError, match="takes no 'extra'"):
+            FaultSpec("p0", kind, 0, 5)
+
+
+def test_a_belt_slowdown_never_moves_the_deadline_back_or_past_a_run():
+    for factor in (1, 1.5, 100_000):
+        RecoveryAction("reduce_belt_speed", params=(("factor", factor),))
+    for factor in (0, 0.5, -1, 100_001, 1e308, float("nan")):
+        with pytest.raises(ValueError, match="'factor' must be 1 to 100000"):
+            RecoveryAction("reduce_belt_speed", params=(("factor", factor),))
 
 
 def test_behavior_cannot_undercut_process_cost():
@@ -272,25 +279,34 @@ def test_scenario_rejects_non_integer_stimulus_round():
 # random scenarios
 
 def test_random_scenarios_are_reproducible():
-    a, b = random_scenario(7, LIMITS), random_scenario(7, LIMITS)
+    a, b = random_scenario(7), random_scenario(7)
     assert a.graph.processes == b.graph.processes
     assert a.formula == b.formula
     assert a.stimuli == b.stimuli and a.faults == b.faults
 
 
 def test_random_scenarios_respect_their_limits():
-    for seed in range(10):
-        sc = random_scenario(seed, LIMITS)
-        assert 2 <= len(sc.graph.processes) <= LIMITS["max_processes"]
-        assert sc.suggested_rounds <= LIMITS["max_rounds"]
-        for p in sc.graph.processes:
-            assert p.cost <= LIMITS["max_cost"]
-            assert sc.behaviors.get(p.pid, p.cost) >= p.cost
+    for seed in range(200):
+        sc = random_scenario(seed)
+        g = sc.graph
+        sink = g.processes[-1]
+        assert 2 <= len(g.processes) <= 6
+        assert sc.suggested_rounds <= 20 and sc.rounds is None
+        assert len(sc.stimuli) == 1 and not sc.behaviors
+        assert [f.kind for f in sc.faults] in ([], ["drop"])
+        assert [p.pid for p in g.processes if p.outputs[0] not in
+                {v for q in g.processes for v in q.inputs}] == [sink.pid]
+        for p in g.processes:
+            assert 1 <= p.cost <= 3
+            assert len(p.inputs) <= (4 if p is sink else 3)
 
 
-def test_random_scenario_needs_room_for_an_edge():
-    with pytest.raises(GraphError, match="isolated"):
-        random_scenario(3, {**LIMITS, "max_processes": 1})
+def test_the_last_random_draw_fits_without_a_check():
+    # the third draw of random_scenario: at most 4 processes of cost 1,
+    # slack at most 1 and the stimulus at round 0
+    for n in (2, 3, 4):
+        assert max(_build_random(random.Random(seed), n, 1, 1, 0)
+                   .suggested_rounds for seed in range(2000)) <= 11
 
 
 # ---------------------------------------------------------------------------
