@@ -3,30 +3,33 @@ costs over trace length and nesting depth, as curves.
 
 For each N in ``SIZES`` the script builds a chain of N processes (costs
 1, 2, 3 repeating, one process a third of the way down delayed by two
-rounds past its cost, budget at the lower bound) and times each stage of
-the check pipeline on its own with ``time.perf_counter``: load (scenario
-JSON and graph validation), unwind, negate, tableau, group, assign,
-synth (subformula index and monitor synthesis), run (simulated rounds
-with monitoring) and oracle (centralized progression over the latched
-global trace, restricted to the formula's atoms as ``check`` does).
-Every size runs the pipeline ``REPEATS`` times and records each stage's
-median (``stages_s``, which ``total_s`` sums), minimum and maximum
-(``stages_min_s``, ``stages_max_s``).  A size whose pipeline stops
-with an error, such as the tableau passing ``NODE_LIMIT``, is recorded
-as a failure at that size, with the time of the stages up to and
-including the one that failed.  Next to the stage
-sum, ``check_s`` is the median time of ``REPEATS`` whole in-process
-``cli.main(["check", "--scenario", FILE])`` calls on the same scenario,
-argument parsing and the printed report included, and ``check_exit``
-keeps the exit code.
+rounds past its cost, budget at the lower bound), writes it to a
+scenario file and runs the real in-process ``cli.main(["check",
+"--scenario", FILE])`` on it.  In a traced check each name in
+perfbench's ``spans.LAYER_CALLS`` is bound to a wrapper that times its
+calls, so the stages carry perfbench's layer names, ``depgraph.load``
+through ``formulas.oracle``.  A stage's time leaves out the stage calls
+it makes (``depgraph.load`` parses the formula), and the time no stage
+covers (argument parsing, the printed report) is ``cli.overhead``: in
+each traced check the stages and ``cli.overhead`` add up to the check's
+time.  Each size runs ``REPEATS`` traced checks and records each
+stage's median, minimum and maximum wall time (``time.perf_counter``;
+``stages_s``, ``stages_min_s``, ``stages_max_s``), its minimum CPU time
+(``time.process_time``; ``stages_cpu_s``) and the traced checks' median
+time (``traced_check_s``).  The first exception a stage raises is the
+failure at that size, and the stages that ran keep their times.
+``check_s`` is the median time of ``REPEATS`` untraced checks, and
+``check_exit`` keeps their exit code.
 
-Counters come from a second, untimed run: tableau nodes, monitor
-groups, the peak of memory the group, run and oracle stages allocate
-(``tracemalloc``, which traces each of those stages alone), monitor steps
-(calls of ``LocalMonitor.step``), messages and rounds.  The output, with
-the ``src/`` line count, the core count and the Python version, goes to
-``BENCH_curves.json`` at the repository root, or to the path given as
-the only argument.
+Counters come from one more, untimed check, from what its stage calls
+return: tableau nodes (``tableau.build``), monitor groups
+(``grouping.organize``), monitors (``runtime.synth``), messages and
+rounds (the ``simulator.run`` report), and monitor steps (calls of
+``LocalMonitor.step``).  In that check each of ``PEAK_STAGES`` also
+records the ``tracemalloc`` peak it allocates above what was held when
+it began (``peaks_mb``).  The output, with the ``src/`` line count, the
+core count and the Python version, goes to ``BENCH_curves.json`` at the
+repository root, or to the path given as the only argument.
 
 The progression family times ``evaluate_trace`` alone (median of
 ``REPEATS`` runs) and records the verdict and the largest residual
@@ -55,15 +58,14 @@ import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from costmon import cli, formulas, grouping, runtime, simulator  # noqa: E402
-from costmon.tableau import build_tableau  # noqa: E402
-from costmon.unwinding import unwind  # noqa: E402
+import spans  # noqa: E402
+from costmon import cli, formulas, runtime, simulator  # noqa: E402
 
 SIZES = (50, 150, 300, 600, 1000, 2000, 5000, 10000)
-STAGES = ("load", "unwind", "negate", "tableau", "group", "assign", "synth",
-          "run", "oracle")
-PEAK_STAGES = ("group", "run", "oracle")  # counters record their peak
+# counters record their peak
+PEAK_STAGES = ("grouping.organize", "simulator.run", "formulas.oracle")
 REPEATS = 3  # timed runs per size
 TRACE_LENGTHS = (100, 300, 1000, 3000, 10000)
 # formula -> the propositions of event k of its trace, on which it stays
@@ -96,84 +98,76 @@ def chain_text(n: int) -> str:
     })
 
 
-def pipeline(text: str):
-    """The shared state and the ``(stage, thunk)`` pairs of one check;
-    each thunk leaves its result in the state for the later stages."""
-    state = {}
+class StageClock:
+    """One traced check of the scenario file: each ``spans.LAYER_CALLS``
+    name is bound, for the check only, to a wrapper that adds its calls'
+    own wall and CPU seconds to the stage's, keeps the value returned and,
+    with ``peaks``, the ``tracemalloc`` peak of each of ``PEAK_STAGES``."""
 
-    def load():
-        state["sc"] = simulator.load_scenario(text)
-
-    def do_unwind():
-        sc = state["sc"]
-        state["unwound"] = unwind(sc.formula, sc.graph)
-
-    def negate():
-        state["negated"] = formulas.negate(state["unwound"].formula)
-
-    def tableau():
-        state["root"] = build_tableau(state["negated"])
-
-    def group():
-        state["groups"] = grouping.organize_groups(state["root"],
-                                                   state["sc"].graph)
-
-    def assign():
-        state["assignment"] = grouping.assign_conjuncts(state["groups"],
-                                                        state["sc"].graph)
-
-    def synth():
-        index = formulas.subformula_index(state["negated"])
-        state["monitors"] = runtime.synthesize_monitors(
-            state["groups"], state["assignment"], index, state["sc"].graph)
-
-    def run():
-        sc = state["sc"]
-        state["result"] = simulator.run_simulation(
-            sc, sc.suggested_rounds, state["monitors"], root=sc.formula)
-
-    def oracle():
-        formula = state["sc"].formula
-        names = formulas.atoms(formula)
-        state["central"] = formulas.evaluate_trace_with_position(
-            formula, simulator.latched(
-                formulas.Event(e.props & names, e.cost)
-                for e in state["result"].global_trace))
-
-    thunks = (load, do_unwind, negate, tableau, group, assign, synth, run,
-              oracle)
-    return state, list(zip(STAGES, thunks))
-
-
-def timed(text: str) -> dict:
-    """Seconds per completed stage, and the error that stopped the
-    pipeline, if any."""
-    _, stages = pipeline(text)
-    out = {"stages": {}, "error": None}
-    for name, thunk in stages:
-        start = time.perf_counter()
+    def __init__(self, path: str, peaks: bool = False):
+        self.peaks = peaks
+        self.wall, self.cpu, self.results, self.peak_mb = {}, {}, {}, {}
+        self.error = None  # the first exception a stage raised
+        self._inner = [[0.0, 0.0]]  # per open call: its stage calls' time
+        modules = {"cli": cli, "simulator": simulator}
+        saved = [(modules[mod], attr, getattr(modules[mod], attr))
+                 for mod, attr in spans.LAYER_CALLS.values()]
+        for stage, (mod, attr, original) in zip(spans.LAYER_CALLS, saved):
+            setattr(mod, attr, self._wrap(stage, original))
         try:
-            thunk()
-        except Exception as exc:  # recorded as a failure at this size
-            out["error"] = "%s: %s (%s)" % (name, exc, type(exc).__name__)
-        out["stages"][name] = time.perf_counter() - start
-        if out["error"]:
-            break
-    return out
+            self.total, total_cpu, _ = _check(path)
+        finally:
+            for mod, attr, original in saved:
+                setattr(mod, attr, original)
+        self.wall["cli.overhead"] = self.total - self._inner[0][0]
+        self.cpu["cli.overhead"] = total_cpu - self._inner[0][1]
+
+    def _wrap(self, stage: str, fn):
+        def wrapper(*args, **kwargs):
+            traced = self.peaks and stage in PEAK_STAGES
+            if traced:
+                tracemalloc.start()
+            self._inner.append([0.0, 0.0])
+            wall, cpu = time.perf_counter(), time.process_time()
+            try:
+                self.results[stage] = fn(*args, **kwargs)
+            except Exception as exc:  # recorded as a failure at this size
+                self.error = self.error or "%s: %s (%s)" % (
+                    stage, exc, type(exc).__name__)
+                raise
+            finally:
+                wall = time.perf_counter() - wall
+                cpu = time.process_time() - cpu
+                inner_wall, inner_cpu = self._inner.pop()
+                self._inner[-1][0] += wall
+                self._inner[-1][1] += cpu
+                self.wall[stage] = (self.wall.get(stage, 0.0)
+                                    + wall - inner_wall)
+                self.cpu[stage] = self.cpu.get(stage, 0.0) + cpu - inner_cpu
+                if traced:
+                    self.peak_mb[stage] = round(
+                        tracemalloc.get_traced_memory()[1] / 2**20, 3)
+                    tracemalloc.stop()
+            return self.results[stage]
+        return wrapper
 
 
-def timed_check(path: str) -> tuple:
-    """Seconds and exit code of one whole ``costmon check`` on the scenario
-    file, with its output discarded."""
+def _check(path: str) -> tuple:
+    """Wall seconds, CPU seconds and exit code of one whole ``costmon
+    check`` on the scenario file, with its output discarded."""
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        start = time.perf_counter()
-        code = cli.main(["check", "--scenario", path])
-        return time.perf_counter() - start, code
+        wall, cpu = time.perf_counter(), time.process_time()
+        try:
+            code = cli.main(["check", "--scenario", path])
+        except Exception:  # a traceback, which exits 1 on the command line
+            code = 1
+        return time.perf_counter() - wall, time.process_time() - cpu, code
 
 
-def counters(text: str) -> dict:
-    state, stages = pipeline(text)
+def counters(path: str) -> dict:
+    """Counters of one untimed check: the stage peaks, and what the stage
+    calls returned and ``LocalMonitor.step`` was called for."""
     steps = [0]
     original = runtime.LocalMonitor.step
 
@@ -181,60 +175,50 @@ def counters(text: str) -> dict:
         steps[0] += 1
         return original(self, rnd, event)
 
-    out = {}
     runtime.LocalMonitor.step = counting
     try:
-        for name, thunk in stages:
-            if name not in PEAK_STAGES:
-                thunk()
-                continue
-            tracemalloc.start()
-            try:
-                thunk()
-            finally:
-                out[name + "_peak_mb"] = round(
-                    tracemalloc.get_traced_memory()[1] / 2**20, 3)
-                tracemalloc.stop()
-    except Exception:
-        pass  # the counters cover the stages that completed
+        clock = StageClock(path, peaks=True)
     finally:
         runtime.LocalMonitor.step = original
-    if "root" in state:
-        nodes, todo = 0, [state["root"]]
+    out, results = {"peaks_mb": clock.peak_mb}, clock.results
+    if "tableau.build" in results:
+        nodes, todo = 0, [results["tableau.build"]]
         while todo:
             node = todo.pop()
             nodes += 1
             todo.extend(node.children)
         out["tableau_nodes"] = nodes
-    if "groups" in state:
-        out["groups"] = len(state["groups"])
-    if "result" in state:
-        report = state["result"].report
+    if "grouping.organize" in results:
+        out["groups"] = len(results["grouping.organize"])
+    if "runtime.synth" in results:
+        out["monitors"] = len(results["runtime.synth"])
+    if "simulator.run" in results:
+        report = results["simulator.run"].report
         out.update(monitor_steps=steps[0], messages=report.message_total,
-                   rounds=report.rounds_run, monitors=len(state["monitors"]))
+                   rounds=report.rounds_run)
     return out
 
 
 def measure(n: int) -> dict:
-    text = chain_text(n)
-    runs = [timed(text) for _ in range(REPEATS)]
-    point = {"n": n, "failed": runs[0]["error"]}
-    done = [name for name in STAGES if name in runs[0]["stages"]]
-    for key, pick in (("stages_s", statistics.median),
-                      ("stages_min_s", min), ("stages_max_s", max)):
-        point[key] = {name: pick(r["stages"][name] for r in runs)
-                      for name in done}
-    point["total_s"] = sum(point["stages_s"].values())
-    point.update(counters(text))
-    # after the counters: the nodes a whole check leaves in the intern
-    # table would move the tracemalloc peaks
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "chain-%d.json" % n)
         with open(path, "w") as fh:
-            fh.write(text)
-        checks = [timed_check(path) for _ in range(REPEATS)]
-    point["check_s"] = statistics.median(s for s, _ in checks)
-    point["check_exit"] = checks[0][1]
+            fh.write(chain_text(n))
+        # the counters first: the nodes a whole check leaves in the intern
+        # table would move the tracemalloc peaks
+        point = counters(path)
+        runs = [StageClock(path) for _ in range(REPEATS)]
+        checks = [_check(path) for _ in range(REPEATS)]
+    point.update(n=n, failed=runs[0].error)
+    for key, pick in (("stages_s", statistics.median),
+                      ("stages_min_s", min), ("stages_max_s", max)):
+        point[key] = {name: pick(r.wall[name] for r in runs)
+                      for name in runs[0].wall}
+    point["stages_cpu_s"] = {name: min(r.cpu[name] for r in runs)
+                             for name in runs[0].cpu}
+    point["traced_check_s"] = statistics.median(r.total for r in runs)
+    point["check_s"] = statistics.median(wall for wall, _, _ in checks)
+    point["check_exit"] = checks[0][2]
     return point
 
 
@@ -314,9 +298,10 @@ def main(argv) -> int:
     for n in SIZES:
         point = measure(n)
         points.append(point)
-        print("chain-%-5d %s  run %.4f s  total %.3f s  check %.3f s" % (
+        print("chain-%-5d %s  run %.4f s  traced %.3f s  check %.3f s" % (
             n, "FAILED " + point["failed"] if point["failed"] else "ok",
-            point["stages_s"].get("run", float("nan")), point["total_s"],
+            point["stages_s"].get("simulator.run", float("nan")),
+            point["traced_check_s"],
             point["check_s"]), flush=True)
     doc = {
         "family": "chain-N, costs 1, 2, 3 repeating, one delayed process",

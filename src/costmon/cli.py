@@ -129,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "horizon)")
             p.add_argument("--fault", type=_fault_arg, metavar="K@R[:T]",
                            help="inject fault KIND at round R on target T; "
-                                "for builtin scenarios R places the "
-                                "afflicted activation")
+                                "on sorting_line and example2 R places the "
+                                "stimulus, elsewhere it is the fault's round "
+                                "and T is needed")
             p.add_argument("--seed", type=int, default=0, metavar="N",
                            help="seed for the random builtin scenario")
         p.add_argument("--format", choices=formats,

@@ -59,8 +59,10 @@ from .unwinding import extract_qdep, unwind
 _event = tuple.__new__
 
 FAULT_KINDS = ("drop", "delay", "trigger_failure")
-RECOVERY_KINDS = ("eject_to_bin3", "reference_second_sensor",
-                  "reduce_belt_speed")
+# recovery kind -> the parameters it reads
+RECOVERY_KINDS = {"eject_to_bin3": (),
+                  "reference_second_sensor": ("variable",),
+                  "reduce_belt_speed": ("factor",)}
 # the longest run, given or derived; every idle round is kept in the trace
 MAX_ROUNDS = 100_000
 
@@ -96,6 +98,9 @@ class RecoveryAction:
     def __post_init__(self):
         if self.kind not in RECOVERY_KINDS:
             raise ValueError("unknown recovery kind %r" % self.kind)
+        for k, _ in self.params:
+            if k not in RECOVERY_KINDS[self.kind]:
+                raise ValueError("%s reads no parameter %r" % (self.kind, k))
         factor = self.param("factor", 2)
         if (not isinstance(factor, (int, float)) or isinstance(factor, bool)
                 or not isinstance(self.param("variable", ""), str)):
@@ -170,9 +175,10 @@ class Scenario:
         if self.deadline is not None and self.deadline[0] not in variables:
             raise ValueError("the deadline variable %r is not a variable "
                              "of the graph" % self.deadline[0])
-        if self.deadline is not None and self.deadline[1] < 0:
-            raise ValueError("deadline round must be non-negative, got %d"
-                             % self.deadline[1])
+        if self.deadline is not None and not (
+                0 <= self.deadline[1] <= MAX_ROUNDS):
+            raise ValueError("deadline round must be 0 to %d, not %d"
+                             % (MAX_ROUNDS, self.deadline[1]))
         for pid, sets in self.trigger_sets.items():
             if pid not in g.by_pid:
                 raise ValueError("trigger sets for unknown process %r" % pid)
@@ -430,7 +436,9 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
             elif action.kind == "reduce_belt_speed":
                 if deadline_round is not None and deadline_round > rnd:
                     factor = action.param("factor", 2)
-                    deadline_round = rnd + factor * (deadline_round - rnd)
+                    # a whole round: the floor of the (positive) product
+                    deadline_round = rnd + int(
+                        factor * (deadline_round - rnd))
         # the rounds before the next landing or due monitor are idle
         due = network.next_due()
         nxt = min(min(landing, default=rounds),

@@ -494,6 +494,24 @@ def test_simulate_outcome_names_a_deadline_the_run_ends_before(
     assert "effective deadline: round %d" % deadline in r.stdout
 
 
+@pytest.mark.parametrize("factor, deadline, outcome", [
+    (1.5, 38, "missed"),  # 14 + floor(1.5 * 16); Of lands at 44
+    (2.0, 46, "sorted"),  # 14 + 2 * 16
+])
+def test_a_slowed_belt_keeps_the_deadline_a_whole_round(
+        tmp_path, factor, deadline, outcome):
+    # the delay at p0 is detected at round 14, 16 rounds before round 30
+    path = tmp_path / "slowed.json"
+    path.write_text(json.dumps(dict(
+        SLOWED_BELT, deadline=["Of", 30], recoveries={"delay": {
+            "kind": "reduce_belt_speed", "params": {"factor": factor}}})))
+    r = run_cli("simulate", "--scenario", str(path), "--format", "json")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert (doc["effective_deadline"], doc["outcome"]) == (deadline, outcome)
+    assert type(doc["effective_deadline"]) is int
+
+
 def test_simulate_ends_quietly_when_the_reader_closes_its_output():
     # as in `costmon simulate ... | head -1`: the output (some 1.5 MB)
     # outgrows the pipe, so the writer meets the closed end
@@ -536,6 +554,9 @@ def test_simulate_unknown_scenario_is_usage_error():
 SCENARIO = {"graph": json.loads(PIPELINE_DOC),
             "stimuli": {"3": ["I0", "I1"]},
             "formula": "G ((I0 & I1) o<=20 Of)", "rounds": 40}
+# a delay of 30 at p0, detected at round 14; Of lands at 44
+SLOWED_BELT = dict(SCENARIO, rounds=60, faults=[
+    {"target": "p0", "kind": "delay", "extra": 30}])
 
 
 @pytest.mark.parametrize("override, argv, code", [
@@ -565,6 +586,17 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
       "recoveries": {"delay": {"kind": "reduce_belt_speed",
                                "params": {"factor": -1}}}}, [], 2),
     ({"faults": [{"target": "p0", "kind": "drop", "extra": 5}]}, [], 2),
+    # an explicit run length, so no horizon refuses the deadline first
+    (dict(SLOWED_BELT, deadline=["Of", 10**330],
+          recoveries={"delay": {"kind": "reduce_belt_speed",
+                                "params": {"factor": 1.5}}}), [], 2),
+    (dict(SLOWED_BELT, deadline=["Of", 30],
+          recoveries={"delay": {"kind": "reduce_belt_speed",
+                                "params": {"factr": 7}}}), [], 2),
+    (dict(SLOWED_BELT, recoveries={"delay": {
+        "kind": "eject_to_bin3", "params": {"factor": 2}}}), [], 2),
+    (dict(SLOWED_BELT, recoveries={"delay": {
+        "kind": "eject_to_bin3", "params": {"variable": "O0"}}}), [], 2),
     ({"behaviors": {"p0": 2.5}}, [], 2),
     ({"rounds": True}, [], 2),
     ({"deadline": 5}, [], 2),
@@ -600,6 +632,8 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
         "recovery-factor-text", "recovery-factor-fraction",
         "recovery-factor-huge", "recovery-factor-zero",
         "recovery-factor-negative", "drop-with-extra",
+        "deadline-past-ceiling", "recovery-param-misspelt",
+        "eject-with-factor", "eject-with-variable",
         "latency-fraction", "rounds-bool", "deadline-number",
         "deadline-valid", "deadline-variable-number", "deadline-variable-null",
         "deadline-variable-unknown", "deadline-negative-round",
