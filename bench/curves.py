@@ -16,8 +16,12 @@ time.  Each size runs ``REPEATS`` traced checks and records each
 stage's median, minimum and maximum wall time (``time.perf_counter``;
 ``stages_s``, ``stages_min_s``, ``stages_max_s``), its minimum CPU time
 (``time.process_time``; ``stages_cpu_s``) and the traced checks' median
-time (``traced_check_s``).  The first exception a stage raises is the
-failure at that size, and the stages that ran keep their times.
+time (``traced_check_s``).  The cyclic collector's runs and their CPU
+time are counted through ``gc.callbacks`` and charged to the innermost
+stage open during each run (``cli.overhead`` when none is): each
+stage's median run count is ``gc_runs`` and its minimum collector time
+``gc_s``.  The first exception a stage raises is the failure at that
+size, and the stages that ran keep their times.
 ``check_s`` is the median time of ``REPEATS`` untraced checks, and
 ``check_exit`` keeps their exit code.
 
@@ -46,6 +50,7 @@ only; run from a checkout with
 """
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -102,32 +107,47 @@ class StageClock:
     """One traced check of the scenario file: each ``spans.LAYER_CALLS``
     name is bound, for the check only, to a wrapper that adds its calls'
     own wall and CPU seconds to the stage's, keeps the value returned and,
-    with ``peaks``, the ``tracemalloc`` peak of each of ``PEAK_STAGES``."""
+    with ``peaks``, the ``tracemalloc`` peak of each of ``PEAK_STAGES``.
+    Each collector run and its CPU seconds go to the innermost open
+    stage."""
 
     def __init__(self, path: str, peaks: bool = False):
         self.peaks = peaks
         self.wall, self.cpu, self.results, self.peak_mb = {}, {}, {}, {}
         self.error = None  # the first exception a stage raised
-        self._inner = [[0.0, 0.0]]  # per open call: its stage calls' time
+        # per open call: its stage calls' wall and CPU time, and its stage
+        self._inner = [[0.0, 0.0, "cli.overhead"]]
+        self.gc_runs, self.gc_s = {}, {}
         modules = {"cli": cli, "simulator": simulator}
         saved = [(modules[mod], attr, getattr(modules[mod], attr))
                  for mod, attr in spans.LAYER_CALLS.values()]
         for stage, (mod, attr, original) in zip(spans.LAYER_CALLS, saved):
             setattr(mod, attr, self._wrap(stage, original))
+        gc.callbacks.append(self._collected)
         try:
             self.total, total_cpu, _ = _check(path)
         finally:
+            gc.callbacks.remove(self._collected)
             for mod, attr, original in saved:
                 setattr(mod, attr, original)
         self.wall["cli.overhead"] = self.total - self._inner[0][0]
         self.cpu["cli.overhead"] = total_cpu - self._inner[0][1]
+
+    def _collected(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._gc_start = time.process_time()
+        else:
+            stage = self._inner[-1][2]
+            self.gc_runs[stage] = self.gc_runs.get(stage, 0) + 1
+            self.gc_s[stage] = (self.gc_s.get(stage, 0.0)
+                                + time.process_time() - self._gc_start)
 
     def _wrap(self, stage: str, fn):
         def wrapper(*args, **kwargs):
             traced = self.peaks and stage in PEAK_STAGES
             if traced:
                 tracemalloc.start()
-            self._inner.append([0.0, 0.0])
+            self._inner.append([0.0, 0.0, stage])
             wall, cpu = time.perf_counter(), time.process_time()
             try:
                 self.results[stage] = fn(*args, **kwargs)
@@ -138,7 +158,7 @@ class StageClock:
             finally:
                 wall = time.perf_counter() - wall
                 cpu = time.process_time() - cpu
-                inner_wall, inner_cpu = self._inner.pop()
+                inner_wall, inner_cpu, _ = self._inner.pop()
                 self._inner[-1][0] += wall
                 self._inner[-1][1] += cpu
                 self.wall[stage] = (self.wall.get(stage, 0.0)
@@ -216,6 +236,10 @@ def measure(n: int) -> dict:
                       for name in runs[0].wall}
     point["stages_cpu_s"] = {name: min(r.cpu[name] for r in runs)
                              for name in runs[0].cpu}
+    point["gc_runs"] = {name: statistics.median_low(
+        r.gc_runs.get(name, 0) for r in runs) for name in runs[0].cpu}
+    point["gc_s"] = {name: min(r.gc_s.get(name, 0.0) for r in runs)
+                     for name in runs[0].cpu}
     point["traced_check_s"] = statistics.median(r.total for r in runs)
     point["check_s"] = statistics.median(wall for wall, _, _ in checks)
     point["check_exit"] = checks[0][2]

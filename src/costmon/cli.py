@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                formats=("text", "json")):
         if formula:
             p.add_argument("--formula", metavar="F",
-                           help="formula text or path to a formula file")
+                           help="formula text")
         if graph:
             p.add_argument("--graph", metavar="G",
                            help="path to a dependency graph JSON file")
@@ -177,13 +177,6 @@ def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name, None) is None:
             raise _UsageError("--%s is required for this command" % name)
-
-
-def _read_formula(value: str) -> Formula:
-    if os.path.isfile(value):
-        with open(value) as fh:
-            value = fh.read()
-    return parse_formula(value)
 
 
 def _verdict(v: Verdict) -> str:
@@ -257,7 +250,7 @@ def _json_text(doc: dict) -> str:
 
 def cmd_parse(args) -> int:
     _require(args, "formula")
-    f = _read_formula(args.formula)
+    f = parse_formula(args.formula)
     if args.format == "json":
         doc = {"formula": render_formula(f), "ast": _formula_ast(f)}
         _emit(args, _json_text(doc))
@@ -271,7 +264,7 @@ def cmd_unwind(args) -> int:
     # the graph goes first: a variable no formula can name is the cause
     # of the formula error it would bring
     g = load_graph_file(args.graph)
-    f = _read_formula(args.formula)
+    f = parse_formula(args.formula)
     u = unwind(f, g)
     doc = {
         "formula": render_formula(f),
@@ -297,7 +290,7 @@ def _unwind_text(doc: dict) -> str:
 
 def cmd_tableau(args) -> int:
     _require(args, "formula")
-    f = _read_formula(args.formula)
+    f = parse_formula(args.formula)
     root = build_tableau(f)
     if args.format in (None, "dot"):
         _emit(args, export_dot(root))
@@ -323,7 +316,7 @@ def _tableau_text(doc: dict) -> str:
 def cmd_group(args) -> int:
     _require(args, "formula", "graph")
     g = load_graph_file(args.graph)
-    f = _read_formula(args.formula)
+    f = parse_formula(args.formula)
     plan = plan_monitors(f, g)
     doc = {
         "groups": [
@@ -469,7 +462,7 @@ def _check_text(doc: dict) -> str:
 def cmd_check(args) -> int:
     sc = _assemble_scenario(args)
     if args.formula is not None:  # the run is as long as it needs
-        sc = dataclasses.replace(sc, formula=_read_formula(args.formula))
+        sc = dataclasses.replace(sc, formula=parse_formula(args.formula))
     formula = sc.formula
     if formula is None:
         raise _UsageError("scenario carries no end-to-end formula; "
@@ -491,8 +484,7 @@ def cmd_check(args) -> int:
     # needs to carry no other proposition
     names = atoms(formula)
     central, position = evaluate_trace_with_position(formula, latched(
-        e if e.props <= names else Event(e.props & names, e.cost)
-        for e in result.global_trace))
+        Event(e.props & names, e.cost) for e in result.global_trace))
     dec, det = report.global_verdict, report.detection_round
     # a centralized False without a position was decided before any
     # event, so no detection round can be later

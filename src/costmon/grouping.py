@@ -1,7 +1,7 @@
 """Organizing processes into disjoint monitor groups from a tableau.
 
 Each ticked branch contributes the conjunction of its terminal content,
-worked out once per distinct leaf label; processes whose local alphabet
+and equal contents count once; processes whose local alphabet
 meets the branch's atoms are its members (every process, if it has none).
 Contents that share a member end up in one group, its formula their
 disjunction.  A group grows from the earliest content not yet grouped:
@@ -143,9 +143,8 @@ def organize_groups(root: TableauNode,
             return []
         pids = tuple(sorted(p.pid for p in procs))
         return [MonitorGroup(pids, root.label[0], (root.label[0],))]
-    ticked = {leaf.label: leaf for leaf in ends if leaf.status == "ticked"}
     contents = list(dict.fromkeys(
-        c for c in map(branch_content, ticked.values()) if c is not None))
+        c for c in map(branch_content, ends) if c is not None))
     observers = graph.observers
     member_sets: List[set] = []
     for c in contents:

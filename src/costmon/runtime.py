@@ -342,9 +342,8 @@ class MonitorNetwork:
             before, before_due = m.verdict, m._next_due
             out = m.step(rnd, events.get(m.pid, IDLE))
             after = m.verdict
-            if after is not before:
-                self._confirmed += (after is V_TRUE) - (before is V_TRUE)
-                self._refuted += (after is V_FALSE) - (before is V_FALSE)
+            self._confirmed += (after is V_TRUE) - (before is V_TRUE)
+            self._refuted += (after is V_FALSE) - (before is V_FALSE)
             d = m._next_due
             if d != before_due and d is not None:
                 heapq.heappush(due, (d, i))

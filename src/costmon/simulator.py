@@ -17,6 +17,7 @@ an empty trigger set, since an arrival adds the processes it can start.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
@@ -54,9 +55,6 @@ from .runtime import (
 )
 from .tableau import build_tableau
 from .unwinding import extract_qdep, unwind
-
-# ``Event`` without the check of its cost, for costs known to be valid
-_event = tuple.__new__
 
 FAULT_KINDS = ("drop", "delay", "trigger_failure")
 # recovery kind -> the parameters it reads
@@ -195,8 +193,28 @@ class Scenario:
             if action.kind == "reference_second_sensor":
                 _known([action.param("variable")], action.kind, variables,
                        "a variable of the graph")
+            # a trigger over a name the run never has would never fire
+            if action.trigger is not None:
+                _known(atoms(action.trigger), "recovery trigger", variables,
+                       "a variable of the graph")
+        # each fault fires its recovery at most once, and a slowed belt
+        # scales what is left of the deadline: the product of the factors
+        # bounds it, and up to 2**53 it is a whole round
+        factors = [action.param("factor", 2) for action in map(
+            self.recovery, self.faults)
+            if action is not None and action.kind == "reduce_belt_speed"]
+        if self.deadline is not None and math.prod(
+                factors, start=self.deadline[1]) > 2 ** 53:
+            raise ValueError("deadline round %d times the product of its "
+                             "%d belt slowdown factors passes 2**53"
+                             % (self.deadline[1], len(factors)))
         if self.rounds is not None:  # a given length is checked here
             self.suggested_rounds
+
+    def recovery(self, fault: FaultSpec) -> Optional[RecoveryAction]:
+        """What ``fault`` fires: the recovery for its KIND@TARGET, else for
+        its kind, or None."""
+        return self.recoveries.get(fault.key, self.recoveries.get(fault.kind))
 
     @property
     def suggested_rounds(self) -> int:
@@ -242,7 +260,6 @@ class SimulationResult:
     global_trace: Tuple[Event, ...]
     report: MonitorReport
     recovery_log: Tuple[Tuple[int, FaultSpec, RecoveryAction, Formula], ...]
-    arrival_rounds: Dict[str, int]
     # ejected_bin3, or for a deadline sorted, missed or pending (the run
     # ended before the deadline round, which the variable may still meet)
     outcome: Optional[str] = None
@@ -282,7 +299,6 @@ def latched(trace: Iterable[Event]) -> Tuple[Event, ...]:
 @dataclass(frozen=True)
 class MonitorPlan:
     graph: DependencyGraph
-    negated: Formula
     groups: tuple
     assignment: Dict[str, Formula]
     index_table: Dict[Formula, int]
@@ -299,8 +315,7 @@ def plan_monitors(f: Formula, graph: DependencyGraph) -> MonitorPlan:
     groups = organize_groups(root, graph)
     assignment = assign_conjuncts(groups, graph)
     index_table = subformula_index(negated)
-    return MonitorPlan(graph, negated, tuple(groups), assignment,
-                       index_table)
+    return MonitorPlan(graph, tuple(groups), assignment, index_table)
 
 
 def run_simulation(scenario: Scenario, rounds: Optional[int],
@@ -332,14 +347,13 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
         elif f.kind == "delay":
             delays[f.target] = (f.at_round, f.extra)
 
-    # per-run tables, read in the round loop: each process's latency,
-    # outputs and start sets, and the alphabet of each monitored process
-    # (no other process's event is read)
+    # per-run tables, read in the round loop: each process's latency and
+    # start sets, and the alphabet of each monitored process (no other
+    # process's event is read)
     by_pid = graph.by_pid
     pids = sorted(by_pid)
     latency = {pid: scenario.behaviors.get(pid, p.cost)
                for pid, p in by_pid.items()}
-    outputs = {pid: p.outputs for pid, p in by_pid.items()}
     triggers = {pid: scenario.trigger_sets.get(
                     pid, (frozenset(by_pid[pid].inputs),))
                 for pid in pids}
@@ -382,8 +396,7 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
                 candidates.update(starters.get(var, ()))
             fresh = []
             candidates -= started
-            for pid in sorted(candidates) if len(candidates) > 1 \
-                    else candidates:
+            for pid in sorted(candidates):
                 for needed in triggers[pid]:
                     if needed <= have:
                         break
@@ -393,7 +406,7 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
                 lat = latency[pid]
                 if pid in delays and rnd >= delays[pid][0]:
                     lat += delays[pid][1]
-                for var in outputs[pid]:
+                for var in by_pid[pid].outputs:
                     if drop_from.get(var, rounds) <= rnd + lat:
                         continue
                     if lat > 0:
@@ -403,15 +416,12 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
                         if var not in arrived:
                             fresh.append(var)
             candidates = set()
-        # every pulse is a variable of the graph (a stimulus, an output or
-        # a variable the scenario checked before injecting it), and the
-        # cost is 1, so no event needs ``Event``'s check
         frozen_pulses = frozenset(pulses)
         observing = {pid for var in pulses for pid in observers.get(var, ())
                      if pid in alphabet}
-        events = {pid: _event(Event, (frozen_pulses & alphabet[pid], 1))
+        events = {pid: Event(frozen_pulses & alphabet[pid], 1)
                   for pid in observing}
-        global_trace.append(_event(Event, (frozen_pulses, 1)))
+        global_trace.append(Event(frozen_pulses, 1))
         sent, verdict = network.round(rnd, events)
         messages += sent
         # recovery: only the designated watcher of a configured fault
@@ -420,8 +430,7 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
         for i, f in enumerate(scenario.faults):
             if i in recovered or verdict is not V_FALSE:
                 continue
-            action = scenario.recoveries.get(f.key,
-                                             scenario.recoveries.get(f.kind))
+            action = scenario.recovery(f)
             if action is None:
                 continue
             witness = _triggering_watcher(monitors, action.trigger)
@@ -458,7 +467,6 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
         global_trace=tuple(global_trace) if pids else (),
         report=network.report(rnd, messages),
         recovery_log=tuple(recovery_log),
-        arrival_rounds=dict(sorted(arrived.items())),
         outcome=outcome,
         effective_deadline=deadline_round)
 
@@ -474,19 +482,18 @@ def _triggering_watcher(monitors: Sequence[LocalMonitor],
     return None
 
 
-def run_scenario(scenario: Scenario, rounds: Optional[int] = None, *,
-                 monitors: Optional[Sequence[LocalMonitor]] = None
-                 ) -> SimulationResult:
-    """Plans monitors from the scenario's formula when none are given, then
-    simulates ``rounds``, by default the scenario's suggested count."""
-    if monitors is None:
-        if scenario.monitor_specs:
-            monitors = case_monitors(scenario)
-        elif scenario.formula is not None:
-            monitors = plan_monitors(scenario.formula,
-                                     scenario.graph).fresh_monitors()
-        else:
-            monitors = []
+def run_scenario(scenario: Scenario,
+                 rounds: Optional[int] = None) -> SimulationResult:
+    """Builds the scenario's monitors (from its watcher table, or planned
+    from its formula), then simulates ``rounds``, by default the
+    scenario's suggested count."""
+    if scenario.monitor_specs:
+        monitors = case_monitors(scenario)
+    elif scenario.formula is not None:
+        monitors = plan_monitors(scenario.formula,
+                                 scenario.graph).fresh_monitors()
+    else:
+        monitors = []
     return run_simulation(scenario, rounds, monitors)
 
 

@@ -46,6 +46,16 @@ def write_golden(path, records, name):
         fh.write("[\n%s\n]\n" % ",\n".join(json.dumps(r) for r in records))
 
 
+def first_pulses(result):
+    """Variable -> the round it first pulses in the run's global trace,
+    which is the round it arrived."""
+    out = {}
+    for rnd, event in enumerate(result.global_trace):
+        for name in event.props:
+            out.setdefault(name, rnd)
+    return out
+
+
 def endpoint_monitors(sc):
     """The sorting line watched only end to end: one budget watcher for
     the scenario's formula at EC, the producer of its right operand."""

@@ -34,6 +34,7 @@ from costmon import (
     unwind,
 )
 from costmon.formulas import FalseF, TrueF
+from costmon.simulator import run_simulation
 from costmon.sortingline import PUBLISHED_BOUNDS
 
 from conftest import endpoint_monitors
@@ -231,7 +232,7 @@ def test_conveyor_case_study():
                 assert log_round == rnd
                 assert recovery.kind == kind
                 assert rep.detections[0][2] == trigger
-                base = run_scenario(sc, monitors=endpoint_monitors(sc)).report
+                base = run_simulation(sc, None, endpoint_monitors(sc)).report
                 assert base.detecting_pid == "EC"
                 if fault == "arrival_failure":
                     # watching only the end-to-end formulas is exactly as

@@ -18,7 +18,7 @@ import pytest
 
 import costmon
 from costmon import cli
-from conftest import PIPELINE_DOC
+from conftest import PIPELINE_DOC, first_pulses
 from costmon.formulas import Formula, render_formula
 from costmon.simulator import (EXAMPLE2_GRAPH_JSON, FaultSpec,
                                example2_scenario, load_scenario_file,
@@ -557,6 +557,20 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
 # a delay of 30 at p0, detected at round 14; Of lands at 44
 SLOWED_BELT = dict(SCENARIO, rounds=60, faults=[
     {"target": "p0", "kind": "delay", "extra": 30}])
+# a 70-process chain that drops at every process, each drop slowing the
+# belt 100,000-fold: together they move the deadline past 2**53
+SLOWED_CHAIN = {
+    "graph": {"processes": [
+        {"pid": "p%d" % i, "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
+         "outputs": ["Of" if i == 69 else "O%d" % i], "cost": 1}
+        for i in range(70)], "environment": ["I0"]},
+    "stimuli": {"1": ["I0"]},
+    "formula": "G (I0 o<=70 Of)",
+    "faults": [{"target": "p%d" % i, "kind": "drop"} for i in range(70)],
+    "recoveries": {"drop@p%d" % i: {"kind": "reduce_belt_speed",
+                                    "params": {"factor": 100000.0}}
+                   for i in range(70)},
+    "deadline": ["Of", 100000], "rounds": 200}
 
 
 @pytest.mark.parametrize("override, argv, code", [
@@ -597,6 +611,10 @@ SLOWED_BELT = dict(SCENARIO, rounds=60, faults=[
         "kind": "eject_to_bin3", "params": {"factor": 2}}}), [], 2),
     (dict(SLOWED_BELT, recoveries={"delay": {
         "kind": "eject_to_bin3", "params": {"variable": "O0"}}}), [], 2),
+    (SLOWED_CHAIN, [], 2),
+    ({"faults": [{"target": "p0", "kind": "drop"}],
+      "recoveries": {"drop": {"kind": "eject_to_bin3", "trigger": "zz"}}},
+     [], 2),
     ({"behaviors": {"p0": 2.5}}, [], 2),
     ({"rounds": True}, [], 2),
     ({"deadline": 5}, [], 2),
@@ -634,6 +652,7 @@ SLOWED_BELT = dict(SCENARIO, rounds=60, faults=[
         "recovery-factor-negative", "drop-with-extra",
         "deadline-past-ceiling", "recovery-param-misspelt",
         "eject-with-factor", "eject-with-variable",
+        "slowdowns-past-2-53", "recovery-trigger-unknown",
         "latency-fraction", "rounds-bool", "deadline-number",
         "deadline-valid", "deadline-variable-number", "deadline-variable-null",
         "deadline-variable-unknown", "deadline-negative-round",
@@ -886,7 +905,7 @@ def test_every_example2_fault_placement_is_decided_on_both_sides(capsys):
               for token in TOKENS for fault in FAULT_NAMES]
     for sc in cases:
         result = run_scenario(sc)
-        assert max(result.arrival_rounds.values()) < sc.suggested_rounds
+        assert max(first_pulses(result).values()) < sc.suggested_rounds
         if result.effective_deadline is not None:
             assert result.effective_deadline < sc.suggested_rounds
 
@@ -957,12 +976,13 @@ def test_check_malformed_tamper_budget_is_exit_64(value):
                              "IDX=VAL, got %r\n" % value)
 
 
-def test_formula_is_read_from_a_file(tmp_path):
-    path = tmp_path / "formula.txt"
-    path.write_text("G(a o<=3 b)\n")
-    r = run_cli("parse", "--formula", str(path))
+def test_formula_is_text_even_where_a_file_has_its_name(tmp_path,
+                                                        monkeypatch):
+    (tmp_path / "p").write_text("q & r\n")
+    monkeypatch.chdir(tmp_path)
+    r = run_cli("parse", "--formula", "p")
     assert r.returncode == 0
-    assert r.stdout == "G (a o<=3 b)\n"
+    assert r.stdout == "p\n"
 
 
 # ---------------------------------------------------------------- usage

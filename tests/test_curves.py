@@ -4,9 +4,11 @@ The curves time the real ``check`` through the names in perfbench's
 ``spans.LAYER_CALLS`` and read their counters from what those calls
 return.  One small chain checks that each name is timed, that the
 counters are chain-N's, that the stages and ``cli.overhead`` add up to
-the traced check, and that every binding is put back.
+the traced check, and that every binding is put back.  A stage that
+runs the cyclic collector is charged with that run.
 """
 
+import gc
 import os
 import sys
 
@@ -34,7 +36,8 @@ def test_one_chain_point_times_each_layer_of_a_real_check(monkeypatch):
     assert point["failed"] is None
     assert point["check_exit"] == 0
     stages = set(spans.LAYER_CALLS) | {"cli.overhead"}
-    for key in ("stages_s", "stages_min_s", "stages_max_s", "stages_cpu_s"):
+    for key in ("stages_s", "stages_min_s", "stages_max_s", "stages_cpu_s",
+                "gc_runs", "gc_s"):
         assert set(point[key]) == stages
     assert sum(point["stages_s"].values()) == pytest.approx(
         point["traced_check_s"], rel=1e-9)
@@ -46,3 +49,20 @@ def test_one_chain_point_times_each_layer_of_a_real_check(monkeypatch):
         "monitor_steps": 21, "messages": 0, "rounds": 25}
     assert set(point["peaks_mb"]) == set(curves.PEAK_STAGES)
     assert _bindings() == bound
+
+
+def test_a_collector_run_is_charged_to_the_open_stage(monkeypatch, tmp_path):
+    build = simulator.build_tableau
+
+    def collecting(f):
+        gc.collect()
+        return build(f)
+
+    monkeypatch.setattr(simulator, "build_tableau", collecting)
+    path = tmp_path / "chain-10.json"
+    path.write_text(curves.chain_text(10))
+    callbacks = list(gc.callbacks)
+    clock = curves.StageClock(str(path))
+    assert clock.gc_runs["tableau.build"] >= 1
+    assert 0 < clock.gc_s["tableau.build"] <= clock.cpu["tableau.build"]
+    assert gc.callbacks == callbacks

@@ -33,7 +33,7 @@ from costmon import (
 from costmon.runtime import (BudgetWatcher, LocalMonitor, MonitorNetwork,
                              MonitorReport, ResidualWatcher, monitor_round)
 from costmon.depgraph import DependencyGraph, Process
-from costmon.simulator import Scenario, load_scenario
+from costmon.simulator import Scenario, load_scenario, run_simulation
 from costmon.sortingline import FAULT_NAMES, TOKENS
 
 import test_golden_run
@@ -107,7 +107,7 @@ def assert_engine_matches_naive(sc, make_monitors):
     """The simulator's report against the naive loop over the same
     per-process events (with recoveries, the events the monitors saw)."""
     rooted = isinstance(sc.formula, Eventually)
-    res = run_scenario(sc, monitors=make_monitors(sc))
+    res = run_simulation(sc, None, make_monitors(sc))
     traces = res.per_process_traces
     assert res.report == naive_run(traces, make_monitors(sc), rooted)[0]
     # the same events through the engine alone, stopping at a verdict
@@ -218,7 +218,7 @@ def test_simulation_rejects_a_monitor_of_an_unknown_process():
     sc = example2_scenario(stimulus_round=3)
     mons = case_monitors(build_sorting_line_scenario())
     with pytest.raises(ValueError, match="no event for process"):
-        run_scenario(sc, monitors=mons)
+        run_simulation(sc, None, mons)
 
 
 def test_round_work_is_proportional_to_activity(tmp_path, monkeypatch,
@@ -332,7 +332,7 @@ def test_after_a_round_every_due_round_is_a_later_one(monkeypatch):
         mons = make(sc)
         residual += any(isinstance(w, ResidualWatcher)
                         for m in mons for w in m.watchers)
-        run_scenario(sc, monitors=mons)
+        run_simulation(sc, None, mons)
     assert residual > 0
     assert early == []
 

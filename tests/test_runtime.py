@@ -19,6 +19,7 @@ from costmon import (
     synthesize_monitors,
 )
 from costmon.runtime import BudgetWatcher, LocalMonitor, MonitorNetwork
+from costmon.simulator import run_simulation
 
 from conftest import CHAIN_DOC
 
@@ -95,7 +96,7 @@ def test_budget_watcher_steps_only_when_its_input_or_due_round_comes():
     rounds = []
     step = w.step
     w.step = lambda rnd, latched: (rounds.append(rnd), step(rnd, latched))
-    res = run_scenario(sc, monitors=mons)
+    res = run_simulation(sc, None, mons)
     assert rounds == [3, 14] == [3, res.report.detection_round]
     assert p0.verdict is T
 

@@ -31,7 +31,7 @@ from costmon.sortingline import FAULT_NAMES, PUBLISHED_BOUNDS, TOKENS
 from costmon.unwinding import InfeasibleConstraintError
 
 import test_golden_run
-from conftest import endpoint_monitors
+from conftest import endpoint_monitors, first_pulses
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def test_a_checked_scenario_is_read_only():
     assert dict(sc.behaviors) == {**sc.behaviors} == {"p0": 3}
     moved = dataclasses.replace(sc, behaviors={**sc.behaviors, "p1": 4})
     assert moved.behaviors == {"p0": 3, "p1": 4}
-    assert run_scenario(sc).arrival_rounds["O0"] == 3 + 3
+    assert first_pulses(run_scenario(sc))["O0"] == 3 + 3
 
 
 def test_a_second_sensor_recovery_names_its_variable():
@@ -204,7 +204,7 @@ def test_scenario_document_round_trip():
     assert sc.stimuli == {2: frozenset({"I0"})}
     res = run_scenario(sc)
     assert res.report.global_verdict is Verdict.UNKNOWN
-    assert res.arrival_rounds == {"I0": 2, "O0": 4, "Of": 7}
+    assert first_pulses(res) == {"I0": 2, "O0": 4, "Of": 7}
 
 
 def test_a_process_that_needs_no_input_starts_in_round_0():
@@ -215,7 +215,7 @@ def test_a_process_that_needs_no_input_starts_in_round_0():
                          Process("p2", ("O1",), ("Of",), 1)), ())
     sc = Scenario(graph=g, stimuli={}, rounds=6,
                   trigger_sets={"p1": (frozenset(), frozenset(["O0"]))})
-    assert run_scenario(sc).arrival_rounds == {"O0": 2, "O1": 1, "Of": 2}
+    assert first_pulses(run_scenario(sc)) == {"O0": 2, "O1": 1, "Of": 2}
 
 
 def test_a_scenario_without_rounds_runs_to_its_horizon():
@@ -326,8 +326,8 @@ def test_nominal_white_token_sorts():
     assert res.report.global_verdict is Verdict.UNKNOWN
     assert res.outcome == "sorted"
     assert res.recovery_log == ()
-    assert res.arrival_rounds == {"LS1": 2, "LS2": 2, "SC": 2, "SC_CP": 3,
-                                  "T_CS": 3, "CV_W": 4, "E_W": 5, "A_W": 6}
+    assert first_pulses(res) == {"LS1": 2, "LS2": 2, "SC": 2, "SC_CP": 3,
+                                 "T_CS": 3, "CV_W": 4, "E_W": 5, "A_W": 6}
 
 
 @pytest.mark.parametrize("fault,rnd,pid,outcome,action", WHITE_MATRIX)
@@ -382,7 +382,7 @@ def test_watcher_rows_take_the_published_bounds():
 def test_delayed_classification_still_arrives():
     res = run_scenario(build_sorting_line_scenario(token="white",
                                                    fault="classify_delay"))
-    assert res.arrival_rounds["CV_W"] == 9  # nominal 4 plus the injected 5
+    assert first_pulses(res)["CV_W"] == 9  # nominal 4 plus the injected 5
 
 
 def test_second_sensor_replaces_the_lost_count():
@@ -396,7 +396,7 @@ def test_second_sensor_replaces_the_lost_count():
 def test_endpoint_only_monitor_detects_later():
     for token, rnd in (("white", 7), ("blue", 8)):
         sc = build_sorting_line_scenario(token=token, fault="trigger_failure")
-        rep = run_scenario(sc, monitors=endpoint_monitors(sc)).report
+        rep = run_simulation(sc, None, endpoint_monitors(sc)).report
         assert (rep.detection_round, rep.detecting_pid) == (rnd, "EC")
         integrated = run_scenario(sc).report
         assert integrated.detection_round < rnd
@@ -415,6 +415,6 @@ def test_thousand_process_chain_simulates_in_time_linear_in_events():
     start = time.perf_counter()
     res = run_simulation(sc, done + 3, [])
     elapsed = time.perf_counter() - start
-    assert res.arrival_rounds["O%d" % (n - 1)] == done
+    assert first_pulses(res)["O%d" % (n - 1)] == done
     assert len(res.global_trace) == done + 3
     assert elapsed < 3.0
