@@ -23,7 +23,12 @@ stage's median run count is ``gc_runs`` and its minimum collector time
 ``gc_s``.  The first exception a stage raises is the failure at that
 size, and the stages that ran keep their times.
 ``check_s`` is the median time of ``REPEATS`` untraced checks, and
-``check_exit`` keeps their exit code.
+``check_exit`` keeps their exit code.  The fan-in family records the
+same fields for each W in ``FAN_IN_WIDTHS``: W sources (costs 1, 2, 3
+repeating, one environment input each) feed one join of cost 1, the
+budget from all W inputs to the join's output is the lower bound, and
+the first cost-3 source is delayed by two rounds, so every point
+detects a violation.
 
 Counters come from one more, untimed check, from what its stage calls
 return: tableau nodes (``tableau.build``), monitor groups
@@ -31,9 +36,10 @@ return: tableau nodes (``tableau.build``), monitor groups
 rounds (the ``simulator.run`` report), and monitor steps (calls of
 ``LocalMonitor.step``).  In that check each of ``PEAK_STAGES`` also
 records the ``tracemalloc`` peak it allocates above what was held when
-it began (``peaks_mb``).  The output, with the ``src/`` line count, the
-core count and the Python version, goes to ``BENCH_curves.json`` at the
-repository root, or to the path given as the only argument.
+it began (``peaks_mb``).  The output (chain-N under ``points``, fan-in-W
+under ``fan_in``), with the ``src/`` line count, the core count and the
+Python version, goes to ``BENCH_curves.json`` at the repository root,
+or to the path given as the only argument.
 
 The progression family times ``evaluate_trace`` alone (median of
 ``REPEATS`` runs) and records the verdict and the largest residual
@@ -69,6 +75,7 @@ import spans  # noqa: E402
 from costmon import cli, formulas, runtime, simulator  # noqa: E402
 
 SIZES = (50, 150, 300, 600, 1000, 2000, 5000, 10000)
+FAN_IN_WIDTHS = (8, 32, 128, 512, 1000)
 # counters record their peak
 PEAK_STAGES = ("grouping.organize", "simulator.run", "formulas.oracle")
 REPEATS = 3  # timed runs per size
@@ -92,13 +99,31 @@ def chain_text(n: int) -> str:
               "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
               "outputs": ["Of" if i == n - 1 else "O%d" % i],
               "cost": c} for i, c in enumerate(costs)]
-    q = sum(costs)
+    return _scenario_text(procs, ["I0"], "p%d" % (n // 3), sum(costs))
+
+
+def fan_in_text(w: int) -> str:
+    costs = [1 + i % 3 for i in range(w)]
+    procs = [{"pid": "p%d" % i, "inputs": ["I%d" % i],
+              "outputs": ["O%d" % i], "cost": c} for i, c in enumerate(costs)]
+    procs.append({"pid": "p%d" % w, "inputs": ["O%d" % i for i in range(w)],
+                  "outputs": ["Of"], "cost": 1})
+    return _scenario_text(procs, ["I%d" % i for i in range(w)], "p2",
+                          max(costs) + 1)
+
+
+def _scenario_text(procs: list, env: list, delayed: str, q: int) -> str:
+    """A family point: every input of ``env`` pulses at ``STIMULUS``, the
+    process ``delayed`` runs ``DELAY`` rounds past its cost, the budget
+    from all of ``env`` to ``Of`` is ``q``, the lower bound, and the run
+    ends 3 rounds after the late arrival."""
+    left = env[0] if len(env) == 1 else "(%s)" % " & ".join(env)
     return json.dumps({
-        "graph": {"processes": procs, "environment": ["I0"]},
-        "stimuli": {str(STIMULUS): ["I0"]},
-        "faults": [{"target": "p%d" % (n // 3), "kind": "delay",
+        "graph": {"processes": procs, "environment": env},
+        "stimuli": {str(STIMULUS): env},
+        "faults": [{"target": delayed, "kind": "delay",
                     "at_round": 0, "extra": DELAY}],
-        "formula": "G (I0 o<=%d Of)" % q,
+        "formula": "G (%s o<=%d Of)" % (left, q),
         "rounds": STIMULUS + q + DELAY + 3,
     })
 
@@ -219,11 +244,12 @@ def counters(path: str) -> dict:
     return out
 
 
-def measure(n: int) -> dict:
+def measure(text, n: int) -> dict:
+    """One point of the family whose scenario ``text(n)`` writes."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "chain-%d.json" % n)
+        path = os.path.join(tmp, "point-%d.json" % n)
         with open(path, "w") as fh:
-            fh.write(chain_text(n))
+            fh.write(text(n))
         # the counters first: the nodes a whole check leaves in the intern
         # table would move the tracemalloc peaks
         point = counters(path)
@@ -318,15 +344,19 @@ def src_lines() -> int:
 
 def main(argv) -> int:
     out_path = argv[0] if argv else os.path.join(ROOT, "BENCH_curves.json")
-    points = []
-    for n in SIZES:
-        point = measure(n)
-        points.append(point)
-        print("chain-%-5d %s  run %.4f s  traced %.3f s  check %.3f s" % (
-            n, "FAILED " + point["failed"] if point["failed"] else "ok",
-            point["stages_s"].get("simulator.run", float("nan")),
-            point["traced_check_s"],
-            point["check_s"]), flush=True)
+    points, fan_in = [], []
+    for name, text, sizes, out in (
+            ("chain", chain_text, SIZES, points),
+            ("fan-in", fan_in_text, FAN_IN_WIDTHS, fan_in)):
+        for n in sizes:
+            point = measure(text, n)
+            out.append(point)
+            print("%s-%-5d %s  run %.4f s  traced %.3f s  check %.3f s" % (
+                name, n,
+                "FAILED " + point["failed"] if point["failed"] else "ok",
+                point["stages_s"].get("simulator.run", float("nan")),
+                point["traced_check_s"],
+                point["check_s"]), flush=True)
     doc = {
         "family": "chain-N, costs 1, 2, 3 repeating, one delayed process",
         "python": platform.python_version(),
@@ -334,6 +364,10 @@ def main(argv) -> int:
         "nproc": os.cpu_count(),
         "src_lines": src_lines(),
         "points": points,
+        "fan_in": {"family": "fan-in-W, W sources of costs 1, 2, 3 "
+                             "repeating joined by one process of cost 1, "
+                             "one cost-3 source delayed; n is W",
+                   "points": fan_in},
         "progression": progression_curves(),
     }
     with open(out_path, "w") as fh:

@@ -17,7 +17,6 @@ an empty trigger set, since an arrival adds the processes it can start.
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import re
@@ -100,13 +99,13 @@ class RecoveryAction:
             if k not in RECOVERY_KINDS[self.kind]:
                 raise ValueError("%s reads no parameter %r" % (self.kind, k))
         factor = self.param("factor", 2)
-        if (not isinstance(factor, (int, float)) or isinstance(factor, bool)
-                or not isinstance(self.param("variable", ""), str)):
-            raise ValueError("recovery 'factor' must be a number and "
-                             "'variable' a name")
-        if not 1 <= factor <= MAX_ROUNDS:  # below 1 moves the deadline back
-            raise ValueError("recovery 'factor' must be 1 to %d, not %r"
-                             % (MAX_ROUNDS, factor))
+        # a whole number keeps the slowed deadline a whole round, and one
+        # below 1 would move it back
+        if type(factor) is not int or not 1 <= factor <= MAX_ROUNDS:
+            raise ValueError("recovery 'factor' must be a whole number 1 to "
+                             "%d, not %r" % (MAX_ROUNDS, factor))
+        if not isinstance(self.param("variable", ""), str):
+            raise ValueError("recovery 'variable' must be a name")
         if (self.kind == "reference_second_sensor"
                 and self.param("variable") is None):
             raise ValueError("%s needs a 'variable' parameter" % self.kind)
@@ -197,17 +196,6 @@ class Scenario:
             if action.trigger is not None:
                 _known(atoms(action.trigger), "recovery trigger", variables,
                        "a variable of the graph")
-        # each fault fires its recovery at most once, and a slowed belt
-        # scales what is left of the deadline: the product of the factors
-        # bounds it, and up to 2**53 it is a whole round
-        factors = [action.param("factor", 2) for action in map(
-            self.recovery, self.faults)
-            if action is not None and action.kind == "reduce_belt_speed"]
-        if self.deadline is not None and math.prod(
-                factors, start=self.deadline[1]) > 2 ** 53:
-            raise ValueError("deadline round %d times the product of its "
-                             "%d belt slowdown factors passes 2**53"
-                             % (self.deadline[1], len(factors)))
         if self.rounds is not None:  # a given length is checked here
             self.suggested_rounds
 
@@ -282,16 +270,12 @@ class SimulationResult:
 def latched(trace: Iterable[Event]) -> Tuple[Event, ...]:
     """View where every proposition stays true once seen.  Dependency
     anchors whose parts arrive in different rounds only close under this
-    view, so the centralized oracle evaluates it.  A round that adds no
-    proposition repeats the previous event."""
+    view, so the centralized oracle evaluates it.  Each round's event
+    holds every proposition seen up to it, at the round's cost."""
     out: List[Event] = []
     seen: frozenset = frozenset()
     for e in trace:
-        if not e.props <= seen:
-            seen = seen | e.props
-        elif out and out[-1].cost == e.cost:
-            out.append(out[-1])
-            continue
+        seen = seen | e.props
         out.append(Event(seen, e.cost))
     return tuple(out)
 
@@ -338,14 +322,14 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
     # variable -> first suppressed round; a variable the scenario never
     # emits is suppressed from round 0
     drop_from = dict.fromkeys(scenario.suppressed_outputs, 0)
-    delays: Dict[str, Tuple[int, int]] = {}  # pid -> (at_round, extra)
+    delays: Dict[str, List[FaultSpec]] = defaultdict(list)  # pid -> delays
     for f in scenario.faults:
         if f.kind in ("drop", "trigger_failure"):
             proc = graph.by_pid.get(f.target)
             for v in proc.outputs if proc else (f.target,):
                 drop_from[v] = min(drop_from.get(v, f.at_round), f.at_round)
         elif f.kind == "delay":
-            delays[f.target] = (f.at_round, f.extra)
+            delays[f.target].append(f)
 
     # per-run tables, read in the round loop: each process's latency and
     # start sets, and the alphabet of each monitored process (no other
@@ -403,9 +387,9 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
                 else:
                     continue
                 started.add(pid)
-                lat = latency[pid]
-                if pid in delays and rnd >= delays[pid][0]:
-                    lat += delays[pid][1]
+                # each delay fault active by the start adds its rounds
+                lat = latency[pid] + sum(f.extra for f in delays.get(pid, ())
+                                         if f.at_round <= rnd)
                 for var in by_pid[pid].outputs:
                     if drop_from.get(var, rounds) <= rnd + lat:
                         continue
@@ -444,10 +428,8 @@ def run_simulation(scenario: Scenario, rounds: Optional[int],
                 landing[rnd + 1].add(action.param("variable"))
             elif action.kind == "reduce_belt_speed":
                 if deadline_round is not None and deadline_round > rnd:
-                    factor = action.param("factor", 2)
-                    # a whole round: the floor of the (positive) product
-                    deadline_round = rnd + int(
-                        factor * (deadline_round - rnd))
+                    deadline_round = rnd + action.param("factor", 2) * (
+                        deadline_round - rnd)
         # the rounds before the next landing or due monitor are idle
         due = network.next_due()
         nxt = min(min(landing, default=rounds),

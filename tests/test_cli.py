@@ -495,8 +495,8 @@ def test_simulate_outcome_names_a_deadline_the_run_ends_before(
 
 
 @pytest.mark.parametrize("factor, deadline, outcome", [
-    (1.5, 38, "missed"),  # 14 + floor(1.5 * 16); Of lands at 44
-    (2.0, 46, "sorted"),  # 14 + 2 * 16
+    (1, 30, "missed"),  # 14 + 1 * 16; Of lands at 44
+    (2, 46, "sorted"),  # 14 + 2 * 16
 ])
 def test_a_slowed_belt_keeps_the_deadline_a_whole_round(
         tmp_path, factor, deadline, outcome):
@@ -510,6 +510,25 @@ def test_a_slowed_belt_keeps_the_deadline_a_whole_round(
     doc = json.loads(r.stdout)
     assert (doc["effective_deadline"], doc["outcome"]) == (deadline, outcome)
     assert type(doc["effective_deadline"]) is int
+
+
+def test_compounded_slowdowns_keep_the_deadline_exact(tmp_path):
+    # every recovery fires in the detection round, each multiplying what
+    # is left of the deadline by 100,000
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(SLOWED_CHAIN))
+    r = run_cli("simulate", "--scenario", str(path), "--format", "json")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    rounds = {d["round"] for d in doc["recovery_log"]}
+    assert len(doc["recovery_log"]) == 70 and len(rounds) == 1
+    rnd = rounds.pop()
+    deadline = rnd + 100000 ** 70 * (100000 - rnd)
+    assert (doc["effective_deadline"], doc["outcome"]) == (deadline,
+                                                           "pending")
+    assert len(str(deadline)) == 355
+    r = run_cli("simulate", "--scenario", str(path))
+    assert "effective deadline: round %d" % deadline in r.stdout.splitlines()
 
 
 def test_simulate_ends_quietly_when_the_reader_closes_its_output():
@@ -558,7 +577,7 @@ SCENARIO = {"graph": json.loads(PIPELINE_DOC),
 SLOWED_BELT = dict(SCENARIO, rounds=60, faults=[
     {"target": "p0", "kind": "delay", "extra": 30}])
 # a 70-process chain that drops at every process, each drop slowing the
-# belt 100,000-fold: together they move the deadline past 2**53
+# belt 100,000-fold: together they move the deadline 350 digits out
 SLOWED_CHAIN = {
     "graph": {"processes": [
         {"pid": "p%d" % i, "inputs": ["I0" if i == 0 else "O%d" % (i - 1)],
@@ -568,7 +587,7 @@ SLOWED_CHAIN = {
     "formula": "G (I0 o<=70 Of)",
     "faults": [{"target": "p%d" % i, "kind": "drop"} for i in range(70)],
     "recoveries": {"drop@p%d" % i: {"kind": "reduce_belt_speed",
-                                    "params": {"factor": 100000.0}}
+                                    "params": {"factor": 100000}}
                    for i in range(70)},
     "deadline": ["Of", 100000], "rounds": 200}
 
@@ -584,7 +603,7 @@ SLOWED_CHAIN = {
                               "params": {"factor": "x"}}}}, [], 2),
     ({"faults": [{"target": "p0", "kind": "drop"}],
       "recoveries": {"drop": {"kind": "reduce_belt_speed",
-                              "params": {"factor": 1.5}}}}, [], 0),
+                              "params": {"factor": 1.5}}}}, [], 2),
     # a delay at p0 is detected at round 14, before the deadline, so the
     # recovery would scale the deadline by each of these factors
     ({"faults": [{"target": "p0", "kind": "delay", "extra": 30}],
@@ -603,7 +622,7 @@ SLOWED_CHAIN = {
     # an explicit run length, so no horizon refuses the deadline first
     (dict(SLOWED_BELT, deadline=["Of", 10**330],
           recoveries={"delay": {"kind": "reduce_belt_speed",
-                                "params": {"factor": 1.5}}}), [], 2),
+                                "params": {"factor": 2}}}), [], 2),
     (dict(SLOWED_BELT, deadline=["Of", 30],
           recoveries={"delay": {"kind": "reduce_belt_speed",
                                 "params": {"factr": 7}}}), [], 2),
@@ -611,7 +630,7 @@ SLOWED_CHAIN = {
         "kind": "eject_to_bin3", "params": {"factor": 2}}}), [], 2),
     (dict(SLOWED_BELT, recoveries={"delay": {
         "kind": "eject_to_bin3", "params": {"variable": "O0"}}}), [], 2),
-    (SLOWED_CHAIN, [], 2),
+    (SLOWED_CHAIN, [], 0),
     ({"faults": [{"target": "p0", "kind": "drop"}],
       "recoveries": {"drop": {"kind": "eject_to_bin3", "trigger": "zz"}}},
      [], 2),
@@ -652,7 +671,7 @@ SLOWED_CHAIN = {
         "recovery-factor-negative", "drop-with-extra",
         "deadline-past-ceiling", "recovery-param-misspelt",
         "eject-with-factor", "eject-with-variable",
-        "slowdowns-past-2-53", "recovery-trigger-unknown",
+        "slowdowns-compounded", "recovery-trigger-unknown",
         "latency-fraction", "rounds-bool", "deadline-number",
         "deadline-valid", "deadline-variable-number", "deadline-variable-null",
         "deadline-variable-unknown", "deadline-negative-round",

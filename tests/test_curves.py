@@ -2,10 +2,11 @@
 
 The curves time the real ``check`` through the names in perfbench's
 ``spans.LAYER_CALLS`` and read their counters from what those calls
-return.  One small chain checks that each name is timed, that the
-counters are chain-N's, that the stages and ``cli.overhead`` add up to
-the traced check, and that every binding is put back.  A stage that
-runs the cyclic collector is charged with that run.
+return.  One small chain and one small fan-in check that each name is
+timed, that the counters are the family's, that the stages and
+``cli.overhead`` add up to the traced check, and that every binding is
+put back.  A stage that runs the cyclic collector is charged with that
+run.
 """
 
 import gc
@@ -29,10 +30,21 @@ def _bindings():
             for mod, attr in spans.LAYER_CALLS.values()}
 
 
-def test_one_chain_point_times_each_layer_of_a_real_check(monkeypatch):
+# one group and one monitor per process and no message; chain-10 takes
+# 2N + 1 monitor steps
+@pytest.mark.parametrize("text, n, expected", [
+    (curves.chain_text, 10, {
+        "tableau_nodes": 69, "groups": 10, "monitors": 10,
+        "monitor_steps": 21, "messages": 0, "rounds": 25}),
+    (curves.fan_in_text, 8, {
+        "tableau_nodes": 62, "groups": 9, "monitors": 9,
+        "monitor_steps": 22, "messages": 0, "rounds": 10}),
+], ids=["chain-10", "fan-in-8"])
+def test_one_point_times_each_layer_of_a_real_check(monkeypatch, text, n,
+                                                    expected):
     monkeypatch.setattr(curves, "REPEATS", 1)
     bound = _bindings()
-    point = curves.measure(10)
+    point = curves.measure(text, n)
     assert point["failed"] is None
     assert point["check_exit"] == 0
     stages = set(spans.LAYER_CALLS) | {"cli.overhead"}
@@ -41,12 +53,7 @@ def test_one_chain_point_times_each_layer_of_a_real_check(monkeypatch):
         assert set(point[key]) == stages
     assert sum(point["stages_s"].values()) == pytest.approx(
         point["traced_check_s"], rel=1e-9)
-    # chain-10: 2N + 1 monitor steps, one group and one monitor per
-    # process, and no message on a chain
-    assert {k: point[k] for k in ("tableau_nodes", "groups", "monitors",
-                                  "monitor_steps", "messages", "rounds")} == {
-        "tableau_nodes": 69, "groups": 10, "monitors": 10,
-        "monitor_steps": 21, "messages": 0, "rounds": 25}
+    assert {k: point[k] for k in expected} == expected
     assert set(point["peaks_mb"]) == set(curves.PEAK_STAGES)
     assert _bindings() == bound
 

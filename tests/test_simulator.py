@@ -141,10 +141,12 @@ def test_fault_kinds_are_checked():
 
 
 def test_a_belt_slowdown_never_moves_the_deadline_back_or_past_a_run():
-    for factor in (1, 1.5, 100_000):
+    for factor in (1, 100_000):
         RecoveryAction("reduce_belt_speed", params=(("factor", factor),))
-    for factor in (0, 0.5, -1, 100_001, 1e308, float("nan")):
-        with pytest.raises(ValueError, match="'factor' must be 1 to 100000"):
+    for factor in (0, 0.5, 1.5, 2.0, True, -1, 100_001, 1e308, float("nan"),
+                   "2"):
+        with pytest.raises(ValueError, match="'factor' must be a whole "
+                                             "number 1 to 100000"):
             RecoveryAction("reduce_belt_speed", params=(("factor", factor),))
 
 
@@ -252,6 +254,29 @@ def test_a_scenario_without_rounds_runs_to_its_horizon():
     assert (slowed.suggested_rounds, result.effective_deadline,
             result.outcome) == (31, 68, "pending")
     assert run_scenario(slowed, 69).outcome == "missed"
+
+
+@pytest.mark.parametrize("delays, active", [
+    (((0, 5), (0, 3)), 8),  # both count, in either order
+    (((0, 5), (10, 3)), 5),  # the second begins after p0 starts
+    (((4, 5),), 0),  # p0 starts at round 3, before its delay begins
+])
+def test_a_process_runs_every_delay_active_at_its_start(delays, active):
+    # p0 starts with the stimulus at round 3; Of's lower bound is 11
+    sc = example2_scenario(stimulus_round=3)
+    runs = []
+    for order in (delays, delays[::-1]):
+        slow = dataclasses.replace(sc, faults=tuple(
+            FaultSpec("p0", "delay", at, extra) for at, extra in order))
+        res = run_scenario(slow)
+        arrivals = first_pulses(res)
+        assert arrivals["Of"] == 3 + sc.graph.lb_completion("Of") + active
+        # the horizon counts every delay, active or not
+        assert horizon(slow) == len(res.global_trace) == horizon(sc) + sum(
+            extra for _, extra in delays)
+        assert max(arrivals.values()) < horizon(slow)
+        runs.append(res.global_trace)
+    assert runs[0] == runs[1]
 
 
 def test_scenario_graph_may_live_in_a_file(tmp_path):
