@@ -33,8 +33,10 @@ detects a violation.
 Counters come from one more, untimed check, from what its stage calls
 return: tableau nodes (``tableau.build``), monitor groups
 (``grouping.organize``), monitors (``runtime.synth``), messages and
-rounds (the ``simulator.run`` report), and monitor steps (calls of
-``LocalMonitor.step``).  In that check each of ``PEAK_STAGES`` also
+rounds (the ``simulator.run`` report), monitor steps (calls of
+``LocalMonitor.step``) and oracle steps (calls of ``formulas.progress``,
+which only the oracle makes there: residual watchers call runtime's own
+binding).  In that check each of ``PEAK_STAGES`` also
 records the ``tracemalloc`` peak it allocates above what was held when
 it began (``peaks_mb``).  The output (chain-N under ``points``, fan-in-W
 under ``fan_in``), with the ``src/`` line count, the core count and the
@@ -43,14 +45,14 @@ or to the path given as the only argument.
 
 The progression family times ``evaluate_trace`` alone (median of
 ``REPEATS`` runs) and records the verdict and the largest residual
-(distinct nodes, over an untimed run of ``progress``).  Over trace length
-(``TRACE_LENGTHS``) it runs ``G (a o<=5 b)`` on a trace where each ``a``
-is answered two events later, ``G F a`` on one with ``a`` at every tenth
-event and ``F G a`` on one where ``a`` always holds, all at cost 1, so
-no verdict is reached.  Over nesting depth (``DEPTHS``) it runs
-``(G F)^d a`` over one event with ``a``.  An error, such as a
-RecursionError, is recorded as a failure at that size.  Standard library
-only; run from a checkout with
+(distinct nodes, over an untimed run of ``progress`` on the cost
+clock).  Over trace length (``TRACE_LENGTHS``) it runs ``G (a o<=5 b)``
+on a trace where each ``a`` is answered two events later, ``G F a`` on
+one with ``a`` at every tenth event and ``F G a`` on one where ``a``
+always holds, all at cost 1, so no verdict is reached.  Over nesting
+depth (``DEPTHS``) it runs ``(G F)^d a`` over one event with ``a``.  An
+error, such as a RecursionError, is recorded as a failure at that size.
+Standard library only; run from a checkout with
 
     python bench/curves.py [OUT.json]
 """
@@ -212,19 +214,26 @@ def _check(path: str) -> tuple:
 
 def counters(path: str) -> dict:
     """Counters of one untimed check: the stage peaks, and what the stage
-    calls returned and ``LocalMonitor.step`` was called for."""
-    steps = [0]
-    original = runtime.LocalMonitor.step
+    calls returned and ``LocalMonitor.step`` and ``formulas.progress``
+    were called for."""
+    steps, oracle_steps = [0], [0]
+    original, progress = runtime.LocalMonitor.step, formulas.progress
 
     def counting(self, rnd, event):
         steps[0] += 1
         return original(self, rnd, event)
 
+    def counting_progress(*args):
+        oracle_steps[0] += 1
+        return progress(*args)
+
     runtime.LocalMonitor.step = counting
+    formulas.progress = counting_progress
     try:
         clock = StageClock(path, peaks=True)
     finally:
         runtime.LocalMonitor.step = original
+        formulas.progress = progress
     out, results = {"peaks_mb": clock.peak_mb}, clock.results
     if "tableau.build" in results:
         nodes, todo = 0, [results["tableau.build"]]
@@ -240,7 +249,7 @@ def counters(path: str) -> dict:
     if "simulator.run" in results:
         report = results["simulator.run"].report
         out.update(monitor_steps=steps[0], messages=report.message_total,
-                   rounds=report.rounds_run)
+                   rounds=report.rounds_run, oracle_steps=oracle_steps[0])
     return out
 
 
@@ -297,9 +306,10 @@ def measure_progression(text: str, trace: list) -> dict:
             break
     point["evaluate_s"] = statistics.median(times)
     if not point["failed"]:
-        residual, largest = formulas.nnf(f), 0
+        residual, largest, now = formulas.nnf(f), 0, 0
         for event in trace:
-            residual = formulas.progress(residual, event)
+            residual = formulas.progress(residual, event, now)
+            now += event.cost
             largest = max(largest, distinct_nodes(residual))
         point["residual_nodes_max"] = largest
     return point

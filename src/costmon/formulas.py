@@ -259,12 +259,13 @@ class QDep(Formula):
 
 
 class Budget(Formula):
-    """Internal residual: ``target`` must hold before ``remaining`` is exhausted.
+    """Internal residual: ``target`` must hold before the cost clock passes
+    ``deadline``.
 
     Produced by progression of an activated dependency; not parseable.
     """
 
-    __slots__ = fields = ("target", "remaining")
+    __slots__ = fields = ("target", "deadline")
     kids = ("target",)
 
 
@@ -503,8 +504,9 @@ def eval_props(f: Formula, props: frozenset) -> bool:
 # --- progression ------------------------------------------------------------
 
 
-def progress(f: Formula, event: Event) -> Formula:
-    """One-step residual of ``f`` (in negation normal form) over ``event``.
+def progress(f: Formula, event: Event, now: int = 0) -> Formula:
+    """One-step residual of ``f`` (in negation normal form) over ``event``,
+    with ``now`` the cost accumulated before the event.
 
     One loop over an explicit stack, with one step rule per node kind.  An
     And or Or node, a ``G`` or an ``F`` opens a nest mark unless the
@@ -514,11 +516,15 @@ def progress(f: Formula, event: Event) -> Formula:
     and when it closes a negation becomes the dual of its operand's step
     and ``p U q`` becomes ``q' | (p' & (p U q))``.  Every operand is
     stepped, even once its nest is decided, so one that cannot be stepped
-    always raises.  An undecided dependency or budget steps to a
-    ``(target, remaining)`` pair, and ``_progress_nest`` makes each nest's
-    residual, so ``G (a o<=q b)``, ``G F a`` and ``F G a`` keep one size.
+    always raises.  An activated dependency steps to a ``(target, now +
+    cost + bound)`` pair, a budget that neither runs out (``now + cost >
+    deadline``) nor discharges steps to itself, and ``_progress_nest``
+    makes each nest's residual, so ``G (a o<=q b)``, ``G F a`` and ``F G
+    a`` keep one size, and ``G (a o<=q b)`` with ``a`` held steps to
+    itself.
     """
     props, cost = event
+    clock = now + cost
     done = []  # the steps made, in order
     # nodes, (node,) keeps and [op, start, outer] marks: ``op`` (a nest's
     # connective, or a Not or U node) closes over the steps from ``start``
@@ -537,7 +543,7 @@ def progress(f: Formula, event: Event) -> Formula:
             todo += ((g,), g.sub)
         elif t is QDep:
             # fulfilment at the activation event consumes no budget
-            done.append((g.right, g.bound) if eval_props(g.left, props)
+            done.append((g.right, clock + g.bound) if eval_props(g.left, props)
                         and not eval_props(g.right, props) else TRUE)
         elif t is tuple:
             done.append(g[0])
@@ -561,9 +567,8 @@ def progress(f: Formula, event: Event) -> Formula:
                 kind = t
             todo += (g.right, g.left)
         elif t is Budget:
-            remaining = g.remaining - cost
-            done.append(FALSE if remaining < 0 else TRUE if eval_props(
-                g.target, props) else (g.target, remaining))
+            done.append(FALSE if clock > g.deadline else TRUE if eval_props(
+                g.target, props) else g)
         elif t is Atom:
             done.append(TRUE if g.name in props else FALSE)
         elif t is Not:
@@ -591,10 +596,10 @@ def _progress_nest(kind: type, parts: list) -> Formula:
     """Right-nested ``kind`` (``And`` or ``Or``) of the operands of
     ``parts``, a list this consumes.  The absorbing constant absorbs; the
     neutral one and repeated operands drop, and first-occurrence order is
-    kept.  A ``(target, remaining)`` pair stands for ``Budget(target,
-    remaining)``, made a node only here.  In an And, of several budgets on
-    one target only the tightest stays, in the place of the first: the
-    others hold whenever it does."""
+    kept.  A ``(target, deadline)`` pair stands for ``Budget(target,
+    deadline)``, made a node only here.  In an And, of several budgets on
+    one target only the earliest deadline stays, in the place of the
+    first: the others hold whenever it does."""
     absorbing, neutral = (FALSE, TRUE) if kind is And else (TRUE, FALSE)
     out = {}  # operand -> operand, and a budget's key -> its pair
     parts.reverse()
@@ -607,7 +612,7 @@ def _progress_nest(kind: type, parts: list) -> Formula:
             return g
         elif t is tuple or t is Budget:
             if t is Budget:
-                g = (g.target, g.remaining)
+                g = (g.target, g.deadline)
             key = (Budget, g[0]) if kind is And else g
             if key not in out or g[1] < out[key][1]:
                 out[key] = g
@@ -626,19 +631,49 @@ def evaluate_trace(f: Formula, trace: Trace) -> Verdict:
 
 
 def evaluate_trace_with_position(f: Formula, trace: Trace):
-    """Verdict plus the event index where it became definite (None if never)."""
+    """Verdict plus the event index where it became definite (None if never).
+
+    The clock is the cost of the events before the one stepped.  After a
+    step that returns its input, the repeats of its event are skipped up
+    to the first whose step would end past the residual's earliest
+    deadline or at ``d - q`` for a deadline ``d`` and a dependency bound
+    ``q`` in it: only there can a budget run out, or a fresh activation's
+    deadline meet ``d`` and so merge where it did not, or the reverse.  A
+    step returning its input at such a clock skips nothing."""
     residual = nnf(f)
     if residual is TRUE:
         return Verdict.TRUE, None
     if residual is FALSE:
         return Verdict.FALSE, None
+    now, held, stops = 0, None, None
     for k, event in enumerate(trace):
-        residual = progress(residual, event)
-        if residual is TRUE:
+        clock = now + event.cost
+        if event == held:
+            if stops is None:  # worked out at the first repeat
+                last, stops = _skip_limits(residual, now)
+            if clock <= last and clock not in stops:
+                now = clock
+                continue
+        stepped = progress(residual, event, now)
+        if stepped is TRUE:
             return Verdict.TRUE, k
-        if residual is FALSE:
+        if stepped is FALSE:
             return Verdict.FALSE, k
+        now = clock
+        held, stops = (event if stepped is residual else None), None
+        residual = stepped
     return Verdict.UNKNOWN, None
+
+
+def _skip_limits(residual: Formula, now: int) -> tuple:
+    """The last clock a repeat of a step that returned ``residual`` at
+    clock ``now`` may end at, and the clocks ``d - q`` it may not.  The
+    walk, no longer than the step's, skips the propositional operands."""
+    nodes = list(subformulas(residual, stop=(QDep, Budget)))
+    deadlines = [g.deadline for g in nodes if type(g) is Budget]
+    stops = {d - g.bound for g in nodes if type(g) is QDep for d in deadlines}
+    # clocks are never negative: -1 skips nothing
+    return -1 if now in stops else min(deadlines, default=float("inf")), stops
 
 
 # --- parsing ----------------------------------------------------------------
@@ -801,7 +836,7 @@ def render_formula(f: Formula) -> str:
             todo += [")" * wrap, kids[0]]
         elif t is Budget:
             out.append("<")
-            todo += [" within %d>" % g.remaining, kids[0]]
+            todo += [" by %d>" % g.deadline, kids[0]]
         else:
             op = " o<=%d " % g.bound if t is QDep else _INFIX[t]
             out.append("(")

@@ -108,11 +108,13 @@ class ResidualWatcher:
     """Progresses an arbitrary assigned formula over the latched view, one
     cost unit per round.  Used by the tail of a multi-member group, where
     the latched set has been completed by forwarded observations.  Until
-    it decides, it is due in round 0 and after each step in the next."""
+    it decides, it is due in round 0 and after each step in the next.
+    ``now`` is the cost of its steps so far, the clock of its budgets."""
 
     def __init__(self, formula: Formula):
         self.formula = formula
         self.residual = formula
+        self.now = 0
         self.due: Optional[int] = 0
         self.verdict = V_UNKNOWN
         self.detection_round: Optional[int] = None
@@ -120,7 +122,8 @@ class ResidualWatcher:
     def step(self, rnd: int, latched: frozenset) -> None:
         if self.verdict is not V_UNKNOWN:
             return
-        self.residual = progress(self.residual, Event(latched, 1))
+        self.residual = progress(self.residual, Event(latched, 1), self.now)
+        self.now += 1
         if self.residual == TRUE:
             self.verdict = V_TRUE
         elif self.residual == FALSE:

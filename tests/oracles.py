@@ -158,10 +158,13 @@ def verdict_bare(state) -> Verdict:
 # a hashable key plus an equivalent small representative to progress next.
 # Two canon-equal residuals progress to canon-equal residuals (progression
 # maps each part independently and True/False absorption is shape-blind),
-# so keying states by canon is sound.
+# so keying states by canon is sound.  A budget holds a deadline on the
+# cost clock, and is keyed by what is left of it at the clock ``now``:
+# shifting the clock and every deadline together leaves each step as it
+# was.
 
 
-def canon(f: Formula) -> Tuple[object, Formula]:
+def canon(f: Formula, now: int = 0) -> Tuple[object, Formula]:
     if isinstance(f, (And, Or)):
         kind = type(f)
         parts: Dict[object, Formula] = {}
@@ -172,7 +175,7 @@ def canon(f: Formula) -> Tuple[object, Formula]:
                 stack.append(g.left)
                 stack.append(g.right)
             else:
-                key, mini = canon(g)
+                key, mini = canon(g, now)
                 parts.setdefault(key, mini)
         items = sorted(parts.items(), key=lambda kv: repr(kv[0]))
         if len(items) == 1:
@@ -188,7 +191,7 @@ def canon(f: Formula) -> Tuple[object, Formula]:
     if isinstance(f, Atom):
         return ("atom", f.name), f
     if isinstance(f, Budget):
-        return ("budget", canon(f.target)[0], f.remaining), f
+        return ("budget", canon(f.target)[0], f.deadline - now), f
     if isinstance(f, Not):
         return ("not", canon(f.sub)[0]), f
     if isinstance(f, QDep):

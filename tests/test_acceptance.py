@@ -290,20 +290,20 @@ def test_progression_matches_pair_oracle():
                 f = d
                 ostart, ostep, over = BARE_START, step_bare, verdict_bare
             start = (canon(f)[0], ostart)
-            reps = {start: (f, ostart)}
+            reps = {start: (f, ostart, 0)}  # with the clock of each state
             frontier = [start]
             assert _verdict_of(f) == over(ostart)
             for _ in range(6):
                 fresh = []
                 for key in frontier:
-                    residual, ostate = reps[key]
+                    residual, ostate, now = reps[key]
                     for ev in EVENTS:
-                        r2 = progress(residual, ev)
+                        r2 = progress(residual, ev, now)
                         o2 = ostep(ostate, ev.props, ev.cost, left, "b", q)
                         assert _verdict_of(r2) == over(o2), (f, ev)
-                        k2 = (canon(r2)[0], o2)
+                        k2 = (canon(r2, now + ev.cost)[0], o2)
                         if k2 not in reps:
-                            reps[k2] = (canon(r2)[1], o2)
+                            reps[k2] = (canon(r2)[1], o2, now + ev.cost)
                             fresh.append(k2)
                 frontier = fresh
 

@@ -31,14 +31,17 @@ def _bindings():
 
 
 # one group and one monitor per process and no message; chain-10 takes
-# 2N + 1 monitor steps
+# 2N + 1 monitor steps, and the oracle 4: the first event, the activation,
+# the step that returns its input and the one past the deadline
 @pytest.mark.parametrize("text, n, expected", [
     (curves.chain_text, 10, {
         "tableau_nodes": 69, "groups": 10, "monitors": 10,
-        "monitor_steps": 21, "messages": 0, "rounds": 25}),
+        "monitor_steps": 21, "messages": 0, "rounds": 25,
+        "oracle_steps": 4}),
     (curves.fan_in_text, 8, {
         "tableau_nodes": 62, "groups": 9, "monitors": 9,
-        "monitor_steps": 22, "messages": 0, "rounds": 10}),
+        "monitor_steps": 22, "messages": 0, "rounds": 10,
+        "oracle_steps": 4}),
 ], ids=["chain-10", "fan-in-8"])
 def test_one_point_times_each_layer_of_a_real_check(monkeypatch, text, n,
                                                     expected):
@@ -73,3 +76,14 @@ def test_a_collector_run_is_charged_to_the_open_stage(monkeypatch, tmp_path):
     assert clock.gc_runs["tableau.build"] >= 1
     assert 0 < clock.gc_s["tableau.build"] <= clock.cpu["tableau.build"]
     assert gc.callbacks == callbacks
+
+
+def test_the_oracle_steps_per_change_of_the_view_not_per_round(tmp_path):
+    # chain-N's rounds grow with N, but its latched view changes as often
+    # at every size
+    steps = []
+    for n in (10, 40):
+        path = tmp_path / ("chain-%d.json" % n)
+        path.write_text(curves.chain_text(n))
+        steps.append(curves.counters(str(path))["oracle_steps"])
+    assert steps[0] == steps[1]

@@ -31,6 +31,7 @@ from costmon.formulas import (
     conj,
     eval_props,
     evaluate_trace,
+    evaluate_trace_with_position,
     make_event,
     negate,
     nnf,
@@ -345,14 +346,19 @@ def test_progress_unrolls_globally_eventually():
 
 
 def test_progress_budget_overrun_is_false():
-    # remaining 2, event cost 3: dead regardless of what else the event says
+    # deadline 2, event cost 3: dead regardless of what else the event says
     assert progress(Budget(b, 2), E((), 3)) == FALSE
     assert progress(Budget(b, 2), E(("b",), 3)) == FALSE
+    assert progress(Budget(b, 7), E(("b",), 3), 5) == FALSE
 
 
 def test_progress_budget_discharge():
+    # a budget that neither runs out nor discharges is its own residual,
+    # up to the step that ends on its deadline
     assert progress(Budget(b, 2), E(("b",), 2)) == TRUE
-    assert progress(Budget(b, 2), E((), 2)) == Budget(b, 0)
+    assert progress(Budget(b, 2), E((), 2)) is Budget(b, 2)
+    assert progress(Budget(b, 7), E((), 2), 5) is Budget(b, 7)
+    assert progress(Budget(b, 7), E(("b",), 2), 5) == TRUE
 
 
 def test_progress_atom():
@@ -372,7 +378,7 @@ def test_dep_vacuous_when_anchor_fails():
 
 
 # every literal [8/8] steps: atoms, dependencies with q in 0..4 and
-# budgets with 0..4 remaining
+# budgets with deadlines 0..4
 LITERALS = ([a, b] + [QDep(left, b, q) for left in (a, b, And(a, b))
                       for q in range(5)]
             + [Budget(b, r) for r in range(5)])
@@ -395,20 +401,21 @@ def test_negated_literal_steps_as_the_dual_of_its_literal(lit):
             assert r == (FALSE if lit.name in e.props else TRUE), e
         elif type(lit) is QDep:
             opens = atoms(lit.left) <= e.props and "b" not in e.props
-            assert r == (Not(Budget(b, lit.bound)) if opens else FALSE), e
+            assert r == (Not(Budget(b, e.cost + lit.bound)) if opens
+                         else FALSE), e
         else:
-            left = lit.remaining - e.cost
-            assert r == (TRUE if left < 0 else FALSE if "b" in e.props
-                         else Not(Budget(b, left))), e
+            assert r == (TRUE if e.cost > lit.deadline else FALSE
+                         if "b" in e.props else Not(lit)), e
     for tr in all_traces(EVENTS2, 3):
         assert evaluate_trace(Not(lit), tr) is flip(evaluate_trace(lit, tr))
 
 
 def _residual_sizes(f, events):
     """Node count of each residual of progressing ``f`` over ``events``."""
-    r, sizes = nnf(f), []
+    r, sizes, now = nnf(f), [], 0
     for e in events:
-        r = progress(r, e)
+        r = progress(r, e, now)
+        now += e.cost
         sizes.append(sum(1 for _ in subformulas(r)))
     return r, sizes
 
@@ -448,21 +455,21 @@ def test_progress_drops_repeated_disjuncts():
 
 def test_progress_merges_budgets_in_first_place():
     r = progress(And(Budget(b, 5), And(Eventually(c), Budget(b, 3))),
-                 E((), 1))
-    assert r == And(Budget(b, 2), Eventually(c))
+                 E((), 1), 1)
+    assert r == And(Budget(b, 3), Eventually(c))
 
 
-def test_a_budget_beside_its_dependency_steps_with_two_new_nodes():
-    # the re-activated dependency's budget is looser than the kept one,
-    # so it is never made; only the stepped budget and the conjunction are.
-    # New nodes are the keys the step adds to the table, in insertion order
+def test_a_budget_beside_its_dependency_steps_to_itself_and_makes_no_node():
+    # the re-activated dependency's deadline is later than the kept one,
+    # so it is never made, and the kept budget is its own residual: the
+    # step returns its input and adds no key to the table
     dep = QDep(a, b, 99)  # bounds no other test keeps a node of
-    f = And(Budget(b, 55), Globally(dep))
+    f = And(Budget(b, 155), Globally(dep))
     before = set(Formula._interned)
-    r = progress(f, E(("a",), 1))
+    r = progress(f, E(("a",), 1), 100)
     made = [key[0] for key in Formula._interned if key not in before]
-    assert r == And(Budget(b, 54), Globally(dep))
-    assert made == [Budget, And]
+    assert r is f
+    assert made == []
 
 
 def test_progress_steps_every_operand_of_a_decided_nest():
@@ -496,6 +503,101 @@ def test_progress_takes_a_deep_until_chain():
     trace = [E(("x0",), 1)] * 4
     assert evaluate_trace(f, trace + [E(("x0",), 1)]) is Verdict.UNKNOWN
     assert evaluate_trace(f, trace + [E(("x9999",), 1)]) is Verdict.TRUE
+
+
+# ---------------------------------------------------------------------------
+# skipping repeated events
+
+_DECIDED = {TRUE: Verdict.TRUE, FALSE: Verdict.FALSE}
+
+
+def _stepped(f, trace):
+    """Verdict and position of stepping every event of ``trace`` on the
+    cost clock, with no skip."""
+    r, now = nnf(f), 0
+    if r in _DECIDED:
+        return _DECIDED[r], None
+    for k, e in enumerate(trace):
+        r, now = progress(r, e, now), now + e.cost
+        if r in _DECIDED:
+            return _DECIDED[r], k
+    return Verdict.UNKNOWN, None
+
+
+_OPERANDS = (a, b, c, Not(a), And(a, b), Or(b, c))
+
+
+def _random_formula(rng, depth):
+    """Dependencies under G, F, U, !, |, & and X."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.2:
+            return rng.choice((a, b, c))
+        return QDep(rng.choice(_OPERANDS), rng.choice((a, b, c)),
+                    rng.randint(0, 4))
+    op = rng.choice((Globally, Eventually, Not, Next, Until, Or, And))
+    if op in (Until, Or, And):
+        return op(_random_formula(rng, depth - 1),
+                  _random_formula(rng, depth - 1))
+    return op(_random_formula(rng, depth - 1))
+
+
+def _random_runs(rng):
+    """Runs of 1-12 equal events, costs 0-2."""
+    trace = []
+    for _ in range(rng.randint(1, 6)):
+        props = [n for n in "abc" if rng.random() < 0.4]
+        trace += [E(props, rng.randint(0, 2))] * rng.randint(1, 12)
+    return trace
+
+
+def test_skipping_repeats_matches_stepping_every_event():
+    rng = random.Random(31)
+    for _ in range(3000):
+        f = _random_formula(rng, rng.randint(1, 4))
+        trace = _random_runs(rng)
+        assert evaluate_trace_with_position(f, trace) == _stepped(f, trace), (
+            render_formula(f), trace)
+
+
+def _steps_made(monkeypatch, f, trace):
+    """(end clock, input, output) of each step the evaluator makes."""
+    made = []
+
+    def recording(r, e, now=0):
+        out = progress(r, e, now)
+        made.append((now + e.cost, r, out))
+        return out
+
+    monkeypatch.setattr("costmon.formulas.progress", recording)
+    verdict = evaluate_trace_with_position(f, trace)
+    return verdict, made
+
+
+def test_a_latched_run_of_a_dependency_takes_three_steps(monkeypatch):
+    # activation, a step that returns its input, then the step that runs
+    # past the deadline 51
+    f = parse_formula("G (a o<=50 b)")
+    verdict, made = _steps_made(monkeypatch, f, [E(("a",), 1)] * 100)
+    assert verdict == (Verdict.FALSE, 51) == _stepped(f, [E(("a",), 1)] * 100)
+    assert [clock for clock, _, _ in made] == [1, 2, 52]
+    assert made[1][2] is made[1][1]
+
+
+def test_a_step_that_returns_its_input_where_a_deadline_meets_skips_nothing(
+        monkeypatch):
+    # the step that ends at clock 4 activates with deadline 4 + 2 = 6,
+    # which merges with <b by 6>, so it returns its input; the step that
+    # ends at 5 adds <b by 7>.  A skip that watched only the earliest
+    # deadline would pass over clocks 5 and 6 and keep another residual
+    f = parse_formula("(c o<=5 b) | X X X F (a o<=2 b)")
+    trace = [E(("c",), 1), E((), 1), E((), 1)] + [E(("a",), 1)] * 6
+    verdict, made = _steps_made(monkeypatch, f, trace)
+    assert verdict == (Verdict.UNKNOWN, None) == _stepped(f, trace)
+    assert [clock for clock, _, _ in made] == list(range(1, 10))
+    clock4, clock5 = made[3], made[4]
+    assert clock4[2] is clock4[1]
+    assert Budget(b, 6) in subformula_index(clock4[2])
+    assert Budget(b, 7) in subformula_index(clock5[2])
 
 
 def test_event_is_an_immutable_value():

@@ -116,15 +116,17 @@ def _prop(rng):
 
 def _residuals(rng, f):
     """Budget-bearing residuals of progressing ``f`` over random events."""
-    out = []
+    out, now = [], 0
     r = nnf(f)
     names = sorted(atoms(f))
     for _ in range(8):
         props = [n for n in names if rng.random() < 0.3]
+        cost = rng.randint(0, 2)
         try:
-            r = progress(r, make_event(props, rng.randint(0, 2)))
+            r = progress(r, make_event(props, cost), now)
         except ValueError:
             break
+        now += cost
         if r in (TRUE, FALSE) or len(render_formula(r)) > 400:
             break
         if any(isinstance(g, Budget) for g in subformula_index(r)):
@@ -166,7 +168,7 @@ def _build(doc):
         return BINARY[op](_build(doc["left"]), _build(doc["right"]))
     if op == "dep":
         return QDep(_build(doc["left"]), _build(doc["right"]), doc["bound"])
-    return Budget(_build(doc["target"]), doc["remaining"])
+    return Budget(_build(doc["target"]), doc["deadline"])
 
 
 def _sha(text):
@@ -183,19 +185,22 @@ def _parse_cli(text):
 
 def _progression(f):
     """The rendered residual of ``nnf(f)`` after each of five events, with
-    costs 0-2, drawn from a generator seeded by the rendered ``f``; a text
-    longer than 300 characters as its sha256.  A step that raises ends the
-    list with the exception's type and message."""
+    costs 0-2, drawn from a generator seeded by the rendered ``f``, on a
+    cost clock from 0; a text longer than 300 characters as its sha256.  A
+    step that raises ends the list with the exception's type and
+    message."""
     rng = random.Random(render_formula(f))
     names = sorted(atoms(f))
-    out, r = [], nnf(f)
+    out, r, now = [], nnf(f), 0
     for _ in range(5):
         props = [n for n in names if rng.random() < 0.4]
+        cost = rng.randint(0, 2)
         try:
-            r = progress(r, make_event(props, rng.randint(0, 2)))
+            r = progress(r, make_event(props, cost), now)
         except (TypeError, ValueError) as exc:
             out.append("%s: %s" % (type(exc).__name__, exc))
             break
+        now += cost
         text = render_formula(r)
         out.append(text if len(text) <= 300 else _sha(text))
     return out
